@@ -14,6 +14,7 @@ from .algebra import (
     FuzzyRelation,
     FuzzyTuple,
     LevelMap,
+    class_grouping,
     interpretations,
     join,
     merge_relation,
@@ -24,7 +25,7 @@ from .algebra import (
     thres,
     valid_tuple,
 )
-from .closure import AlphaCutGraph, alpha_cut, closure_classes, temporal_domain
+from .closure import closure_classes, temporal_domain
 from .config import AttributeConfig, Database, load_database
 from .errors import (
     DomainError,
@@ -73,7 +74,6 @@ from .tables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaCutGraph",
     "AttributeConfig",
     "AttributeSpec",
     "CrispIdentity",
@@ -99,10 +99,10 @@ __all__ = [
     "UnknownRelationError",
     "UnknownValueError",
     "ValidationError",
-    "alpha_cut",
     "build_ordinal_matrix",
     "cell_of",
     "class_of",
+    "class_grouping",
     "classes_over",
     "closure_classes",
     "degree_of",

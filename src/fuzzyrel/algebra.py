@@ -29,8 +29,9 @@ from .errors import (
     ValidationError,
 )
 from .partition import (
-    cell_of,
-    class_of,
+    Grouping,
+    cell_key,
+    classes_over,
     partition_line,
     partition_plane,
 )
@@ -45,7 +46,8 @@ from .proximity import (
     degree_of,
 )
 
-METHODS = ("threshold", "interval", "equalized", "grid", "closure")
+CELL_METHODS = ("interval", "equalized", "grid")
+METHODS = ("threshold",) + CELL_METHODS + ("closure",)
 
 
 @dataclass(frozen=True)
@@ -264,36 +266,20 @@ def valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple, levels: LevelMap
     return True
 
 
-def _resolve_method(attr: AttributeSpec, requested: str) -> str:
-    """Map a requested class-formation method to one the attribute supports."""
-    if requested not in METHODS:
-        raise ValidationError(f"unknown method {requested!r}")
-    spec = attr.proximity
-    if requested == "threshold" or isinstance(spec, CrispIdentity):
-        return "threshold"
-    if requested == "closure":
-        return "closure"
-    ordinal = attr.order is not None
-    if requested in ("interval", "equalized"):
-        if isinstance(spec, Linear) or ordinal:
-            return requested
-        if isinstance(spec, Planar):
-            return "grid"
-    if requested == "grid":
-        if isinstance(spec, Planar):
-            return "grid"
-        if isinstance(spec, Linear) or ordinal:
-            return "interval"
-    raise ValidationError(
-        f"attribute {attr.name!r} does not support {requested!r} classes"
-    )
+def _embedding(attr: AttributeSpec):
+    """(dimensions, length, resolve) of the attribute's cells, or None.
 
-
-def _axis_embedding(attr: AttributeSpec):
-    """(length, resolver) for 1D partitioning of a linear or ordinal domain."""
+    A planar attribute is 2-D: [0, side]^2, reached through its locations.
+    A linear attribute is 1-D: [0, length].  An ordinal attribute is 1-D:
+    [0, len(order) - 1], reached through the rank of each label.
+    """
     spec = attr.proximity
+    if isinstance(spec, Planar):
+        return 2, spec.side, spec.resolve
     if isinstance(spec, Linear):
-        return spec.length, _linear_value
+        return 1, spec.length, _linear_value
+    if attr.order is None:
+        return None
     positions = {label: i for i, label in enumerate(attr.order)}
 
     def rank(v):
@@ -304,27 +290,74 @@ def _axis_embedding(attr: AttributeSpec):
                 f"label {v!r} not in the ordered domain of {attr.name!r}"
             ) from None
 
-    return float(len(attr.order) - 1), rank
+    return 1, float(len(attr.order) - 1), rank
+
+
+def class_method(attr: AttributeSpec, requested: str) -> str:
+    """The class-formation method that serves ``requested`` on this attribute.
+
+    Closure serves every attribute.  A cell method needs an embedding: a
+    planar attribute forms grid cells whichever cell method is asked, a
+    linear or ordinal one forms interval cells when grid is asked.
+    """
+    if requested == "closure":
+        return "closure"
+    embedding = _embedding(attr)
+    if requested not in CELL_METHODS or embedding is None:
+        raise ValidationError(
+            f"attribute {attr.name!r} does not support {requested!r} classes"
+        )
+    if embedding[0] == 2:
+        return "grid"
+    return "interval" if requested == "grid" else requested
+
+
+def _resolve_method(attr: AttributeSpec, requested: str) -> str:
+    """Map a requested merge method to one the attribute supports.
+
+    A crisp attribute keeps the threshold check under every method: it
+    has no cells, and its closure classes, its single values, would cost
+    a degree evaluation per pair of values.
+    """
+    if requested not in METHODS:
+        raise ValidationError(f"unknown method {requested!r}")
+    if requested == "threshold" or isinstance(attr.proximity, CrispIdentity):
+        return "threshold"
+    return class_method(attr, requested)
+
+
+def _cells(attr: AttributeSpec, method: str, level: float):
+    """(partitioner, resolve) of a cell method's cells at one level."""
+    dims, length, resolve = _embedding(attr)
+    if dims == 2:
+        return partition_plane(length, level), resolve
+    mode = "equalized" if method == "equalized" else "standard"
+    return partition_line(length, level, mode), resolve
+
+
+def class_grouping(attr: AttributeSpec, method: str, level: float,
+                   values) -> Grouping:
+    """Equivalence classes of a finite value set of one attribute.
+
+    ``method`` is mapped through ``class_method``, the same rule merges
+    and joins follow, so two values share a class here exactly when their
+    singleton tuples would merge at ``level``.  Closure classes come from
+    ``values``; interval, equalized and grid classes from the cells of the
+    attribute's domain, numbered in cell order.  Raises ValidationError
+    when the attribute supports no such classes.
+    """
+    method = class_method(attr, method)
+    if method == "closure":
+        return closure_classes(values, attr.proximity, level)
+    return classes_over(values, *_cells(attr, method, level))
 
 
 def _classifier(attr: AttributeSpec, method: str, level: float,
                 domain: frozenset | None) -> Callable[[Value], object]:
     """Function mapping a value to the key of its equivalence class."""
     if method == "closure":
-        grouping = closure_classes(domain or frozenset(), attr.proximity, level)
-        return grouping.class_index
-    if method == "grid":
-        spec = attr.proximity
-        grid = partition_plane(spec.side, level)
-        if grid.singleton:
-            return lambda v: ("value", v)
-        return lambda v: cell_of(spec.resolve(v), grid)
-    length, resolve = _axis_embedding(attr)
-    mode = "equalized" if method == "equalized" else "standard"
-    part = partition_line(length, level, mode)
-    if part.singleton:
-        return lambda v: ("value", v)
-    return lambda v: class_of(resolve(v), part)
+        return closure_classes(domain or frozenset(), attr.proximity, level).class_index
+    return cell_key(*_cells(attr, method, level))
 
 
 @dataclass(frozen=True)

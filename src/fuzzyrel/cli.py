@@ -1,29 +1,27 @@
 """Command-line surface: classes, compare, query, check-matrix, merge.
 
 Exit codes: 0 on success, 2 for parse or validation problems, 3 for data
-errors (unknown names, out-of-range values).
+errors (unknown names, out-of-range values).  Output cut short because
+its reader went away (``fuzzyrel compare ... | head``) still exits 0,
+with nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import query as querylang
-from .algebra import merge_relation
-from .closure import closure_classes
+from .algebra import class_grouping, class_method, merge_relation
 from .config import Database, load_database
 from .errors import (
-    DomainError,
     FormatError,
     FuzzyRelError,
-    UnknownAttributeError,
     UnknownRelationError,
-    UnknownValueError,
     ValidationError,
 )
-from .partition import Grouping, classes_over, partition_line, partition_plane
-from .proximity import Linear, Planar, degree_of, relation_properties
+from .proximity import relation_properties
 from .query import ParseError
 from .tables import (
     format_grouping,
@@ -39,34 +37,10 @@ CLASS_METHODS = ("interval", "equalized", "grid", "closure")
 ALL_METHODS = CLASS_METHODS + ("threshold",)
 
 
-def _grouping_for(db: Database, attr: str, alpha: float, method: str) -> Grouping:
-    cfg = db.attribute(attr)
-    spec = cfg.spec.proximity
-    values = db.temporal_domain(attr)
-    if method == "closure":
-        return closure_classes(values, spec, alpha)
-    if isinstance(spec, Planar) or method == "grid":
-        if not isinstance(spec, Planar):
-            raise ValidationError(f"attribute {attr!r} has no planar domain")
-        grid = partition_plane(spec.side, alpha)
-        return classes_over(values, grid, spec.resolve)
-    mode = "equalized" if method == "equalized" else "standard"
-    if isinstance(spec, Linear):
-        part = partition_line(spec.length, alpha, mode)
-        return classes_over(values, part)
-    if cfg.spec.order is not None:
-        positions = {label: i for i, label in enumerate(cfg.spec.order)}
-        part = partition_line(len(positions) - 1, alpha, mode)
-        return classes_over(values, part, positions)
-    raise ValidationError(f"attribute {attr!r} does not support {method!r} classes")
-
-
 def cmd_classes(db: Database, attr: str, alpha: float, method: str,
                 emit: str) -> str:
-    if method == "threshold":
-        raise ValidationError("the classes command needs a class method, "
-                              f"one of {CLASS_METHODS}")
-    grouping = _grouping_for(db, attr, alpha, method)
+    attribute = db.attribute(attr).spec
+    grouping = class_grouping(attribute, method, alpha, db.temporal_domain(attr))
     if emit == "csv":
         return grouping_to_csv(grouping)
     head = f"attribute {attr}  method {method}  alpha {format_value(alpha)}"
@@ -74,44 +48,27 @@ def cmd_classes(db: Database, attr: str, alpha: float, method: str,
 
 
 def cmd_compare(db: Database, attr: str, alphas: list[float], emit: str) -> str:
-    cfg = db.attribute(attr)
-    spec = cfg.spec.proximity
-    if isinstance(spec, Planar):
-        cell_method = "grid"
-    elif isinstance(spec, Linear) or cfg.spec.order is not None:
-        cell_method = "interval"
-    else:
-        raise ValidationError(
-            f"attribute {attr!r} does not support content-independent classes"
-        )
-    values = sorted(db.temporal_domain(attr), key=lambda v: str(v))
-    lines: list[str] = []
+    attribute = db.attribute(attr).spec
+    methods = (class_method(attribute, "interval"), "closure")
+    domain = db.temporal_domain(attr)
+    runs = [(alpha, method, class_grouping(attribute, method, alpha, domain))
+            for alpha in alphas for method in methods]
     if emit == "csv":
-        lines.append("alpha,method,class,members")
-        for alpha in alphas:
-            for method in (cell_method, "closure"):
-                grouping = _grouping_for(db, attr, alpha, method)
-                for i, cls in enumerate(grouping.classes, start=1):
-                    members = "|".join(
-                        format_value(v) for v in sorted(cls, key=lambda v: str(v))
-                    )
-                    lines.append(f"{format_value(alpha)},{method},{i},{members}")
+        lines = ["alpha,method,class,members"]
+        for alpha, method, grouping in runs:
+            for i, cls in enumerate(grouping.classes, start=1):
+                members = "|".join(format_value(v) for v in sorted(cls, key=str))
+                lines.append(f"{format_value(alpha)},{method},{i},{members}")
         return "\n".join(lines) + "\n"
-    labels = [str(v) for v in values]
-    lines.append(f"attribute {attr}: proximity matrix")
-    lines.append(
-        format_matrix(labels, lambda x, y: degree_of(spec, x, y), decimals=3)
-    )
-    for alpha in alphas:
-        lines.append("")
-        lines.append(f"alpha {format_value(alpha)}")
-        for method in (cell_method, "closure"):
-            grouping = _grouping_for(db, attr, alpha, method)
-            count = len(grouping.classes)
-            noun = "class" if count == 1 else "classes"
-            lines.append(f"  {method}: {count} {noun}")
-            for line in format_grouping(grouping).splitlines():
-                lines.append(f"    {line}")
+    labels = [str(v) for v in sorted(domain, key=str)]
+    lines = [f"attribute {attr}: proximity matrix",
+             format_matrix(labels, attribute.proximity.degree, decimals=3)]
+    for alpha, method, grouping in runs:
+        if method == methods[0]:
+            lines += ["", f"alpha {format_value(alpha)}"]
+        count = len(grouping.classes)
+        lines.append(f"  {method}: {count} {'class' if count == 1 else 'classes'}")
+        lines += [f"    {line}" for line in format_grouping(grouping).splitlines()]
     return "\n".join(lines)
 
 
@@ -215,35 +172,34 @@ def _show_parse_error(text: str, err: ParseError) -> str:
     return f"{err}\n{line}\n{caret}"
 
 
+def _run(args) -> str:
+    if args.command == "check-matrix":
+        return cmd_check_matrix(args.path)
+    db = load_database(args.db)
+    if args.command == "classes":
+        return cmd_classes(db, args.attr, args.alpha, args.method, args.emit)
+    if args.command == "compare":
+        return cmd_compare(db, args.attr, args.alpha or [0.4, 0.6, 0.8], args.emit)
+    if args.command == "query":
+        return cmd_query(db, args.text, args.emit, args.method)
+    return cmd_merge(db, args.relation, args.alpha, args.method, args.emit)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "classes":
-            db = load_database(args.db)
-            print(cmd_classes(db, args.attr, args.alpha, args.method, args.emit))
-        elif args.command == "compare":
-            db = load_database(args.db)
-            alphas = args.alpha or [0.4, 0.6, 0.8]
-            print(cmd_compare(db, args.attr, alphas, args.emit))
-        elif args.command == "query":
-            db = load_database(args.db)
-            try:
-                print(cmd_query(db, args.text, args.emit, args.method))
-            except ParseError as err:
-                print(_show_parse_error(args.text, err), file=sys.stderr)
-                return 2
-        elif args.command == "check-matrix":
-            print(cmd_check_matrix(args.path))
-        elif args.command == "merge":
-            db = load_database(args.db)
-            print(cmd_merge(db, args.relation, args.alpha, args.method, args.emit))
-    except (ParseError, FormatError, ValidationError) as err:
+        print(_run(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point standard output at the null device so
+        # the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except ParseError as err:  # only query text is parsed
+        print(_show_parse_error(args.text, err), file=sys.stderr)
+        return 2
+    except (FormatError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, UnknownValueError, UnknownAttributeError,
-            UnknownRelationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except FuzzyRelError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

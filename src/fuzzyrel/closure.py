@@ -9,12 +9,10 @@ content, not only on the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import UnknownAttributeError
 from .partition import Grouping, _unit_interval, value_sort_key
-from .proximity import ProximitySpec, Value, degree_of
+from .proximity import ProximitySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algebra import FuzzyRelation
@@ -29,59 +27,28 @@ def temporal_domain(relation: "FuzzyRelation", attr: str) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class AlphaCutGraph:
-    """Undirected graph whose edges join values with degree >= alpha."""
-
-    alpha: float
-    nodes: tuple[Value, ...]
-    edges: tuple[tuple[Value, Value], ...]
-
-
-def alpha_cut(values, spec: ProximitySpec, alpha) -> AlphaCutGraph:
-    """Build the alpha-cut graph over a finite value set."""
-    a = _unit_interval(alpha)
-    nodes = tuple(sorted(set(values), key=value_sort_key))
-    edges = []
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1 :]:
-            if degree_of(spec, x, y) >= a:
-                edges.append((x, y))
-    return AlphaCutGraph(a, nodes, tuple(edges))
-
-
-class _UnionFind:
-    """Path-compressing union-find over arbitrary hashable items."""
-
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     """Connected components of the alpha-cut graph over ``values``.
 
-    Equals the reflexive-symmetric-transitive closure of alpha-similarity
-    restricted to the value set.  The attribute raising UnknownValueError
-    is the underlying degree lookup, so every value must be resolvable.
+    Unions every pair of values whose degree is >= alpha, which equals the
+    reflexive-symmetric-transitive closure of alpha-similarity restricted
+    to the value set.  Classes are ordered by their smallest member.
+    Every value must be one ``spec.degree`` can interpret.
     """
-    graph = alpha_cut(values, spec, alpha)
-    uf = _UnionFind(graph.nodes)
-    for x, y in graph.edges:
-        uf.union(x, y)
+    a = _unit_interval(alpha)
+    nodes = sorted(set(values), key=value_sort_key)
+    parent = {v: v for v in nodes}  # union-find forest
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            if spec.degree(x, y) >= a:
+                parent[find(y)] = find(x)
     components: dict = {}
-    for v in graph.nodes:
-        components.setdefault(uf.find(v), set()).add(v)
+    for v in nodes:
+        components.setdefault(find(v), set()).add(v)
     return Grouping.from_classes(components.values())

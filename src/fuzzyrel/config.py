@@ -104,28 +104,35 @@ def _split_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _number(section: Mapping[str, str], key: str, where: str) -> float:
+    try:
+        return float(section[key])
+    except ValueError:
+        raise FormatError(
+            f"{where}: {key} = {section[key]!r} is not a number") from None
+
+
 def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> AttributeConfig:
+    where = f"{base / 'schema.cfg'}: attribute {name!r}"
     kind = section.get("kind", "").strip().lower()
     if kind not in _KINDS:
-        raise FormatError(
-            f"attribute {name!r}: kind must be one of {_KINDS}, got {kind!r}"
-        )
+        raise FormatError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
     order = None
     if kind == "crisp":
         proximity = CrispIdentity()
     elif kind == "numeric":
         if "length" not in section:
-            raise FormatError(f"attribute {name!r}: numeric kind needs length")
-        proximity = Linear(float(section["length"]))
+            raise FormatError(f"{where}: numeric kind needs length")
+        proximity = Linear(_number(section, "length", where))
     elif kind == "planar":
         for key in ("length", "locations"):
             if key not in section:
-                raise FormatError(f"attribute {name!r}: planar kind needs {key}")
+                raise FormatError(f"{where}: planar kind needs {key}")
         locations = load_locations(base / section["locations"])
-        proximity = Planar(float(section["length"]), locations)
+        proximity = Planar(_number(section, "length", where), locations)
     else:
         if "labels" not in section:
-            raise FormatError(f"attribute {name!r}: ordinal kind needs labels")
+            raise FormatError(f"{where}: ordinal kind needs labels")
         labels = _split_list(section["labels"])
         order = tuple(labels)
         if "matrix" in section:
@@ -133,7 +140,7 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
         else:
             proximity = ExplicitMatrix(build_ordinal_matrix(labels))
     method = section.get("method", _DEFAULT_METHOD[kind]).strip()
-    alpha = float(section["alpha"]) if "alpha" in section else None
+    alpha = _number(section, "alpha", where) if "alpha" in section else None
     spec = AttributeSpec(name, proximity, method, order)
     return AttributeConfig(spec, alpha)
 
@@ -148,7 +155,7 @@ def load_database(path) -> Database:
     parser.optionxform = str
     try:
         parser.read(cfg_path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{cfg_path}: {exc}") from None
 
     attributes: dict[str, AttributeConfig] = {}

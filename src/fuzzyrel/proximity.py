@@ -9,21 +9,32 @@ max-min transitivity.  Four kinds of specification are supported:
 * ``Planar``         -- distance-based degrees on the square [0, L]^2,
 * ``CrispIdentity``  -- classical equality (degree 1 or 0).
 
+Each kind implements the same two methods:
+
+* ``degree(x, y)`` -- the degree of two domain values; it checks both and
+  raises UnknownValueError for a value it cannot interpret, DomainError
+  for one outside the domain,
+* ``parse(text)``  -- the domain value a data file cell spells; it raises
+  FormatError for text of the wrong shape, DomainError for a value
+  outside the domain.
+
 All objects are immutable and every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import DomainError, UnknownValueError, ValidationError
+from .errors import DomainError, FormatError, UnknownValueError, ValidationError
 
 Value = Union[str, int, float]
 Point = tuple[float, float]
 
 _SQRT2 = math.sqrt(2.0)
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
 def _as_number(value, what: str) -> float:
@@ -85,6 +96,19 @@ class Linear:
         if self.length <= 0:
             raise DomainError(f"length must be positive, got {self.length}")
 
+    def degree(self, x: Value, y: Value) -> float:
+        return proximity_linear(_linear_value(x), _linear_value(y), self.length)
+
+    def parse(self, text: str) -> Value:
+        """An int when ``text`` spells one, else a float."""
+        try:
+            number = int(text) if _INT_RE.fullmatch(text) else float(text)
+        except ValueError:
+            raise FormatError(f"{text!r} is not a number") from None
+        if not 0.0 <= number <= self.length:
+            raise DomainError(f"value {number} outside [0, {self.length}]")
+        return number
+
 
 @dataclass(frozen=True)
 class Planar:
@@ -114,6 +138,14 @@ class Planar:
         except (KeyError, TypeError):
             raise UnknownValueError(f"no location known for {value!r}") from None
 
+    def degree(self, x: Value | Point, y: Value | Point) -> float:
+        return proximity_planar(self.resolve(x), self.resolve(y), self.side)
+
+    def parse(self, text: str) -> Value:
+        if text not in self.locations:
+            raise DomainError(f"no location known for {text!r}")
+        return text
+
     # Mapping fields rule out hashing; equality still works field-wise.
     __hash__ = None
 
@@ -124,10 +156,24 @@ class ExplicitMatrix:
 
     matrix: ProximityMatrix
 
+    def degree(self, x: Value, y: Value) -> float:
+        return self.matrix.degree(x, y)
+
+    def parse(self, text: str) -> Value:
+        if text not in self.matrix.labels:
+            raise DomainError(f"unknown label {text!r}")
+        return text
+
 
 @dataclass(frozen=True)
 class CrispIdentity:
     """Classical equality: degree 1 for equal values, 0 otherwise."""
+
+    def degree(self, x: Value, y: Value) -> float:
+        return 1.0 if x == y else 0.0
+
+    def parse(self, text: str) -> Value:
+        return text
 
 
 ProximitySpec = Union[ExplicitMatrix, Linear, Planar, CrispIdentity]
@@ -213,22 +259,12 @@ def relation_properties(m: ProximityMatrix) -> PropertyReport:
 
 def degree_of(spec: ProximitySpec, x: Value, y: Value) -> float:
     """Degree of two values under any proximity specification."""
-    if isinstance(spec, CrispIdentity):
-        return 1.0 if x == y else 0.0
-    if isinstance(spec, ExplicitMatrix):
-        return spec.matrix.degree(x, y)
-    if isinstance(spec, Linear):
-        return proximity_linear(_linear_value(x), _linear_value(y), spec.length)
-    if isinstance(spec, Planar):
-        return proximity_planar(spec.resolve(x), spec.resolve(y), spec.side)
-    raise TypeError(f"not a proximity spec: {spec!r}")
+    return spec.degree(x, y)
 
 
 def _linear_value(v: Value) -> float:
     if isinstance(v, bool):
         raise UnknownValueError(f"cannot interpret {v!r} as a number")
-    if isinstance(v, (int, float)):
-        return float(v)
     try:
         return float(v)
     except (TypeError, ValueError):

@@ -10,32 +10,22 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from pathlib import Path
 from typing import Sequence
 
 from .algebra import AttributeSpec, FuzzyRelation, FuzzyTuple
 from .errors import DomainError, FormatError
 from .partition import Grouping, value_sort_key
-from .proximity import (
-    ExplicitMatrix,
-    Linear,
-    Planar,
-    Point,
-    ProximityMatrix,
-    Value,
-)
+from .proximity import Point, ProximityMatrix, Value
 
 SET_SEPARATOR = "|"
-
-_INT_RE = re.compile(r"[+-]?\d+")
 
 
 def _read_rows(path: Path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -91,47 +81,15 @@ def load_locations(path) -> dict[str, Point]:
     return locations
 
 
-def _parse_number(text: str) -> Value:
-    if _INT_RE.fullmatch(text):
-        return int(text)
-    return float(text)
-
-
 def _parse_cell(cell: str, attr: AttributeSpec, where: str) -> frozenset:
     parts = [p.strip() for p in cell.split(SET_SEPARATOR)]
     if any(not p for p in parts):
         raise FormatError(f"{where}: empty value in column {attr.name!r}")
-    spec = attr.proximity
-    values = []
-    for part in parts:
-        if isinstance(spec, Linear):
-            try:
-                number = _parse_number(part)
-            except ValueError:
-                raise FormatError(
-                    f"{where}: {part!r} is not a number for {attr.name!r}"
-                ) from None
-            if not 0.0 <= float(number) <= spec.length:
-                raise DomainError(
-                    f"{where}: value {number} outside [0, {spec.length}] "
-                    f"for {attr.name!r}"
-                )
-            values.append(number)
-        elif isinstance(spec, ExplicitMatrix):
-            if part not in spec.matrix.labels:
-                raise DomainError(
-                    f"{where}: {part!r} is not in the domain of {attr.name!r}"
-                )
-            values.append(part)
-        elif isinstance(spec, Planar):
-            if part not in spec.locations:
-                raise DomainError(
-                    f"{where}: no location known for {part!r} in {attr.name!r}"
-                )
-            values.append(part)
-        else:
-            values.append(part)
-    return frozenset(values)
+    parse = attr.proximity.parse
+    try:
+        return frozenset(map(parse, parts))
+    except (FormatError, DomainError) as exc:
+        raise type(exc)(f"{where}: {exc} in column {attr.name!r}") from None
 
 
 def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:

@@ -1,7 +1,9 @@
 """Tuple interpretations, thresholds, redundancy, merging and the operators."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzyrel import (
     AttributeSpec,
@@ -11,8 +13,11 @@ from fuzzyrel import (
     FuzzyTuple,
     LevelMap,
     Linear,
+    Planar,
     SchemaMismatchError,
     UnknownAttributeError,
+    build_ordinal_matrix,
+    class_grouping,
     interpretations,
     join,
     merge_relation,
@@ -300,3 +305,40 @@ class TestRedundancyIsEquivalence:
                 for c in ts:
                     if redundant(rel, a, b, levels) and redundant(rel, b, c, levels):
                         assert redundant(rel, a, c, levels)
+
+
+RANKS = ("R0", "R1", "R2", "R3", "R4", "R5", "R6")
+SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
+         "E": (10.0, 10.0), "F": (4.9, 5.1), "G": (2.5, 7.5), "H": (3.3, 3.4)}
+CLASS_PATH_DOMAINS = {
+    "linear": (AttributeSpec("X", Linear(10)),
+               st.one_of(st.integers(0, 10), st.floats(0, 10))),
+    "ordinal": (AttributeSpec("X", ExplicitMatrix(build_ordinal_matrix(RANKS)),
+                              order=RANKS),
+                st.sampled_from(RANKS)),
+    "planar": (AttributeSpec("X", Planar(10, SITES)), st.sampled_from(sorted(SITES))),
+}
+
+
+@st.composite
+def attribute_and_values(draw):
+    attr, values = CLASS_PATH_DOMAINS[draw(st.sampled_from(sorted(CLASS_PATH_DOMAINS)))]
+    return attr, draw(st.lists(values, min_size=2, max_size=8, unique=True))
+
+
+class TestOneClassPath:
+    """``class_grouping`` and merging decide classes by the same rule."""
+
+    @settings(max_examples=300)
+    @given(case=attribute_and_values(),
+           method=st.sampled_from(["interval", "equalized", "grid", "closure"]),
+           level=st.sampled_from([0.0, 0.3, 0.45, 0.6, 2 / 3, 0.7, 0.8, 0.95, 1.0]))
+    def test_shared_class_iff_singletons_merge(self, case, method, level):
+        attr, values = case
+        rel = FuzzyRelation.from_rows((attr,), [(v,) for v in values])
+        grouping = class_grouping(attr, method, level, values)
+        levels = LevelMap({"X": level})
+        for t1, t2 in itertools.combinations(rel.tuples, 2):
+            (x,), (y,) = t1.components[0], t2.components[0]
+            same = grouping.class_index(x) == grouping.class_index(y)
+            assert same == redundant(rel, t1, t2, levels, method)

@@ -1,12 +1,33 @@
 """End-to-end runs of the command-line surface."""
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fuzzyrel.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def run_process(*argv, **kwargs):
+    """``python -m fuzzyrel.cli`` in a child process with this checkout's sources."""
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzyrel.cli", *map(str, argv)],
+        env=child_env(), stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
 
 
 def run(capsys, *argv):
@@ -51,6 +72,20 @@ class TestClasses:
         body = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert len(body) == 23
         assert all(l.count(",") == 0 for l in body)
+
+    def test_grid_on_a_line_gives_interval_classes(self, capsys):
+        # merge and query --method grid use intervals on a line; so does classes
+        argv = ("classes", "--db", DATA / "suppliers", "--attr", "STATUS",
+                "--alpha", "0.8", "--method")
+        code, grid, _ = run(capsys, *argv, "grid")
+        assert code == 0
+        assert grid.splitlines()[0] == "attribute STATUS  method grid  alpha 0.8"
+        assert grid.splitlines()[1:] == [
+            "1: {10}", "2: {20, 25, 30, 35}", "3: {40, 45, 50, 55}",
+            "4: {60, 65, 75}", "5: {80, 90}",
+        ]
+        _, interval, _ = run(capsys, *argv, "interval")
+        assert grid.splitlines()[1:] == interval.splitlines()[1:]
 
     def test_csv_emit(self, capsys):
         code, out, _ = run(capsys, "classes", "--db", DATA / "suppliers",
@@ -169,3 +204,101 @@ class TestMerge:
                            "--emit", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 19
+
+
+def _replace(name, old, new):
+    def edit(db):
+        path = db / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return edit
+
+
+def _not_utf8(name):
+    def edit(db):
+        path = db / name
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return edit
+
+
+def _classes(attr, alpha="0.8", method="interval"):
+    return ("classes", "--db", "{db}", "--attr", attr, "--alpha", alpha,
+            "--method", method)
+
+
+# (database copied, edit of the copy, argv with {db} for the copy,
+#  exit code, texts the error message names)
+ERROR_PATHS = {
+    "length-not-a-number": (
+        "suppliers", _replace("schema.cfg", "length = 100", "length = abc"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'abc'"]),
+    "alpha-not-a-number": (
+        "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = zero"),
+        _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'zero'"]),
+    "schema-not-utf8": (
+        "suppliers", _not_utf8("schema.cfg"), _classes("STATUS"), 2, ["schema.cfg"]),
+    "relation-not-utf8": (
+        "suppliers", _not_utf8("suppliers.csv"), _classes("STATUS"), 2,
+        ["suppliers.csv"]),
+    "locations-not-utf8": (
+        "suppliers", _not_utf8("city_locations.csv"), _classes("STATUS"), 2,
+        ["city_locations.csv"]),
+    "matrix-not-utf8": (
+        "survey", _not_utf8("effect_matrix.csv"), _classes("Effect"), 2,
+        ["effect_matrix.csv"]),
+    "check-matrix-not-utf8": (
+        "survey", _not_utf8("effect_matrix.csv"),
+        ("check-matrix", "{db}/effect_matrix.csv"), 2, ["effect_matrix.csv"]),
+    "cell-not-a-number": (
+        "suppliers", _replace("suppliers.csv", ",20,", ",abc,"), _classes("STATUS"),
+        2, ["suppliers.csv:", "'abc'", "'STATUS'"]),
+    "cell-out-of-range": (
+        "suppliers", _replace("suppliers.csv", ",20,", ",200,"), _classes("STATUS"),
+        3, ["suppliers.csv:", "200", "'STATUS'"]),
+    "unknown-attribute": (
+        "suppliers", None, _classes("NOPE"), 3, ["NOPE"]),
+    "unknown-relation": (
+        "suppliers", None, ("merge", "--db", "{db}", "--relation", "NOPE"), 3,
+        ["NOPE"]),
+    "alpha-out-of-range": (
+        "suppliers", None, _classes("STATUS", alpha="1.5"), 3, ["1.5"]),
+    "alpha-nan": (
+        "suppliers", None, _classes("STATUS", alpha="nan"), 3, ["nan"]),
+    "query-parse-error": (
+        "survey", None, ("query", "--db", "{db}", "project (SURVEY) over"), 2,
+        ["expected", "^"]),
+    "missing-directory": (
+        None, None, _classes("STATUS"), 2, ["schema.cfg"]),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_exits_with_a_code_not_a_traceback(self, case, tmp_path):
+        source, edit, argv, expected_code, needles = ERROR_PATHS[case]
+        db = tmp_path / "db"
+        if source is not None:
+            shutil.copytree(DATA / source, db)
+        if edit is not None:
+            edit(db)
+        proc = run_process(*(a.replace("{db}", str(db)) for a in argv),
+                           stdout=subprocess.PIPE)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert proc.returncode == expected_code, err
+        for needle in needles:
+            assert needle in err
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # the read end is closed before the child starts, so its first
+        # write fails however large the pipe buffer is
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process("compare", "--db", DATA / "gb", "--attr", "CITY",
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0

@@ -1,4 +1,4 @@
-"""Alpha-cut graphs, their components and temporal domains."""
+"""Closure classes of alpha cuts, and temporal domains."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from fuzzyrel import (
     AttributeSpec,
     ExplicitMatrix,
     FuzzyRelation,
-    alpha_cut,
     closure_classes,
     temporal_domain,
 )
@@ -94,10 +93,14 @@ class TestClosureClasses:
 
 class TestAlphaCut:
     def test_edges_are_non_strict(self, effect_matrix):
-        graph = alpha_cut(EFFECT_LABELS, ExplicitMatrix(effect_matrix), 0.85)
-        edges = {frozenset(e) for e in graph.edges}
-        assert frozenset({"Major", "Extreme"}) in edges  # degree exactly 0.85
-        assert frozenset({"Major", "Severe"}) not in edges  # 0.80
+        spec = ExplicitMatrix(effect_matrix)
+        assert spec.degree("Major", "Extreme") == 0.85
+        assert spec.degree("Major", "Severe") == 0.80
+        assert spec.degree("Severe", "Extreme") == 0.80
+        g = closure_classes(EFFECT_LABELS, spec, 0.85)
+        # a degree of exactly 0.85 links; 0.80 does not, and no chain does
+        assert g.class_index("Major") == g.class_index("Extreme")
+        assert g.class_index("Major") != g.class_index("Severe")
 
 
 class TestTemporalDomain:
