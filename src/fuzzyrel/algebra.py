@@ -149,6 +149,7 @@ class FuzzyRelation:
             seen.setdefault(t)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "tuples", tuple(seen))
+        object.__setattr__(self, "_indexes", {})
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -183,6 +184,22 @@ class FuzzyRelation:
 
     def tuple_set(self) -> frozenset:
         return frozenset(self.tuples)
+
+    def _column_index(self, idx: int) -> dict:
+        """Map from each value of column ``idx`` to the positions holding it.
+
+        Built on first use and kept: the tuples never change.  Positions
+        ascend, and values are keyed by Python equality.
+        """
+        indexes = getattr(self, "_indexes")
+        index = indexes.get(idx)
+        if index is None:
+            index = {}
+            for pos, t in enumerate(self.tuples):
+                for v in t.components[idx]:
+                    index.setdefault(v, []).append(pos)
+            indexes[idx] = index
+        return index
 
     __hash__ = None
 
@@ -360,21 +377,48 @@ def _classifier(attr: AttributeSpec, method: str, level: float,
     return cell_key(*_cells(attr, method, level))
 
 
+_MIXED = object()  # class key of a component that spans two classes
+
+
 @dataclass(frozen=True)
 class _Check:
-    """Redundancy test for one attribute position."""
+    """Redundancy test for one attribute position, memoised for one call.
+
+    A class test caches each value's class key; a threshold test caches
+    ``degree(x, y) >= level`` for each value pair.  Both are pure
+    functions of the values, keyed by Python equality, so a check is built
+    once per operator call and its cache dies with it.
+    """
 
     index: int
     name: str
     level: float
     spec: ProximitySpec | None = None          # threshold test
     classify: Callable | None = None           # class test
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def class_key(self, values: frozenset):
+        """The one class key all ``values`` share, or ``_MIXED``."""
+        memo = self.memo
+        keys = set()
+        for v in values:
+            if v not in memo:
+                memo[v] = self.classify(v)
+            keys.add(memo[v])
+        return keys.pop() if len(keys) == 1 else _MIXED
+
+    def close(self, x: Value, y: Value) -> bool:
+        memo = self.memo
+        try:
+            return memo[x, y]
+        except KeyError:
+            ok = memo[x, y] = memo[y, x] = self.spec.degree(x, y) >= self.level
+            return ok
 
     def component_ok(self, values: frozenset) -> bool:
         if self.classify is not None:
-            keys = {self.classify(v) for v in values}
-            return len(keys) == 1
-        return _min_pairwise(self.spec, values) >= self.level
+            return self.class_key(values) is not _MIXED
+        return all(self.close(x, y) for x, y in itertools.combinations(values, 2))
 
     __hash__ = None
 
@@ -434,26 +478,63 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
                    mode: str | None = None) -> FuzzyRelation:
     """Merge redundant tuples until none remain.
 
-    Scans pairs in stable order, merges the first redundant pair and
-    restarts; each merge shrinks the relation, so the loop terminates.
+    The result is that of scanning pairs in relation order, merging the
+    first redundant pair, dropping later tuples equal to the merged one and
+    restarting.  It is reached in one forward pass, because a union only
+    adds class keys and can only lower the minimum pairwise degree: a pair
+    found non-redundant stays non-redundant as either side grows, so the
+    restart never finds a redundant pair before the one it merged last.
+
+    Two tuples can merge only when each class-checked component lies in
+    one class and those classes agree, so tuples are bucketed by that key
+    vector; a tuple with a component spanning two classes never merges and
+    is kept as it is.  Inside a bucket, tuple i absorbs each later tuple
+    that passes the threshold checks against it, and a later tuple equal
+    to the grown one is dropped at once.  Survivors keep the position of
+    their first member.  That is at most O(n^2) pair checks with threshold
+    checks, and O(n) with class checks only.
+
+    Degrees and class keys are memoised per call and keyed by Python
+    equality, which is exact for every value a spec accepts.  A relation
+    built through the API with a value its spec rejects (``True`` on a
+    ``Linear`` column) may raise, or not, where pairwise scanning did the
+    opposite.
     """
     levels = levels or LevelMap()
     checks = _build_checks(r, levels, mode)
-    tuples = list(dict.fromkeys(r.tuples))
-    merged_some = True
-    while merged_some:
-        merged_some = False
-        for i in range(len(tuples)):
-            for j in range(i + 1, len(tuples)):
-                if _pair_redundant(checks, tuples[i], tuples[j]):
-                    tuples[i] = merge_tuples(tuples[i], tuples[j])
-                    del tuples[j]
-                    tuples = list(dict.fromkeys(tuples))
-                    merged_some = True
-                    break
-            if merged_some:
-                break
-    return FuzzyRelation(r.schema, tuple(tuples))
+    class_checks = [c for c in checks if c.classify is not None]
+    threshold_checks = [c for c in checks if c.classify is None]
+    survivors: dict[int, FuzzyTuple] = {}
+    buckets: dict[tuple, list[int]] = {}
+    for pos, t in enumerate(r.tuples):
+        keys = tuple(c.class_key(t.components[c.index]) for c in class_checks)
+        if _MIXED in keys:
+            survivors[pos] = t
+        else:
+            buckets.setdefault(keys, []).append(pos)
+    for members in buckets.values():
+        survivors.update(_absorb(r.tuples, members, threshold_checks))
+    return FuzzyRelation(r.schema, tuple(survivors[p] for p in sorted(survivors)))
+
+
+def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
+            checks: Sequence[_Check]):
+    """(position, merged tuple) of each survivor of one class-key bucket."""
+    alive = [tuples[p] for p in members]
+    later = {t: k for k, t in enumerate(alive)}
+    for i, t in enumerate(alive):
+        if t is None:
+            continue
+        for j in range(i + 1, len(alive)):
+            u = alive[j]
+            if u is None or not _pair_redundant(checks, t, u):
+                continue
+            t = merge_tuples(t, u)
+            alive[j] = None
+            k = later.get(t)
+            if k is not None and k > j:
+                alive[k] = None
+        yield members[i], t
 
 
 def _coerce_constant(spec: ProximitySpec, constant: Value) -> Value:
@@ -473,7 +554,20 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
 
     A tuple passes a condition (attr, c) when every element of its attr
     component has degree >= level(attr) to c.  Conditions conjoin.  No
-    merging happens here.
+    merging happens here; the kept tuples stay in relation order.
+
+    Each condition is evaluated once per distinct value, not once per
+    cell: the first condition over the keys of a per-column index that
+    the relation builds on first use and keeps, a later one over the
+    values of the tuples that passed the earlier ones.
+    A tuple passes when its component is a subset of the passing values.
+    Once no tuple survives, later conditions are not evaluated, so a
+    constant no value can be compared with raises only when some tuple
+    reaches its condition.  A level-0 condition is skipped.  Values are
+    keyed by Python equality, which is exact for every value a spec
+    accepts; a relation built through the API with a value its spec
+    rejects (``True`` on a ``Linear`` column) may raise, or not, where a
+    scan of each cell did the opposite.
     """
     levels = levels or LevelMap()
     prepared = []
@@ -484,14 +578,20 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         if level == 0.0:
             continue  # degree >= 0 always holds
         prepared.append((idx, spec, _coerce_constant(spec, constant), level))
-    kept = tuple(
-        t for t in r.tuples
-        if all(
-            all(degree_of(spec, v, constant) >= level for v in t.components[idx])
-            for idx, spec, constant, level in prepared
-        )
-    )
-    return FuzzyRelation(r.schema, kept)
+    tuples = r.tuples
+    kept = range(len(tuples))
+    for idx, spec, constant, level in prepared:
+        if not kept:
+            break
+        if len(kept) == len(tuples):
+            index = r._column_index(idx)
+            passing = {v for v in index if spec.degree(v, constant) >= level}
+            kept = sorted({pos for v in passing for pos in index[v]})
+        else:
+            values = set().union(*(tuples[pos].components[idx] for pos in kept))
+            passing = {v for v in values if spec.degree(v, constant) >= level}
+        kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
+    return FuzzyRelation(r.schema, tuple(tuples[pos] for pos in kept))
 
 
 def project(r: FuzzyRelation, attrs: Sequence[str],

@@ -43,7 +43,8 @@ def cmd_classes(db: Database, attr: str, alpha: float, method: str,
     grouping = class_grouping(attribute, method, alpha, db.temporal_domain(attr))
     if emit == "csv":
         return grouping_to_csv(grouping)
-    head = f"attribute {attr}  method {method}  alpha {format_value(alpha)}"
+    head = (f"attribute {attr}  method {class_method(attribute, method)}  "
+            f"alpha {format_value(alpha)}")
     return head + "\n" + format_grouping(grouping)
 
 

@@ -25,6 +25,7 @@ Ordinal attributes list ``labels`` in domain order and may name a
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -106,10 +107,14 @@ def _split_list(raw: str) -> list[str]:
 
 def _number(section: Mapping[str, str], key: str, where: str) -> float:
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError:
         raise FormatError(
             f"{where}: {key} = {section[key]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise FormatError(
+            f"{where}: {key} = {section[key]!r} is not a finite number")
+    return value
 
 
 def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> AttributeConfig:

@@ -93,8 +93,8 @@ class Linear:
 
     def __post_init__(self):
         object.__setattr__(self, "length", _as_number(self.length, "length"))
-        if self.length <= 0:
-            raise DomainError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise DomainError(f"length must be positive and finite, got {self.length}")
 
     def degree(self, x: Value, y: Value) -> float:
         return proximity_linear(_linear_value(x), _linear_value(y), self.length)
@@ -119,8 +119,8 @@ class Planar:
 
     def __post_init__(self):
         side = _as_number(self.side, "side")
-        if side <= 0:
-            raise DomainError(f"side must be positive, got {side}")
+        if not 0 < side < math.inf:
+            raise DomainError(f"side must be positive and finite, got {side}")
         locs = {}
         for label, point in dict(self.locations).items():
             x, y = (_as_number(c, f"coordinate of {label!r}") for c in point)

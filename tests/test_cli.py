@@ -74,12 +74,13 @@ class TestClasses:
         assert all(l.count(",") == 0 for l in body)
 
     def test_grid_on_a_line_gives_interval_classes(self, capsys):
-        # merge and query --method grid use intervals on a line; so does classes
+        # merge and query --method grid use intervals on a line; so does
+        # classes, and its header names the method it used
         argv = ("classes", "--db", DATA / "suppliers", "--attr", "STATUS",
                 "--alpha", "0.8", "--method")
         code, grid, _ = run(capsys, *argv, "grid")
         assert code == 0
-        assert grid.splitlines()[0] == "attribute STATUS  method grid  alpha 0.8"
+        assert grid.splitlines()[0] == "attribute STATUS  method interval  alpha 0.8"
         assert grid.splitlines()[1:] == [
             "1: {10}", "2: {20, 25, 30, 35}", "3: {40, 45, 50, 55}",
             "4: {60, 65, 75}", "5: {80, 90}",
