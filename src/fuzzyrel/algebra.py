@@ -479,26 +479,21 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     """Merge redundant tuples until none remain.
 
     The result is that of scanning pairs in relation order, merging the
-    first redundant pair, dropping later tuples equal to the merged one and
-    restarting.  It is reached in one forward pass, because a union only
-    adds class keys and can only lower the minimum pairwise degree: a pair
-    found non-redundant stays non-redundant as either side grows, so the
-    restart never finds a redundant pair before the one it merged last.
+    first redundant pair, dropping later tuples equal to the merged one
+    and restarting.  One forward pass reaches it: a union only adds class
+    keys and can only lower the minimum pairwise degree, so a pair found
+    non-redundant stays so as either side grows.  Tuples are bucketed by
+    the class keys of their class-checked components; a tuple with one
+    spanning two classes never merges.  In a bucket, tuple i absorbs each
+    later tuple that passes the threshold checks against it, and
+    survivors keep the position of their first member: at most O(n^2)
+    pair checks, O(n) with class checks only.
 
-    Two tuples can merge only when each class-checked component lies in
-    one class and those classes agree, so tuples are bucketed by that key
-    vector; a tuple with a component spanning two classes never merges and
-    is kept as it is.  Inside a bucket, tuple i absorbs each later tuple
-    that passes the threshold checks against it, and a later tuple equal
-    to the grown one is dropped at once.  Survivors keep the position of
-    their first member.  That is at most O(n^2) pair checks with threshold
-    checks, and O(n) with class checks only.
-
-    Degrees and class keys are memoised per call and keyed by Python
+    Degrees and class keys are memoised for the call and keyed by Python
     equality, which is exact for every value a spec accepts.  A relation
     built through the API with a value its spec rejects (``True`` on a
-    ``Linear`` column) may raise, or not, where pairwise scanning did the
-    opposite.
+    ``Linear`` column) may raise where the pairwise scan did not, or the
+    reverse.
     """
     levels = levels or LevelMap()
     checks = _build_checks(r, levels, mode)
@@ -553,21 +548,20 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     """Keep tuples whose components are close enough to the condition constants.
 
     A tuple passes a condition (attr, c) when every element of its attr
-    component has degree >= level(attr) to c.  Conditions conjoin.  No
-    merging happens here; the kept tuples stay in relation order.
+    component has degree >= level(attr) to c.  Conditions conjoin, in
+    order.  No merging happens here; kept tuples stay in relation order.
 
-    Each condition is evaluated once per distinct value, not once per
-    cell: the first condition over the keys of a per-column index that
-    the relation builds on first use and keeps, a later one over the
-    values of the tuples that passed the earlier ones.
-    A tuple passes when its component is a subset of the passing values.
-    Once no tuple survives, later conditions are not evaluated, so a
-    constant no value can be compared with raises only when some tuple
-    reaches its condition.  A level-0 condition is skipped.  Values are
-    keyed by Python equality, which is exact for every value a spec
-    accepts; a relation built through the API with a value its spec
-    rejects (``True`` on a ``Linear`` column) may raise, or not, where a
-    scan of each cell did the opposite.
+    Each condition is evaluated once per distinct value: the first over
+    the keys of a column index the relation builds on first use and
+    keeps, a later one over the values of the tuples still kept.  A tuple
+    passes when its component is a subset of the passing values.  Once no
+    tuple is kept, later conditions are not evaluated, so a constant no
+    value can be compared with raises only when some tuple reaches its
+    condition.  A level-0 condition is skipped.  Values are keyed by
+    Python equality, which is exact for every value a spec accepts; a
+    relation built through the API with a value its spec rejects (``True``
+    on a ``Linear`` column) may raise where a scan of every cell did not,
+    or the reverse.
     """
     levels = levels or LevelMap()
     prepared = []

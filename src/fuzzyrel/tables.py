@@ -108,14 +108,19 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
         )
     names = expected
     tuples = []
+    # Cells of one column with the same text share one parsed set: parsing
+    # is deterministic, and a set per cell would cost memory per row.
+    parsed: list[dict[str, frozenset]] = [{} for _ in schema]
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(schema):
             raise FormatError(f"{path}:{lineno}: expected {len(schema)} cells")
-        comps = tuple(
-            _parse_cell(cell, attr, f"{path}:{lineno}")
-            for cell, attr in zip(row, schema)
-        )
-        tuples.append(FuzzyTuple(names, comps))
+        comps = []
+        for cell, attr, seen in zip(row, schema, parsed):
+            comp = seen.get(cell)
+            if comp is None:
+                comp = seen[cell] = _parse_cell(cell, attr, f"{path}:{lineno}")
+            comps.append(comp)
+        tuples.append(FuzzyTuple(names, tuple(comps)))
     return FuzzyRelation(schema, tuple(tuples))
 
 

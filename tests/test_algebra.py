@@ -176,6 +176,54 @@ class TestMergeRelation:
         assert set(once.tuples) == set(twice.tuples)
 
 
+class CountingMatrix(ExplicitMatrix):
+    """A matrix spec that counts its degree evaluations."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        object.__setattr__(self, "calls", 0)
+
+    def degree(self, x, y):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().degree(x, y)
+
+
+def keyed_rows(effect_matrix, count):
+    """``count`` distinct rows over three Effect labels, told apart by KEY."""
+    spec = CountingMatrix(effect_matrix)
+    schema = (AttributeSpec("KEY"), AttributeSpec("E", spec))
+    labels = ("Minimal", "Tolerable", "Irreversible")
+    rel = FuzzyRelation.from_rows(schema, [(k, labels[k % 3]) for k in range(count)])
+    return rel, spec
+
+
+class TestEvaluationCounts:
+    """Each degree is evaluated once per operator call, not once per cell."""
+
+    def test_select_once_per_distinct_value(self, effect_matrix):
+        rel, spec = keyed_rows(effect_matrix, 60)
+        got = select(rel, [("E", "Tolerable")], LevelMap({"E": 0.8}))
+        assert spec.calls == 3
+        assert [t.get("KEY") for t in got.tuples] == [
+            frozenset({k}) for k in range(60) if k % 3 != 2]
+
+    def test_merge_once_per_value_pair(self, effect_matrix):
+        rel, spec = keyed_rows(effect_matrix, 60)
+        merged = merge_relation(rel, LevelMap({"KEY": 0.0, "E": 0.8}))
+        assert spec.calls <= 3
+        assert [t.get("E") for t in merged.tuples] == [
+            frozenset({"Minimal", "Tolerable"}), frozenset({"Irreversible"})]
+
+    def test_index_is_built_on_first_use_and_hidden(self, suppliers_db):
+        rel = suppliers_db.relation("SUPPLIERS")
+        assert vars(rel)["_indexes"] == {}
+        before = repr(rel)
+        select(rel, [("STATUS", 20)], LevelMap({"STATUS": 0.9}))
+        assert vars(rel)["_indexes"]
+        assert repr(rel) == before
+        assert rel == FuzzyRelation(rel.schema, rel.tuples)
+
+
 class TestSelect:
     def test_crisp_condition(self, survey_db):
         experts = select(survey_db.relation("SURVEY"), [("Type", "Expert")])

@@ -234,6 +234,18 @@ ERROR_PATHS = {
     "length-not-a-number": (
         "suppliers", _replace("schema.cfg", "length = 100", "length = abc"),
         _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'abc'"]),
+    "length-infinite": (
+        "suppliers", _replace("schema.cfg", "length = 100", "length = inf"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'inf'", "finite"]),
+    "length-nan": (
+        "suppliers", _replace("schema.cfg", "length = 100", "length = nan"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'nan'", "finite"]),
+    "side-infinite": (
+        "gb", _replace("schema.cfg", "length = 2", "length = Infinity"),
+        _classes("CITY"), 2, ["schema.cfg", "'CITY'", "length", "'Infinity'"]),
+    "alpha-infinite": (
+        "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = infinity"),
+        _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'infinity'"]),
     "alpha-not-a-number": (
         "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = zero"),
         _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'zero'"]),

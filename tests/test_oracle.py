@@ -1,0 +1,421 @@
+"""The algebra against the algorithms it replaced, kept here as oracles.
+
+``select`` once evaluated every condition on every cell, and
+``merge_relation`` merged the first redundant pair and restarted the scan
+from the first pair, with unmemoised redundancy checks.  Those versions
+are copied below unchanged, with ``project`` and ``join`` rebuilt on them,
+and Hypothesis requires the engine to return the same tuples in the same
+order, or to raise the same exception with the same message.
+"""
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuzzyrel import (
+    AttributeSpec,
+    CrispIdentity,
+    DomainError,
+    ExplicitMatrix,
+    FuzzyRelation,
+    FuzzyTuple,
+    LevelMap,
+    Linear,
+    Planar,
+    ProximityMatrix,
+    UnknownValueError,
+    join,
+    merge_relation,
+    merge_tuples,
+    project,
+    select,
+)
+from fuzzyrel.algebra import (
+    METHODS,
+    _classifier,
+    _coerce_constant,
+    _joined_schema,
+    _min_pairwise,
+    _resolve_method,
+)
+from fuzzyrel.closure import temporal_domain
+from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
+from fuzzyrel.proximity import ProximitySpec, Value, degree_of
+
+
+# --- oracles ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """Redundancy test for one attribute position."""
+
+    index: int
+    name: str
+    level: float
+    spec: ProximitySpec | None = None          # threshold test
+    classify: Callable | None = None           # class test
+
+    def component_ok(self, values: frozenset) -> bool:
+        if self.classify is not None:
+            keys = {self.classify(v) for v in values}
+            return len(keys) == 1
+        return _min_pairwise(self.spec, values) >= self.level
+
+    __hash__ = None
+
+
+def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
+                  domains: Mapping[str, frozenset] | None = None) -> list[_Check]:
+    checks = []
+    for idx, attr in enumerate(r.schema):
+        level = levels.level(attr.name)
+        if level == 0.0:
+            continue
+        requested = mode or levels.method(attr.name) or attr.default_method
+        effective = _resolve_method(attr, requested)
+        if effective == "threshold":
+            checks.append(_Check(idx, attr.name, level, spec=attr.proximity))
+        else:
+            if domains is not None and attr.name in domains:
+                domain = domains[attr.name]
+            else:
+                domain = temporal_domain(r, attr.name) if effective == "closure" else None
+            checks.append(
+                _Check(idx, attr.name, level,
+                       classify=_classifier(attr, effective, level, domain))
+            )
+    return checks
+
+
+def _pair_redundant(checks: Sequence[_Check], t1: FuzzyTuple, t2: FuzzyTuple) -> bool:
+    return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
+               for c in checks)
+
+
+def oracle_merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
+                          mode: str | None = None) -> FuzzyRelation:
+    """Merge redundant tuples until none remain.
+
+    Scans pairs in stable order, merges the first redundant pair and
+    restarts; each merge shrinks the relation, so the loop terminates.
+    """
+    levels = levels or LevelMap()
+    checks = _build_checks(r, levels, mode)
+    tuples = list(dict.fromkeys(r.tuples))
+    merged_some = True
+    while merged_some:
+        merged_some = False
+        for i in range(len(tuples)):
+            for j in range(i + 1, len(tuples)):
+                if _pair_redundant(checks, tuples[i], tuples[j]):
+                    tuples[i] = merge_tuples(tuples[i], tuples[j])
+                    del tuples[j]
+                    tuples = list(dict.fromkeys(tuples))
+                    merged_some = True
+                    break
+            if merged_some:
+                break
+    return FuzzyRelation(r.schema, tuple(tuples))
+
+
+def oracle_select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
+                  levels: LevelMap | None = None) -> FuzzyRelation:
+    """Keep tuples whose components are close enough to the condition constants.
+
+    A tuple passes a condition (attr, c) when every element of its attr
+    component has degree >= level(attr) to c.  Conditions conjoin.  No
+    merging happens here.
+    """
+    levels = levels or LevelMap()
+    prepared = []
+    for attr, constant in conds:
+        idx = r.attribute_index(attr)
+        spec = r.schema[idx].proximity
+        level = levels.level(attr)
+        if level == 0.0:
+            continue  # degree >= 0 always holds
+        prepared.append((idx, spec, _coerce_constant(spec, constant), level))
+    kept = tuple(
+        t for t in r.tuples
+        if all(
+            all(degree_of(spec, v, constant) >= level for v in t.components[idx])
+            for idx, spec, constant, level in prepared
+        )
+    )
+    return FuzzyRelation(r.schema, kept)
+
+
+def oracle_project(r: FuzzyRelation, attrs: Sequence[str],
+                   levels: LevelMap | None = None, mode: str | None = None) -> FuzzyRelation:
+    """Drop all other columns, then merge redundant tuples."""
+    indices = [r.attribute_index(a) for a in attrs]
+    schema = tuple(r.schema[i] for i in indices)
+    names = tuple(a.name for a in schema)
+    rows = tuple(
+        FuzzyTuple(names, tuple(t.components[i] for i in indices)) for t in r.tuples
+    )
+    return oracle_merge_relation(FuzzyRelation(schema, rows), levels, mode)
+
+
+def oracle_join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
+                levels: LevelMap | None = None, mode: str | None = None) -> FuzzyRelation:
+    """Join two relations on shared attributes, then merge the result."""
+    levels = levels or LevelMap()
+    on = tuple(on)
+    if not on:
+        raise SchemaMismatchError("join needs at least one attribute")
+    for a in on:
+        try:
+            left_spec = r1.attribute(a)
+            right_spec = r2.attribute(a)
+        except UnknownAttributeError as exc:
+            raise SchemaMismatchError(str(exc)) from None
+        if left_spec != right_spec:
+            raise SchemaMismatchError(f"join attribute {a!r} differs between schemas")
+
+    domains = {a: temporal_domain(r1, a) | temporal_domain(r2, a) for a in on}
+    on_checks = _build_checks(
+        FuzzyRelation(tuple(r1.attribute(a) for a in on), ()),
+        levels, mode, domains=domains,
+    )
+    schema, right_extra = _joined_schema(r1, r2, on)
+    names = tuple(a.name for a in schema)
+    on_left = {a: r1.attribute_index(a) for a in on}
+    on_right = {a: r2.attribute_index(a) for a in on}
+    right_rest = [r2.attribute_index(original) for original, _ in right_extra]
+
+    out_rows = []
+    for t1 in r1.tuples:
+        for t2 in r2.tuples:
+            unions = {a: t1.components[on_left[a]] | t2.components[on_right[a]]
+                      for a in on}
+            if not all(c.component_ok(unions[c.name]) for c in on_checks):
+                continue
+            comps = [
+                unions[a.name] if a.name in on else t1.components[i]
+                for i, a in enumerate(r1.schema)
+            ]
+            comps.extend(t2.components[i] for i in right_rest)
+            out_rows.append(FuzzyTuple(names, tuple(comps)))
+    return oracle_merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)
+
+
+# --- comparison ------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """The tuples in order, or the exception's type and message."""
+    try:
+        r = fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    return ("returned", r.schema, r.tuples)
+
+
+def assert_same(new, old, *args):
+    got, expected = outcome(new, *args), outcome(old, *args)
+    assert got == expected
+
+
+# --- generated relations ---------------------------------------------------
+
+
+LEVELS = (0.0, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.8, 0.9, 1.0)
+LABELS = ("L0", "L1", "L2", "L3", "L4")
+SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
+         "E": (10.0, 10.0), "F": (4.9, 5.1), "G": (2.5, 7.5), "H": (3.3, 3.4)}
+CRISP_VALUES = ("a", "b", "c", "d")
+LINEAR_VALUES = (0, 1, 2, 2.5, 3, 4, 5, 6, 7.5, 8, 9, 10)
+# Constants no value of the kind can be compared with, each raising in
+# select: at coercion, or at the first degree evaluated.
+BAD_CONSTANTS = {
+    "linear": ("abc", 500, -1),
+    "matrix": ("Awful", 3),
+    "planar": ("Nowhere",),
+    "crisp": (),
+}
+
+
+@st.composite
+def matrices(draw):
+    """Reflexive, symmetric degree tables; most are not max-min transitive."""
+    n = len(LABELS)
+    entries = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i][j] = entries[j][i] = draw(st.sampled_from(LEVELS))
+    return ProximityMatrix(LABELS, tuple(map(tuple, entries)))
+
+
+@st.composite
+def attributes(draw, name):
+    """(spec, the values its domain holds, its kind) of one attribute."""
+    kind = draw(st.sampled_from(("crisp", "linear", "matrix", "planar")))
+    if kind == "crisp":
+        method = draw(st.sampled_from(METHODS))  # every method resolves to threshold
+        return AttributeSpec(name, CrispIdentity(), method), CRISP_VALUES, kind
+    if kind == "linear":
+        method = draw(st.sampled_from(METHODS))
+        return AttributeSpec(name, Linear(10), method), LINEAR_VALUES, kind
+    if kind == "planar":
+        method = draw(st.sampled_from(METHODS))
+        return AttributeSpec(name, Planar(10, SITES), method), tuple(SITES), kind
+    ordered = draw(st.booleans())
+    method = draw(st.sampled_from(METHODS if ordered else ("threshold", "closure")))
+    spec = AttributeSpec(name, ExplicitMatrix(draw(matrices())), method,
+                         LABELS if ordered else None)
+    return spec, LABELS, kind
+
+
+@st.composite
+def relations(draw, max_rows=10, attrs=None):
+    """A relation with set-valued components and repeated rows.
+
+    Returns (relation, {name: (values, kind)}).  ``attrs`` reuses the
+    attributes of an earlier draw.
+    """
+    if attrs is None:
+        count = draw(st.integers(1, 3))
+        attrs = [draw(attributes(f"A{i}")) for i in range(count)]
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        rows.append(tuple(
+            frozenset(draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)))
+            for _, values, _ in attrs
+        ))
+    if rows:  # duplicates, which the relation drops
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    schema = tuple(spec for spec, _, _ in attrs)
+    domains = {spec.name: (values, kind) for spec, values, kind in attrs}
+    return FuzzyRelation.from_rows(schema, rows), domains, attrs
+
+
+@st.composite
+def level_maps(draw, names):
+    levels = {n: draw(st.sampled_from(LEVELS)) for n in names}
+    overrides = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(METHODS)))
+    return LevelMap(levels, overrides)
+
+
+modes = st.sampled_from((None,) + METHODS)
+
+
+# --- differential tests ----------------------------------------------------
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_merge_relation(self, data, mode):
+        r, _, _ = data.draw(relations())
+        levels = data.draw(level_maps(r.names))
+        assert_same(merge_relation, oracle_merge_relation, r, levels, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_project(self, data, mode):
+        r, _, _ = data.draw(relations())
+        attrs = data.draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True))
+        levels = data.draw(level_maps(r.names))
+        assert_same(project, oracle_project, r, attrs, levels, mode)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_join(self, data, mode):
+        left, _, attrs = data.draw(relations(max_rows=6))
+        right, _, _ = data.draw(relations(max_rows=6, attrs=attrs))
+        on = data.draw(st.lists(st.sampled_from(left.names), min_size=1, unique=True))
+        levels = data.draw(level_maps(left.names))
+        assert_same(join, oracle_join, left, right, on, levels, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_select(self, data):
+        r, domains, _ = data.draw(relations(max_rows=12))
+        conds = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(r.names))
+            values, kind = domains[name]
+            constant = data.draw(st.sampled_from(values + BAD_CONSTANTS[kind]))
+            conds.append((name, constant))
+        levels = LevelMap({n: data.draw(st.sampled_from(LEVELS)) for n in r.names})
+        assert_same(select, oracle_select, r, conds, levels)
+
+
+# --- the cases the generators must not miss --------------------------------
+
+
+def linear_crisp(rows):
+    schema = (AttributeSpec("X", Linear(10)), AttributeSpec("Y"))
+    return FuzzyRelation.from_rows(schema, rows)
+
+
+class TestNamedCases:
+    def test_merge_order_on_a_non_transitive_matrix(self, hair_matrix):
+        # Blond~Light brown and Light brown~Red at 0.7, Blond~Red only 0.5:
+        # which pair merges first decides the result
+        schema = (AttributeSpec("H", ExplicitMatrix(hair_matrix)),)
+        r = FuzzyRelation.from_rows(schema, [("Blond",), ("Light brown",), ("Red",)])
+        levels = LevelMap({"H": 0.7})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert merge_relation(r, levels).tuples == (
+            FuzzyTuple(("H",), (frozenset({"Blond", "Light brown"}),)),
+            FuzzyTuple(("H",), (frozenset({"Red"}),)),
+        )
+
+    def test_merged_tuple_equal_to_a_later_tuple(self):
+        # merging rows 0 and 1 gives row 2, which the old merge dropped as
+        # a duplicate
+        r = linear_crisp([(1, "a"), (2, "b"), ({1, 2}, {"a", "b"}), (9, "c")])
+        levels = LevelMap({"X": 0.8, "Y": 0.0})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert len(merge_relation(r, levels)) == 2
+
+    def test_component_failing_its_own_level_stays(self):
+        r = linear_crisp([({0, 10}, "a"), (0, "a"), (10, "a")])
+        levels = LevelMap({"X": 0.8})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert merge_relation(r, levels).tuples == r.tuples
+
+    @pytest.mark.parametrize("mode", ["interval", "equalized", "grid", "closure"])
+    def test_crisp_column_under_a_class_mode(self, mode):
+        r = linear_crisp([(1, "a"), (2, "a"), (2, "b"), (8, "a")])
+        levels = LevelMap({"X": 0.6, "Y": 1.0})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, mode)
+
+    def test_mixed_defaults(self):
+        schema = (AttributeSpec("X", Linear(10), "interval"),
+                  AttributeSpec("P", Planar(10, SITES), "threshold"),
+                  AttributeSpec("Y", Linear(10), "closure"))
+        r = FuzzyRelation.from_rows(schema, [
+            (1, "C", 5), (2, "F", 6), ({1, 3}, "H", 4), (9, "C", 5), (8, "E", 0),
+        ])
+        levels = LevelMap({"X": 0.6, "P": 0.8, "Y": 0.7})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+
+    @pytest.mark.parametrize("spec, constant, error", [
+        (Linear(10), "abc", UnknownValueError),
+        (Linear(10), 500, DomainError),
+        (Planar(10, SITES), "Nowhere", UnknownValueError),
+        (ExplicitMatrix(ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))), "r",
+         UnknownValueError),
+    ])
+    def test_bad_constant(self, spec, constant, error):
+        value = {"Linear": 5, "Planar": "C", "ExplicitMatrix": "p"}[type(spec).__name__]
+        r = FuzzyRelation.from_rows((AttributeSpec("X", spec),), [(value,)])
+        with pytest.raises(error):
+            select(r, [("X", constant)], LevelMap({"X": 0.5}))
+        assert_same(select, oracle_select, r, [("X", constant)], LevelMap({"X": 0.5}))
+        # at level 0 the condition is skipped, constant and all
+        assert_same(select, oracle_select, r, [("X", constant)], LevelMap({"X": 0.0}))
+
+    def test_first_condition_removes_every_tuple(self):
+        r = linear_crisp([(1, "a"), (2, "b")])
+        conds = [("Y", "zz"), ("X", 500)]
+        assert_same(select, oracle_select, r, conds, None)
+        assert len(select(r, conds)) == 0
+        with pytest.raises(DomainError):
+            select(r, [("Y", "a"), ("X", 500)])

@@ -57,6 +57,14 @@ class TestLinear:
             assert not close
 
 
+@pytest.mark.parametrize("size", [0, -1, math.inf, -math.inf, math.nan])
+def test_spec_rejects_a_size_that_is_not_positive_and_finite(size):
+    with pytest.raises(DomainError):
+        Linear(size)
+    with pytest.raises(DomainError):
+        Planar(size, {})
+
+
 class TestPlanar:
     def test_identical_points(self):
         assert proximity_planar((3.0, 4.0), (3.0, 4.0), 10.0) == 1.0
