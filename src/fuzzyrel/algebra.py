@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closure import closure_classes, temporal_domain
@@ -150,10 +151,16 @@ class FuzzyRelation:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "tuples", tuple(seen))
         object.__setattr__(self, "_indexes", {})
+        object.__setattr__(self, "_cuts", {})
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
-        """Build from mappings or per-schema value sequences."""
+        """Build from mappings or per-schema value sequences.
+
+        Every value is checked against its column's spec, which raises
+        what ``degree`` raises for it.  Values are told apart by type as
+        well, so ``True`` is checked even where an equal ``1`` is present.
+        """
         specs = tuple(schema)
         names = tuple(a.name for a in specs)
         tuples = []
@@ -164,7 +171,12 @@ class FuzzyRelation:
                 tuples.append(FuzzyTuple.of({n: row[n] for n in names}))
             else:
                 tuples.append(FuzzyTuple.of(dict(zip(names, row))))
-        return cls(specs, tuple(tuples))
+        relation = cls(specs, tuple(tuples))
+        for idx, attr in enumerate(specs):
+            values = {(type(v), v): v
+                      for t in relation.tuples for v in t.components[idx]}
+            attr.proximity.compile(values.values())
+        return relation
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -200,6 +212,18 @@ class FuzzyRelation:
                     index.setdefault(v, []).append(pos)
             indexes[idx] = index
         return index
+
+    def _cut(self, idx: int):
+        """Column ``idx``'s values compiled by its spec for alpha cuts.
+
+        Built on first use and kept, like ``_column_index``; one per
+        column, whatever the levels asked of it.
+        """
+        cuts = getattr(self, "_cuts")
+        cut = cuts.get(idx)
+        if cut is None:
+            cut = cuts[idx] = self.schema[idx].proximity.compile(self._column_index(idx))
+        return cut
 
     __hash__ = None
 
@@ -384,16 +408,19 @@ _MIXED = object()  # class key of a component that spans two classes
 class _Check:
     """Redundancy test for one attribute position, memoised for one call.
 
-    A class test caches each value's class key; a threshold test caches
-    ``degree(x, y) >= level`` for each value pair.  Both are pure
-    functions of the values, keyed by Python equality, so a check is built
-    once per operator call and its cache dies with it.
+    A class test caches each value's class key.  A threshold test holds
+    the values it will see, compiled by the attribute's spec, and caches
+    each value's neighbourhood: the values within the level of it.  A
+    component is mutually close exactly when it lies inside the
+    intersection of its members' neighbourhoods.  Both caches are keyed by
+    Python equality, so a check is built once per operator call and its
+    cache dies with it.
     """
 
     index: int
     name: str
     level: float
-    spec: ProximitySpec | None = None          # threshold test
+    cut: object | None = None                  # threshold test
     classify: Callable | None = None           # class test
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -407,25 +434,45 @@ class _Check:
             keys.add(memo[v])
         return keys.pop() if len(keys) == 1 else _MIXED
 
-    def close(self, x: Value, y: Value) -> bool:
+    def common(self, values: frozenset) -> frozenset:
+        """The values within the level of each of ``values``.
+
+        A value's neighbourhood is taken to hold the value itself, which
+        only a crisp NaN, unequal to itself, would lack: as in the pairwise
+        definition, only pairs of distinct values are tested.
+        """
         memo = self.memo
-        try:
-            return memo[x, y]
-        except KeyError:
-            ok = memo[x, y] = memo[y, x] = self.spec.degree(x, y) >= self.level
-            return ok
+        out = None
+        for v in values:
+            near = memo.get(v)
+            if near is None:
+                near = self.cut.near(v, self.level)
+                if v not in near:
+                    near = near | {v}
+                memo[v] = near
+            out = near if out is None else out & near
+        return out
 
     def component_ok(self, values: frozenset) -> bool:
         if self.classify is not None:
             return self.class_key(values) is not _MIXED
-        return all(self.close(x, y) for x, y in itertools.combinations(values, 2))
+        return values <= self.common(values)
 
     __hash__ = None
 
 
 def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
-                  domains: Mapping[str, frozenset] | None = None) -> list[_Check]:
+                  domains: Mapping[str, frozenset] | None = None,
+                  tested: Sequence[FuzzyTuple] | None = None) -> list[_Check]:
+    """One check per attribute above level 0.
+
+    ``domains`` gives the value sets of some attributes, for closure
+    classes and threshold cuts alike; otherwise closure classes come from
+    r's content and a threshold check compiles the values of the tuples it
+    will test, ``tested`` or else r's.
+    """
     checks = []
+    tested = r.tuples if tested is None else tested
     for idx, attr in enumerate(r.schema):
         level = levels.level(attr.name)
         if level == 0.0:
@@ -433,7 +480,12 @@ def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
         requested = mode or levels.method(attr.name) or attr.default_method
         effective = _resolve_method(attr, requested)
         if effective == "threshold":
-            checks.append(_Check(idx, attr.name, level, spec=attr.proximity))
+            if domains is not None and attr.name in domains:
+                values = domains[attr.name]
+            else:
+                values = frozenset().union(*(t.components[idx] for t in tested))
+            checks.append(_Check(idx, attr.name, level,
+                                 cut=attr.proximity.compile(values)))
         else:
             if domains is not None and attr.name in domains:
                 domain = domains[attr.name]
@@ -464,7 +516,7 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
             raise SchemaMismatchError(
                 f"tuple attributes {t.names} do not match schema {r.names}"
             )
-    return _pair_redundant(_build_checks(r, levels, mode), t1, t2)
+    return _pair_redundant(_build_checks(r, levels, mode, tested=(t1, t2)), t1, t2)
 
 
 def merge_tuples(t1: FuzzyTuple, t2: FuzzyTuple) -> FuzzyTuple:
@@ -489,11 +541,15 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     survivors keep the position of their first member: at most O(n^2)
     pair checks, O(n) with class checks only.
 
-    Degrees and class keys are memoised for the call and keyed by Python
-    equality, which is exact for every value a spec accepts.  A relation
-    built through the API with a value its spec rejects (``True`` on a
-    ``Linear`` column) may raise where the pairwise scan did not, or the
-    reverse.
+    A threshold check compiles the column's values once and finds each
+    value's neighbourhood once (see ``_Check``).  The growing tuple
+    carries the intersection of its members' neighbourhoods, so a later
+    tuple whose own components are mutually close is redundant with it
+    exactly when each of those components lies inside that intersection:
+    one subset test per attribute.  Class keys and neighbourhoods are
+    keyed by Python equality, which is exact for every value a spec
+    accepts; compiling checks every value of a threshold column, so a
+    relation built with a value its spec rejects raises here.
     """
     levels = levels or LevelMap()
     checks = _build_checks(r, levels, mode)
@@ -517,14 +573,20 @@ def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
     """(position, merged tuple) of each survivor of one class-key bucket."""
     alive = [tuples[p] for p in members]
     later = {t: k for k, t in enumerate(alive)}
+    parts = [[t.components[c.index] for c in checks] for t in alive]
+    commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]
+    # A tuple with a component that is not mutually close merges with none.
+    mergeable = [all(map(le, p, common)) for p, common in zip(parts, commons)]
     for i, t in enumerate(alive):
         if t is None:
             continue
+        common = commons[i]
         for j in range(i + 1, len(alive)):
-            u = alive[j]
-            if u is None or not _pair_redundant(checks, t, u):
+            if alive[j] is None or not (
+                    mergeable[i] and mergeable[j] and all(map(le, parts[j], common))):
                 continue
-            t = merge_tuples(t, u)
+            t = merge_tuples(t, alive[j])
+            common = list(map(and_, common, commons[j]))
             alive[j] = None
             k = later.get(t)
             if k is not None and k > j:
@@ -551,17 +613,17 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     component has degree >= level(attr) to c.  Conditions conjoin, in
     order.  No merging happens here; kept tuples stay in relation order.
 
-    Each condition is evaluated once per distinct value: the first over
-    the keys of a column index the relation builds on first use and
-    keeps, a later one over the values of the tuples still kept.  A tuple
-    passes when its component is a subset of the passing values.  Once no
+    Each condition is one lookup, ``near(constant, level)``, on the
+    column's values compiled by its spec, which the relation builds on
+    first use and keeps beside its value-to-positions index.  The first
+    condition finds its candidate tuples through that index; a tuple
+    passes when its component is a subset of the neighbourhood.  Once no
     tuple is kept, later conditions are not evaluated, so a constant no
     value can be compared with raises only when some tuple reaches its
     condition.  A level-0 condition is skipped.  Values are keyed by
-    Python equality, which is exact for every value a spec accepts; a
-    relation built through the API with a value its spec rejects (``True``
-    on a ``Linear`` column) may raise where a scan of every cell did not,
-    or the reverse.
+    Python equality, which is exact for every value a spec accepts;
+    compiling checks every value of the column, so a relation built with
+    a value its spec rejects raises when a condition reaches its column.
     """
     levels = levels or LevelMap()
     prepared = []
@@ -571,19 +633,16 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         level = levels.level(attr)
         if level == 0.0:
             continue  # degree >= 0 always holds
-        prepared.append((idx, spec, _coerce_constant(spec, constant), level))
+        prepared.append((idx, _coerce_constant(spec, constant), level))
     tuples = r.tuples
     kept = range(len(tuples))
-    for idx, spec, constant, level in prepared:
+    for idx, constant, level in prepared:
         if not kept:
             break
+        passing = r._cut(idx).near(constant, level)
         if len(kept) == len(tuples):
             index = r._column_index(idx)
-            passing = {v for v in index if spec.degree(v, constant) >= level}
             kept = sorted({pos for v in passing for pos in index[v]})
-        else:
-            values = set().union(*(tuples[pos].components[idx] for pos in kept))
-            passing = {v for v in values if spec.degree(v, constant) >= level}
         kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
     return FuzzyRelation(r.schema, tuple(tuples[pos] for pos in kept))
 

@@ -30,25 +30,28 @@ def temporal_domain(relation: "FuzzyRelation", attr: str) -> frozenset:
 def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     """Connected components of the alpha-cut graph over ``values``.
 
-    Unions every pair of values whose degree is >= alpha, which equals the
+    Each component is walked from its smallest member through alpha-cut
+    neighbourhoods, ``spec.compile(values).near(v, alpha)``, so the work
+    follows the cut's edges, found by bisection, strip or matrix row,
+    instead of a degree for every pair.  This equals the
     reflexive-symmetric-transitive closure of alpha-similarity restricted
     to the value set.  Classes are ordered by their smallest member.
-    Every value must be one ``spec.degree`` can interpret.
+    Every value must be one ``spec.degree`` can interpret; compiling
+    checks each and raises what ``degree`` raises.
     """
     a = _unit_interval(alpha)
-    nodes = sorted(set(values), key=value_sort_key)
-    parent = {v: v for v in nodes}  # union-find forest
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            if spec.degree(x, y) >= a:
-                parent[find(y)] = find(x)
-    components: dict = {}
-    for v in nodes:
-        components.setdefault(find(v), set()).add(v)
-    return Grouping.from_classes(components.values())
+    cut = spec.compile(set(values))
+    seen: set = set()
+    components = []
+    for v in sorted(set(values), key=value_sort_key):
+        if v in seen:
+            continue
+        seen.add(v)
+        component, frontier = {v}, [v]
+        while frontier:
+            found = cut.near(frontier.pop(), a) - seen
+            seen |= found
+            component |= found
+            frontier.extend(found)
+        components.append(component)
+    return Grouping.from_classes(components)

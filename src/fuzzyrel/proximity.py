@@ -9,14 +9,23 @@ max-min transitivity.  Four kinds of specification are supported:
 * ``Planar``         -- distance-based degrees on the square [0, L]^2,
 * ``CrispIdentity``  -- classical equality (degree 1 or 0).
 
-Each kind implements the same two methods:
+Each kind implements the same three methods:
 
-* ``degree(x, y)`` -- the degree of two domain values; it checks both and
+* ``degree(x, y)``    -- the degree of two domain values; it checks both and
   raises UnknownValueError for a value it cannot interpret, DomainError
   for one outside the domain,
-* ``parse(text)``  -- the domain value a data file cell spells; it raises
+* ``parse(text)``     -- the domain value a data file cell spells; it raises
   FormatError for text of the wrong shape, DomainError for a value
-  outside the domain.
+  outside the domain,
+* ``compile(values)`` -- a finite value set prepared for alpha cuts.  It
+  checks each value once, raising what ``degree`` raises for it.  Its
+  ``near(x, level)``, for a level in [0, 1], is the frozenset of the
+  values y with ``degree(x, y) >= level``; ``x`` need not be one of them
+  and is checked as ``degree`` checks it.  Linear values are found by
+  bisection, planar ones in a strip of x, matrix ones in the row of x;
+  membership is decided by the float expression ``degree`` evaluates, so
+  the set is exactly the one a scan of ``degree`` gives.  The compiled
+  form does not depend on the level.
 
 All objects are immutable and every function here is pure.
 """
@@ -25,7 +34,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .errors import DomainError, FormatError, UnknownValueError, ValidationError
@@ -35,6 +46,10 @@ Point = tuple[float, float]
 
 _SQRT2 = math.sqrt(2.0)
 _INT_RE = re.compile(r"[+-]?\d+")
+# Widens a cut's candidate band or strip past (1 - level) * scale, so the
+# rounding in a degree never leaves a member out; ``degree``'s own float
+# expression then decides each candidate.
+_REACH_SLACK = 1e-9
 
 
 def _as_number(value, what: str) -> float:
@@ -75,14 +90,15 @@ class ProximityMatrix:
                     raise ValidationError(f"asymmetric entries for ({x}, {y})")
         object.__setattr__(self, "_pos", {lab: i for i, lab in enumerate(labels)})
 
-    def degree(self, x: Value, y: Value) -> float:
-        pos = getattr(self, "_pos")
+    def position(self, label: Value) -> int:
+        """Row of ``label``; UnknownValueError for a label not in the domain."""
         try:
-            i, j = pos[x], pos[y]
+            return getattr(self, "_pos")[label]
         except (KeyError, TypeError):
-            missing = x if not isinstance(x, str) or x not in pos else y
-            raise UnknownValueError(f"label {missing!r} not in matrix domain") from None
-        return self.entries[i][j]
+            raise UnknownValueError(f"label {label!r} not in matrix domain") from None
+
+    def degree(self, x: Value, y: Value) -> float:
+        return self.entries[self.position(x)][self.position(y)]
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,12 @@ class Linear:
 
     def degree(self, x: Value, y: Value) -> float:
         return proximity_linear(_linear_value(x), _linear_value(y), self.length)
+
+    def compile(self, values) -> "_LineCut":
+        return _LineCut(self, values)
+
+    def _position(self, v: Value) -> float:
+        return _on_line(_linear_value(v), self.length)
 
     def parse(self, text: str) -> Value:
         """An int when ``text`` spells one, else a float."""
@@ -141,6 +163,14 @@ class Planar:
     def degree(self, x: Value | Point, y: Value | Point) -> float:
         return proximity_planar(self.resolve(x), self.resolve(y), self.side)
 
+    def compile(self, values) -> "_PlaneCut":
+        return _PlaneCut(self, values)
+
+    def _point(self, v: Value | Point) -> Point:
+        p = self.resolve(v)
+        _in_square(p, self.side)
+        return p
+
     def parse(self, text: str) -> Value:
         if text not in self.locations:
             raise DomainError(f"no location known for {text!r}")
@@ -159,6 +189,9 @@ class ExplicitMatrix:
     def degree(self, x: Value, y: Value) -> float:
         return self.matrix.degree(x, y)
 
+    def compile(self, values) -> "_MatrixCut":
+        return _MatrixCut(self.matrix, values)
+
     def parse(self, text: str) -> Value:
         if text not in self.matrix.labels:
             raise DomainError(f"unknown label {text!r}")
@@ -172,11 +205,86 @@ class CrispIdentity:
     def degree(self, x: Value, y: Value) -> float:
         return 1.0 if x == y else 0.0
 
+    def compile(self, values) -> "_CrispCut":
+        return _CrispCut(values)
+
     def parse(self, text: str) -> Value:
         return text
 
 
 ProximitySpec = Union[ExplicitMatrix, Linear, Planar, CrispIdentity]
+
+
+class _LineCut:
+    """Linear values sorted by position; a cut is a band found by bisection."""
+
+    def __init__(self, spec: Linear, values):
+        self._spec = spec
+        ranked = sorted(((spec._position(v), v) for v in values), key=itemgetter(0))
+        self._keys = [k for k, _ in ranked]
+        self._values = [v for _, v in ranked]
+
+    def near(self, x: Value, level: float) -> frozenset:
+        p = self._spec._position(x)
+        L = self._spec.length
+        keys = self._keys
+        reach = (1.0 - level + _REACH_SLACK) * L
+        lo = bisect_left(keys, p - reach)
+        hi = bisect_right(keys, p + reach, lo)
+        # The degree falls monotonically with distance on either side of p,
+        # so the members form one run: trim the band's ends to it.
+        while lo < hi and 1.0 - abs(keys[lo] - p) / L < level:
+            lo += 1
+        while lo < hi and 1.0 - abs(keys[hi - 1] - p) / L < level:
+            hi -= 1
+        return frozenset(self._values[lo:hi])
+
+
+class _PlaneCut:
+    """Planar values sorted by x; a cut's candidates lie in a vertical strip."""
+
+    def __init__(self, spec: Planar, values):
+        self._spec = spec
+        self._points = sorted(((spec._point(v), v) for v in values),
+                              key=lambda pv: pv[0][0])
+        self._xs = [p[0] for p, _ in self._points]
+
+    def near(self, x: Value | Point, level: float) -> frozenset:
+        p = self._spec._point(x)
+        scale = _SQRT2 * self._spec.side
+        reach = (1.0 - level + _REACH_SLACK) * scale
+        lo = bisect_left(self._xs, p[0] - reach)
+        hi = bisect_right(self._xs, p[0] + reach, lo)
+        return frozenset(v for q, v in self._points[lo:hi]
+                         if 1.0 - math.dist(p, q) / scale >= level)
+
+
+class _MatrixCut:
+    """Matrix labels with their rows; a cut reads the row of its centre."""
+
+    def __init__(self, matrix: ProximityMatrix, values):
+        self._matrix = matrix
+        self._members = [(v, matrix.position(v)) for v in values]
+
+    def near(self, x: Value, level: float) -> frozenset:
+        row = self._matrix.entries[self._matrix.position(x)]
+        return frozenset(v for v, j in self._members if row[j] >= level)
+
+
+class _CrispCut:
+    """Crisp values by equality; a cut is every value, the equal one or none."""
+
+    def __init__(self, values):
+        self._values = {v: v for v in values}
+
+    def near(self, x: Value, level: float) -> frozenset:
+        if level <= 0.0:
+            return frozenset(self._values)
+        try:
+            y = self._values[x]
+        except (KeyError, TypeError):
+            return frozenset()
+        return frozenset((y,)) if level <= 1.0 and x == y else frozenset()
 
 
 def proximity_linear(a: float, b: float, length: float) -> float:
@@ -186,10 +294,15 @@ def proximity_linear(a: float, b: float, length: float) -> float:
         raise DomainError(f"length must be positive, got {L}")
     x = _as_number(a, "a")
     y = _as_number(b, "b")
-    for v in (x, y):
-        if not 0.0 <= v <= L:
-            raise DomainError(f"value {v} outside [0, {L}]")
+    _on_line(x, L)
+    _on_line(y, L)
     return 1.0 - abs(y - x) / L
+
+
+def _on_line(v: float, L: float) -> float:
+    if not 0.0 <= v <= L:
+        raise DomainError(f"value {v} outside [0, {L}]")
+    return v
 
 
 def proximity_planar(p1: Point, p2: Point, side: float) -> float:
@@ -197,11 +310,15 @@ def proximity_planar(p1: Point, p2: Point, side: float) -> float:
     L = _as_number(side, "side")
     if L <= 0:
         raise DomainError(f"side must be positive, got {L}")
-    for p in (p1, p2):
-        x, y = (_as_number(c, "coordinate") for c in p)
-        if not (0.0 <= x <= L and 0.0 <= y <= L):
-            raise DomainError(f"point ({x}, {y}) outside the square [0, {L}]^2")
+    _in_square(p1, L)
+    _in_square(p2, L)
     return 1.0 - math.dist(p1, p2) / (_SQRT2 * L)
+
+
+def _in_square(p: Point, L: float) -> None:
+    x, y = (_as_number(c, "coordinate") for c in p)
+    if not (0.0 <= x <= L and 0.0 <= y <= L):
+        raise DomainError(f"point ({x}, {y}) outside the square [0, {L}]^2")
 
 
 def build_ordinal_matrix(labels) -> ProximityMatrix:

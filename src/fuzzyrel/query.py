@@ -108,58 +108,44 @@ class _Token:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+# One alternative per token kind, tried in this order at each position.
+# ``\s`` is exactly ``str.isspace``; only a newline starts a new line.
+_TOKEN_RE = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SPACE>[^\S\n]+)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<QUOTE>")
+  | (?P<IDENT>""" + _IDENT_RE.pattern + r""")
+  | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
+  | (?P<SYMBOL>>=|[(),=>])
+  | (?P<OTHER>.)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j == -1 or "\n" in text[i + 1 : j]:
-                raise ParseError(line, col, "a closing quote")
-            tokens.append(_Token("STRING", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(_Token("NUMBER", value, line, col))
-            col += len(raw)
-            i = m.end()
-            continue
-        if text.startswith(">=", i):
-            tokens.append(_Token("SYMBOL", ">=", line, col))
-            col += 2
-            i += 2
-            continue
-        if ch in "(),=>":
-            tokens.append(_Token("SYMBOL", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(line, col, "a name, number or punctuation", repr(ch))
-    tokens.append(_Token("EOF", None, line, col))
+        col = m.start() - line_start + 1
+        raw = m.group()
+        if kind == "IDENT" or kind == "SYMBOL":
+            tokens.append(_Token(kind, raw, line, col))
+        elif kind == "NUMBER":
+            tokens.append(_Token(kind, float(raw) if "." in raw else int(raw), line, col))
+        elif kind == "STRING":
+            tokens.append(_Token(kind, raw[1:-1], line, col))
+        elif kind == "QUOTE":
+            raise ParseError(line, col, "a closing quote")
+        else:
+            raise ParseError(line, col, "a name, number or punctuation", repr(raw))
+    tokens.append(_Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 

@@ -1,5 +1,6 @@
 """Tuple interpretations, thresholds, redundancy, merging and the operators."""
 
+import collections
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from fuzzyrel import (
     Planar,
     SchemaMismatchError,
     UnknownAttributeError,
+    UnknownValueError,
     build_ordinal_matrix,
     class_grouping,
     interpretations,
@@ -43,6 +45,28 @@ def experts_projected(survey_db):
     rel = select(survey_db.relation("SURVEY"), [("Type", "Expert")])
     return project(rel, ["Pollutant", "Name", "Effect"],
                    LevelMap({"Effect": 0.85, "Name": 0.0}))
+
+
+class TestFromRows:
+    """Every value is checked against its column's spec when rows are built."""
+
+    SCHEMA = (AttributeSpec("X", Linear(10)), AttributeSpec("K"))
+
+    def test_true_is_checked_beside_an_equal_one(self):
+        with pytest.raises(UnknownValueError, match="cannot interpret True"):
+            FuzzyRelation.from_rows(self.SCHEMA, [(1, "a"), (True, "b")])
+
+    def test_value_outside_the_domain(self):
+        with pytest.raises(DomainError, match="value 500.0 outside"):
+            FuzzyRelation.from_rows(self.SCHEMA, [(1, "a"), ({2, 500}, "b")])
+
+    def test_unknown_planar_label_and_matrix_label(self, effect_matrix):
+        planar = (AttributeSpec("P", Planar(10, {"A": (1, 1)})),)
+        with pytest.raises(UnknownValueError, match="no location known for 'B'"):
+            FuzzyRelation.from_rows(planar, [("A",), ("B",)])
+        matrix = (AttributeSpec("E", ExplicitMatrix(effect_matrix)),)
+        with pytest.raises(UnknownValueError, match="'Mild' not in matrix domain"):
+            FuzzyRelation.from_rows(matrix, [("Severe",), ("Mild",)])
 
 
 class TestInterpretations:
@@ -177,15 +201,28 @@ class TestMergeRelation:
 
 
 class CountingMatrix(ExplicitMatrix):
-    """A matrix spec that counts its degree evaluations."""
+    """A matrix spec that counts degree evaluations, compilations and cuts."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        object.__setattr__(self, "calls", 0)
+        object.__setattr__(self, "calls", collections.Counter())
 
     def degree(self, x, y):
-        object.__setattr__(self, "calls", self.calls + 1)
+        self.calls["degree"] += 1
         return super().degree(x, y)
+
+    def compile(self, values):
+        self.calls["compile"] += 1
+        return CountingCut(super().compile(values), self.calls)
+
+
+class CountingCut:
+    def __init__(self, cut, calls):
+        self.cut, self.calls = cut, calls
+
+    def near(self, x, level):
+        self.calls["near"] += 1
+        return self.cut.near(x, level)
 
 
 def keyed_rows(effect_matrix, count):
@@ -194,23 +231,29 @@ def keyed_rows(effect_matrix, count):
     schema = (AttributeSpec("KEY"), AttributeSpec("E", spec))
     labels = ("Minimal", "Tolerable", "Irreversible")
     rel = FuzzyRelation.from_rows(schema, [(k, labels[k % 3]) for k in range(count)])
+    spec.calls.clear()  # from_rows compiles each column once to check it
     return rel, spec
 
 
 class TestEvaluationCounts:
-    """Each degree is evaluated once per operator call, not once per cell."""
+    """No degree is evaluated: select and merge look up alpha-cut neighbourhoods."""
 
-    def test_select_once_per_distinct_value(self, effect_matrix):
+    def test_select_one_lookup_per_condition(self, effect_matrix):
         rel, spec = keyed_rows(effect_matrix, 60)
         got = select(rel, [("E", "Tolerable")], LevelMap({"E": 0.8}))
-        assert spec.calls == 3
+        assert spec.calls == {"compile": 1, "near": 1}
         assert [t.get("KEY") for t in got.tuples] == [
             frozenset({k}) for k in range(60) if k % 3 != 2]
+        # the compiled column is kept: a second select only looks up
+        select(rel, [("E", "Minimal"), ("E", "Tolerable")], LevelMap({"E": 0.8}))
+        assert spec.calls == {"compile": 1, "near": 3}
 
-    def test_merge_once_per_value_pair(self, effect_matrix):
+    def test_merge_one_neighbourhood_per_value(self, effect_matrix):
         rel, spec = keyed_rows(effect_matrix, 60)
         merged = merge_relation(rel, LevelMap({"KEY": 0.0, "E": 0.8}))
-        assert spec.calls <= 3
+        assert spec.calls["degree"] == 0
+        assert spec.calls["compile"] == 1
+        assert spec.calls["near"] <= 3
         assert [t.get("E") for t in merged.tuples] == [
             frozenset({"Minimal", "Tolerable"}), frozenset({"Irreversible"})]
 

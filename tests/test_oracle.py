@@ -2,13 +2,19 @@
 
 ``select`` once evaluated every condition on every cell, and
 ``merge_relation`` merged the first redundant pair and restarted the scan
-from the first pair, with unmemoised redundancy checks.  Those versions
-are copied below unchanged, with ``project`` and ``join`` rebuilt on them,
-and Hypothesis requires the engine to return the same tuples in the same
-order, or to raise the same exception with the same message.
+from the first pair, with unmemoised redundancy checks.  Later the
+threshold check memoised ``degree(x, y) >= level`` per value pair,
+``closure_classes`` tested every pair of values, and the query tokenizer
+stepped through the text one character at a time.  Those versions are
+copied below unchanged, with ``project`` and ``join`` rebuilt on them,
+and Hypothesis requires the engine to return the same tuples, classes or
+tokens in the same order, or to raise the same exception with the same
+message.
 """
 
-from dataclasses import dataclass
+import itertools
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import pytest
@@ -26,13 +32,16 @@ from fuzzyrel import (
     Planar,
     ProximityMatrix,
     UnknownValueError,
+    closure_classes,
     join,
     merge_relation,
     merge_tuples,
     project,
     select,
 )
+from fuzzyrel import algebra, query
 from fuzzyrel.algebra import (
+    _MIXED,
     METHODS,
     _classifier,
     _coerce_constant,
@@ -42,7 +51,9 @@ from fuzzyrel.algebra import (
 )
 from fuzzyrel.closure import temporal_domain
 from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
+from fuzzyrel.partition import Grouping, _unit_interval, value_sort_key
 from fuzzyrel.proximity import ProximitySpec, Value, degree_of
+from fuzzyrel.query import ParseError, _Token
 
 
 # --- oracles ---------------------------------------------------------------
@@ -203,6 +214,132 @@ def oracle_join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     return oracle_merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)
 
 
+@dataclass(frozen=True)
+class _MemoCheck:
+    """Redundancy test for one attribute position, memoised for one call.
+
+    A class test caches each value's class key; a threshold test caches
+    ``degree(x, y) >= level`` for each value pair.  Both are pure
+    functions of the values, keyed by Python equality, so a check is built
+    once per operator call and its cache dies with it.
+    """
+
+    index: int
+    name: str
+    level: float
+    spec: ProximitySpec | None = None          # threshold test
+    classify: Callable | None = None           # class test
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def class_key(self, values: frozenset):
+        """The one class key all ``values`` share, or ``_MIXED``."""
+        memo = self.memo
+        keys = set()
+        for v in values:
+            if v not in memo:
+                memo[v] = self.classify(v)
+            keys.add(memo[v])
+        return keys.pop() if len(keys) == 1 else _MIXED
+
+    def close(self, x: Value, y: Value) -> bool:
+        memo = self.memo
+        try:
+            return memo[x, y]
+        except KeyError:
+            ok = memo[x, y] = memo[y, x] = self.spec.degree(x, y) >= self.level
+            return ok
+
+    def component_ok(self, values: frozenset) -> bool:
+        if self.classify is not None:
+            return self.class_key(values) is not _MIXED
+        return all(self.close(x, y) for x, y in itertools.combinations(values, 2))
+
+    __hash__ = None
+
+
+def oracle_closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
+    """Connected components of the alpha-cut graph over ``values``.
+
+    Unions every pair of values whose degree is >= alpha, which equals the
+    reflexive-symmetric-transitive closure of alpha-similarity restricted
+    to the value set.  Classes are ordered by their smallest member.
+    Every value must be one ``spec.degree`` can interpret.
+    """
+    a = _unit_interval(alpha)
+    nodes = sorted(set(values), key=value_sort_key)
+    parent = {v: v for v in nodes}  # union-find forest
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            if spec.degree(x, y) >= a:
+                parent[find(y)] = find(x)
+    components: dict = {}
+    for v in nodes:
+        components.setdefault(find(v), set()).add(v)
+    return Grouping.from_classes(components.values())
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+
+
+def oracle_tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j == -1 or "\n" in text[i + 1 : j]:
+                raise ParseError(line, col, "a closing quote")
+            tokens.append(_Token("STRING", text[i + 1 : j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            tokens.append(_Token("IDENT", m.group(0), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            raw = m.group(0)
+            value = float(raw) if "." in raw else int(raw)
+            tokens.append(_Token("NUMBER", value, line, col))
+            col += len(raw)
+            i = m.end()
+            continue
+        if text.startswith(">=", i):
+            tokens.append(_Token("SYMBOL", ">=", line, col))
+            col += 2
+            i += 2
+            continue
+        if ch in "(),=>":
+            tokens.append(_Token("SYMBOL", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(line, col, "a name, number or punctuation", repr(ch))
+    tokens.append(_Token("EOF", None, line, col))
+    return tokens
+
+
 # --- comparison ------------------------------------------------------------
 
 
@@ -218,6 +355,21 @@ def outcome(fn, *args):
 def assert_same(new, old, *args):
     got, expected = outcome(new, *args), outcome(old, *args)
     assert got == expected
+
+
+def tokens_or_error(tokenize, text):
+    """Each token with its value's type, or the ParseError's position."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        return ("raised", str(exc), exc.line, exc.column, exc.expected, exc.found)
+    return [(t.kind, t.value, type(t.value), t.line, t.column) for t in tokens]
+
+
+# Single characters of each token class, odd whitespace and digits, and
+# whole tokens, joined at random into query texts.
+TOKEN_PIECES = tuple('aZ_09.5"()=,><# \n\t\r\x0c\xa0\u0663\xe9') + (
+    "select", ">=", "level", '"a b"', "0.25", ".5", "7.", "\n\n")
 
 
 # --- generated relations ---------------------------------------------------
@@ -333,6 +485,46 @@ class TestAgainstOracles:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    def test_threshold_check(self, data):
+        attr, values, _ = data.draw(attributes("X"))
+        level = data.draw(st.sampled_from(LEVELS[1:]))
+        comps = data.draw(st.lists(
+            st.frozensets(st.sampled_from(values), min_size=1, max_size=4),
+            min_size=1, max_size=6))
+        r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
+        check, = algebra._build_checks(r, LevelMap({"X": level}), "threshold")
+        old = _MemoCheck(0, "X", level, spec=attr.proximity)
+        for a in comps:
+            for b in comps:
+                assert check.component_ok(a | b) == old.component_ok(a | b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_closure_classes(self, data):
+        attr, values, kind = data.draw(attributes("X"))
+        spec = attr.proximity
+        pool = st.sampled_from(values)
+        if kind == "linear":
+            pool |= st.floats(0, 10)
+        elif kind == "planar":
+            pool |= st.tuples(st.floats(0, 10), st.floats(0, 10))
+        chosen = data.draw(st.lists(pool, max_size=12))
+        # a level equal to a degree in the set puts that pair on the cut's edge
+        edges = tuple(spec.degree(x, y) for x in chosen[:3] for y in chosen)
+        alpha = data.draw(st.sampled_from(LEVELS + edges))
+        got = closure_classes(chosen, spec, alpha)
+        assert got == oracle_closure_classes(chosen, spec, alpha)
+        assert got.classes == oracle_closure_classes(chosen, spec, alpha).classes
+
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(TOKEN_PIECES), max_size=30))
+    def test_tokenize(self, pieces):
+        text = "".join(pieces)
+        assert tokens_or_error(query._tokenize, text) == \
+            tokens_or_error(oracle_tokenize, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_select(self, data):
         r, domains, _ = data.draw(relations(max_rows=12))
         conds = []
@@ -371,6 +563,15 @@ class TestNamedCases:
         # a duplicate
         r = linear_crisp([(1, "a"), (2, "b"), ({1, 2}, {"a", "b"}), (9, "c")])
         levels = LevelMap({"X": 0.8, "Y": 0.0})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert len(merge_relation(r, levels)) == 2
+
+    def test_value_unequal_to_itself(self):
+        # a crisp NaN has degree 0 to itself; one component holding it has
+        # no pair of distinct values, so it passes any level
+        nan = float("nan")
+        r = linear_crisp([(1, nan), (2, nan), (1, "b")])
+        levels = LevelMap({"X": 0.0, "Y": 1.0})
         assert_same(merge_relation, oracle_merge_relation, r, levels, None)
         assert len(merge_relation(r, levels)) == 2
 

@@ -189,3 +189,95 @@ class TestDegreeOf:
         p, q = (12.0, 7.0), (14.0, 23.0)
         degree = degree_of(spec, p, q)
         assert degree == pytest.approx(1 - math.dist(p, q) / (math.sqrt(2) * 100))
+
+
+# --- alpha-cut neighbourhoods: compile(values).near(x, level) ---------------
+
+CUT_LEVELS = (0.0, 0.3, 2 / 3, 0.7, 0.9, 1.0)
+SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
+         "E": (10.0, 10.0), "F": (4.9, 5.1), "G": (2.5, 7.5), "H": (3.3, 3.4)}
+LINEAR_POINTS = (0, 1, 2, 2.5, 3, 4, 5, 5.5, 6, 7, 7.5, 8, 9, 10, "6.5")
+PLANAR_POINTS = tuple(SITES) + ((0, 0), (1.5, 2.0), (3.0, 4.0), (10, 0), (6.2, 4.9))
+CRISP_POINTS = ("a", "b", "c", 1, 2.5)
+
+
+def assert_near_law(spec, domain, probes, levels=CUT_LEVELS):
+    """near(x, level) is the set of domain values y with degree(x, y) >= level.
+
+    Besides ``levels``, every degree between a probe and a domain value is
+    tried as a level, so each value that sits exactly on the band or radius
+    edge is in the cut.
+    """
+    cut = spec.compile(domain)
+    for x in probes:
+        edges = {spec.degree(x, y) for y in domain}
+        for level in (*levels, *edges):
+            got = cut.near(x, level)
+            assert isinstance(got, frozenset)
+            assert got == {y for y in domain if spec.degree(x, y) >= level}, (x, level)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome
+        return type(exc), str(exc)
+    return None
+
+
+class TestNear:
+    def test_linear(self):
+        spec = Linear(10)
+        assert_near_law(spec, LINEAR_POINTS, LINEAR_POINTS + (0.25, 9.999, "3"))
+
+    def test_linear_band_edge_is_in_the_cut(self):
+        # 1 - 3/10 is exactly 0.7, so points 3 apart are 0.7-similar
+        cut = Linear(10).compile((0, 3, 3.5, 4, 7))
+        assert Linear(10).degree(4, 7) == 0.7
+        assert cut.near(4, 0.7) == {3, 3.5, 4, 7}
+        assert cut.near(0, 0.7) == {0, 3}
+
+    def test_planar(self):
+        spec = Planar(10, SITES)
+        assert_near_law(spec, PLANAR_POINTS, PLANAR_POINTS + ((7.0, 7.0),))
+
+    def test_planar_radius_edge_is_in_the_cut(self):
+        spec = Planar(10, SITES)
+        level = spec.degree("A", "B")  # 1 - 2.5 / (10 * sqrt(2))
+        cut = spec.compile(SITES)
+        assert "B" in cut.near("A", level)
+        assert "B" not in cut.near("A", math.nextafter(level, 1.0))
+
+    def test_matrix(self, hair_matrix, effect_matrix):
+        for matrix in (hair_matrix, effect_matrix):
+            labels = matrix.labels
+            assert_near_law(ExplicitMatrix(matrix), labels[1:], labels)
+
+    def test_crisp(self):
+        assert_near_law(CrispIdentity(), CRISP_POINTS, CRISP_POINTS + ("z", 1.0))
+
+    @given(points=st.lists(st.floats(0, 50), max_size=12), x=st.floats(0, 50),
+           level=st.sampled_from(CUT_LEVELS) | st.floats(0, 1))
+    def test_linear_law_on_any_reals(self, points, x, level):
+        assert_near_law(Linear(50), points, [x, *points], (level,))
+
+    @given(points=st.lists(st.tuples(st.floats(0, 3), st.floats(0, 3)), max_size=12),
+           x=st.tuples(st.floats(0, 3), st.floats(0, 3)),
+           level=st.sampled_from(CUT_LEVELS) | st.floats(0, 1))
+    def test_planar_law_on_any_points(self, points, x, level):
+        assert_near_law(Planar(3, {}), points, [x, *points], (level,))
+
+    @pytest.mark.parametrize("spec, good, bad", [
+        (Linear(10), 5, ["abc", True, None, 500, -1, math.nan]),
+        (Planar(10, SITES), "C", ["Nowhere", 5, (1, 2, 3), (11, 0), (True, 1),
+                                  ("a", 1)]),
+        (ExplicitMatrix(ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))), "p",
+         ["r", 3, ["p"]]),
+    ])
+    def test_bad_values_raise_what_degree_raises(self, spec, good, bad):
+        cut = spec.compile([good])
+        for value in bad:
+            expected = raised(spec.degree, value, good)
+            assert expected is not None
+            assert raised(cut.near, value, 0.5) == expected
+            assert raised(spec.compile, [good, value]) == expected
