@@ -571,6 +571,9 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
 def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
             checks: Sequence[_Check]):
     """(position, merged tuple) of each survivor of one class-key bucket."""
+    if len(members) == 1:  # nothing to absorb
+        yield members[0], tuples[members[0]]
+        return
     alive = [tuples[p] for p in members]
     later = {t: k for k, t in enumerate(alive)}
     parts = [[t.components[c.index] for c in checks] for t in alive]

@@ -40,10 +40,11 @@ def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     checks each and raises what ``degree`` raises.
     """
     a = _unit_interval(alpha)
-    cut = spec.compile(set(values))
+    nodes = set(values)
+    cut = spec.compile(nodes)
     seen: set = set()
     components = []
-    for v in sorted(set(values), key=value_sort_key):
+    for v in sorted(nodes, key=value_sort_key):
         if v in seen:
             continue
         seen.add(v)

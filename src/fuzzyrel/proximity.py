@@ -167,9 +167,10 @@ class Planar:
         return _PlaneCut(self, values)
 
     def _point(self, v: Value | Point) -> Point:
-        p = self.resolve(v)
-        _in_square(p, self.side)
-        return p
+        if not isinstance(v, tuple):
+            return self.resolve(v)  # locations are checked when the spec is built
+        _in_square(v, self.side)
+        return v
 
     def parse(self, text: str) -> Value:
         if text not in self.locations:
