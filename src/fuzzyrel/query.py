@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from . import algebra
 from .algebra import FuzzyRelation, LevelMap
@@ -94,8 +94,9 @@ class Query:
     giving: str | None = None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
+    # a tuple, not a dataclass: a query makes ~50 and building them
+    # dominated the tokenizer
     kind: str  # IDENT | STRING | NUMBER | SYMBOL | EOF
     value: object
     line: int
