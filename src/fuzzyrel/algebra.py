@@ -17,6 +17,7 @@ the checks entirely.  All comparisons against levels are non-strict.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field, replace
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
@@ -87,7 +88,7 @@ class AttributeSpec:
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyTuple:
     """A tuple whose components are non-empty finite value sets."""
 
@@ -201,7 +202,8 @@ class FuzzyRelation:
         """Map from each value of column ``idx`` to the positions holding it.
 
         Built on first use and kept: the tuples never change.  Positions
-        ascend, and values are keyed by Python equality.
+        ascend, in machine-word arrays, and values are keyed by Python
+        equality.
         """
         indexes = getattr(self, "_indexes")
         index = indexes.get(idx)
@@ -209,7 +211,7 @@ class FuzzyRelation:
             index = {}
             for pos, t in enumerate(self.tuples):
                 for v in t.components[idx]:
-                    index.setdefault(v, []).append(pos)
+                    index.setdefault(v, array("l")).append(pos)
             indexes[idx] = index
         return index
 
