@@ -40,7 +40,6 @@ from .errors import (
 from .partition import (
     Grouping,
     Partition1D,
-    Partition2D,
     cell_of,
     class_of,
     classes_over,
@@ -52,12 +51,9 @@ from .proximity import (
     ExplicitMatrix,
     Linear,
     Planar,
-    PropertyReport,
     ProximityMatrix,
     build_ordinal_matrix,
     degree_of,
-    proximity_linear,
-    proximity_planar,
     relation_properties,
 )
 from .query import ParseError, Query, evaluate, parse, render
@@ -89,9 +85,7 @@ __all__ = [
     "Linear",
     "ParseError",
     "Partition1D",
-    "Partition2D",
     "Planar",
-    "PropertyReport",
     "ProximityMatrix",
     "Query",
     "SchemaMismatchError",
@@ -122,8 +116,6 @@ __all__ = [
     "partition_line",
     "partition_plane",
     "project",
-    "proximity_linear",
-    "proximity_planar",
     "redundant",
     "relation_properties",
     "relation_to_csv",

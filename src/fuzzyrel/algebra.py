@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     SchemaMismatchError,
     UnknownAttributeError,
-    UnknownValueError,
     ValidationError,
 )
 from .partition import (
@@ -37,16 +36,7 @@ from .partition import (
     partition_line,
     partition_plane,
 )
-from .proximity import (
-    CrispIdentity,
-    ExplicitMatrix,
-    Linear,
-    Planar,
-    ProximitySpec,
-    Value,
-    _linear_value,
-    degree_of,
-)
+from .proximity import CrispIdentity, ProximitySpec, Value
 
 CELL_METHODS = ("interval", "equalized", "grid")
 METHODS = ("threshold",) + CELL_METHODS + ("closure",)
@@ -56,14 +46,14 @@ METHODS = ("threshold",) + CELL_METHODS + ("closure",)
 class AttributeSpec:
     """Binds an attribute name to its proximity and class-formation method.
 
-    ``order`` lists the labels of a linearly ordered domain; it provides
-    the integer embedding that interval and equalized partitions need.
+    The proximity spec owns the domain's cells: an ordinal domain's label
+    order lives on its ``ExplicitMatrix``, and ``embedding()`` gives the
+    cells that interval, equalized and grid partitions cut.
     """
 
     name: str
     proximity: ProximitySpec = CrispIdentity()
     default_method: str = "threshold"
-    order: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -72,16 +62,6 @@ class AttributeSpec:
             raise ValidationError(
                 f"method must be one of {METHODS}, got {self.default_method!r}"
             )
-        if self.order is not None:
-            order = tuple(self.order)
-            if len(set(order)) != len(order) or len(order) < 2:
-                raise ValidationError("order must list at least 2 distinct labels")
-            if isinstance(self.proximity, ExplicitMatrix):
-                if set(order) != set(self.proximity.matrix.labels):
-                    raise ValidationError(
-                        f"order for {self.name!r} does not match the matrix labels"
-                    )
-            object.__setattr__(self, "order", order)
         # Fail early on impossible method/proximity pairings.
         _resolve_method(self, self.default_method)
 
@@ -125,9 +105,6 @@ class FuzzyTuple:
             return self.components[self.names.index(name)]
         except ValueError:
             raise UnknownAttributeError(f"no attribute {name!r} in tuple") from None
-
-    def as_dict(self) -> dict[str, frozenset]:
-        return dict(zip(self.names, self.components))
 
 
 @dataclass(frozen=True)
@@ -194,9 +171,6 @@ class FuzzyRelation:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def tuple_set(self) -> frozenset:
-        return frozenset(self.tuples)
 
     def _column_index(self, idx: int) -> dict:
         """Map from each value of column ``idx`` to the positions holding it.
@@ -280,7 +254,7 @@ def interpretations(t: FuzzyTuple) -> frozenset:
 
 
 def _min_pairwise(spec: ProximitySpec, values: Iterable[Value]) -> float:
-    degrees = [degree_of(spec, x, y) for x, y in itertools.combinations(values, 2)]
+    degrees = [spec.degree(x, y) for x, y in itertools.combinations(values, 2)]
     return min(degrees, default=1.0)
 
 
@@ -309,43 +283,17 @@ def valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple, levels: LevelMap
     return True
 
 
-def _embedding(attr: AttributeSpec):
-    """(dimensions, length, resolve) of the attribute's cells, or None.
-
-    A planar attribute is 2-D: [0, side]^2, reached through its locations.
-    A linear attribute is 1-D: [0, length].  An ordinal attribute is 1-D:
-    [0, len(order) - 1], reached through the rank of each label.
-    """
-    spec = attr.proximity
-    if isinstance(spec, Planar):
-        return 2, spec.side, spec.resolve
-    if isinstance(spec, Linear):
-        return 1, spec.length, _linear_value
-    if attr.order is None:
-        return None
-    positions = {label: i for i, label in enumerate(attr.order)}
-
-    def rank(v):
-        try:
-            return positions[v]
-        except (KeyError, TypeError):
-            raise UnknownValueError(
-                f"label {v!r} not in the ordered domain of {attr.name!r}"
-            ) from None
-
-    return 1, float(len(attr.order) - 1), rank
-
-
 def class_method(attr: AttributeSpec, requested: str) -> str:
     """The class-formation method that serves ``requested`` on this attribute.
 
-    Closure serves every attribute.  A cell method needs an embedding: a
-    planar attribute forms grid cells whichever cell method is asked, a
-    linear or ordinal one forms interval cells when grid is asked.
+    Closure serves every attribute.  A cell method needs the cells of the
+    attribute's spec, its ``embedding()``: a planar attribute forms grid
+    cells whichever cell method is asked, a linear or ordinal one (a
+    matrix with an ``order``) forms interval cells when grid is asked.
     """
     if requested == "closure":
         return "closure"
-    embedding = _embedding(attr)
+    embedding = attr.proximity.embedding()
     if requested not in CELL_METHODS or embedding is None:
         raise ValidationError(
             f"attribute {attr.name!r} does not support {requested!r} classes"
@@ -358,20 +306,20 @@ def class_method(attr: AttributeSpec, requested: str) -> str:
 def _resolve_method(attr: AttributeSpec, requested: str) -> str:
     """Map a requested merge method to one the attribute supports.
 
-    A crisp attribute keeps the threshold check under every method: it
-    has no cells, and its closure classes, its single values, would cost
-    a degree evaluation per pair of values.
+    A ``threshold_only`` spec (crisp) keeps the threshold check under
+    every method: it has no cells, and its closure classes, its single
+    values, would cost a degree evaluation per pair of values.
     """
     if requested not in METHODS:
         raise ValidationError(f"unknown method {requested!r}")
-    if requested == "threshold" or isinstance(attr.proximity, CrispIdentity):
+    if requested == "threshold" or attr.proximity.threshold_only:
         return "threshold"
     return class_method(attr, requested)
 
 
 def _cells(attr: AttributeSpec, method: str, level: float):
     """(partitioner, resolve) of a cell method's cells at one level."""
-    dims, length, resolve = _embedding(attr)
+    dims, length, resolve = attr.proximity.embedding()
     if dims == 2:
         return partition_plane(length, level), resolve
     mode = "equalized" if method == "equalized" else "standard"
@@ -437,21 +385,13 @@ class _Check:
         return keys.pop() if len(keys) == 1 else _MIXED
 
     def common(self, values: frozenset) -> frozenset:
-        """The values within the level of each of ``values``.
-
-        A value's neighbourhood is taken to hold the value itself, which
-        only a crisp NaN, unequal to itself, would lack: as in the pairwise
-        definition, only pairs of distinct values are tested.
-        """
+        """The values within the level of each of ``values``."""
         memo = self.memo
         out = None
         for v in values:
             near = memo.get(v)
             if near is None:
-                near = self.cut.near(v, self.level)
-                if v not in near:
-                    near = near | {v}
-                memo[v] = near
+                near = memo[v] = self.cut.near(v, self.level)
             out = near if out is None else out & near
         return out
 
@@ -600,14 +540,8 @@ def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
 
 
 def _coerce_constant(spec: ProximitySpec, constant: Value) -> Value:
-    if isinstance(spec, Linear) and isinstance(constant, str):
-        try:
-            return float(constant)
-        except ValueError:
-            raise UnknownValueError(
-                f"cannot interpret {constant!r} as a number"
-            ) from None
-    return constant
+    """The domain value a select constant stands for under ``spec``."""
+    return spec.constant(constant)
 
 
 def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],

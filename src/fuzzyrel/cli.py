@@ -27,7 +27,6 @@ from .tables import (
     format_grouping,
     format_matrix,
     format_table,
-    format_value,
     grouping_to_csv,
     load_matrix,
     relation_to_csv,
@@ -44,7 +43,7 @@ def cmd_classes(db: Database, attr: str, alpha: float, method: str,
     if emit == "csv":
         return grouping_to_csv(grouping)
     head = (f"attribute {attr}  method {class_method(attribute, method)}  "
-            f"alpha {format_value(alpha)}")
+            f"alpha {alpha}")
     return head + "\n" + format_grouping(grouping)
 
 
@@ -58,15 +57,15 @@ def cmd_compare(db: Database, attr: str, alphas: list[float], emit: str) -> str:
         lines = ["alpha,method,class,members"]
         for alpha, method, grouping in runs:
             for i, cls in enumerate(grouping.classes, start=1):
-                members = "|".join(format_value(v) for v in sorted(cls, key=str))
-                lines.append(f"{format_value(alpha)},{method},{i},{members}")
+                members = "|".join(map(str, sorted(cls, key=str)))
+                lines.append(f"{alpha},{method},{i},{members}")
         return "\n".join(lines) + "\n"
     labels = [str(v) for v in sorted(domain, key=str)]
     lines = [f"attribute {attr}: proximity matrix",
              format_matrix(labels, attribute.proximity.degree, decimals=3)]
     for alpha, method, grouping in runs:
         if method == methods[0]:
-            lines += ["", f"alpha {format_value(alpha)}"]
+            lines += ["", f"alpha {alpha}"]
         count = len(grouping.classes)
         lines.append(f"  {method}: {count} {'class' if count == 1 else 'classes'}")
         lines += [f"    {line}" for line in format_grouping(grouping).splitlines()]

@@ -32,7 +32,7 @@ from typing import Mapping
 
 from .algebra import AttributeSpec, FuzzyRelation, LevelMap
 from .closure import temporal_domain
-from .errors import FormatError, UnknownAttributeError, UnknownRelationError
+from .errors import FormatError, UnknownAttributeError, UnknownRelationError, ValidationError
 from .proximity import CrispIdentity, ExplicitMatrix, Linear, Planar, build_ordinal_matrix
 from .tables import load_locations, load_matrix, load_relation
 
@@ -122,7 +122,6 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
     kind = section.get("kind", "").strip().lower()
     if kind not in _KINDS:
         raise FormatError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
-    order = None
     if kind == "crisp":
         proximity = CrispIdentity()
     elif kind == "numeric":
@@ -139,14 +138,17 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
         if "labels" not in section:
             raise FormatError(f"{where}: ordinal kind needs labels")
         labels = _split_list(section["labels"])
-        order = tuple(labels)
         if "matrix" in section:
-            proximity = ExplicitMatrix(load_matrix(base / section["matrix"]))
+            matrix = load_matrix(base / section["matrix"])
         else:
-            proximity = ExplicitMatrix(build_ordinal_matrix(labels))
+            matrix = build_ordinal_matrix(labels)
+        try:
+            proximity = ExplicitMatrix(matrix, labels)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     method = section.get("method", _DEFAULT_METHOD[kind]).strip()
     alpha = _number(section, "alpha", where) if "alpha" in section else None
-    spec = AttributeSpec(name, proximity, method, order)
+    spec = AttributeSpec(name, proximity, method)
     return AttributeConfig(spec, alpha)
 
 

@@ -107,14 +107,6 @@ class Partition2D:
     axis: Partition1D
 
     @property
-    def length(self) -> float:
-        return self.axis.length
-
-    @property
-    def alpha(self) -> float:
-        return self.axis.alpha
-
-    @property
     def cell_count(self) -> int:
         return self.axis.cell_count ** 2
 

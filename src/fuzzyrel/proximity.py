@@ -9,7 +9,7 @@ max-min transitivity.  Four kinds of specification are supported:
 * ``Planar``         -- distance-based degrees on the square [0, L]^2,
 * ``CrispIdentity``  -- classical equality (degree 1 or 0).
 
-Each kind implements the same three methods:
+Each kind has the same members:
 
 * ``degree(x, y)``    -- the degree of two domain values; it checks both and
   raises UnknownValueError for a value it cannot interpret, DomainError
@@ -25,7 +25,18 @@ Each kind implements the same three methods:
   bisection, planar ones in a strip of x, matrix ones in the row of x;
   membership is decided by the float expression ``degree`` evaluates, so
   the set is exactly the one a scan of ``degree`` gives.  The compiled
-  form does not depend on the level.
+  form does not depend on the level,
+* ``embedding()``     -- the cells that interval, equalized and grid
+  partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
+  value onto [0, length] or [0, length]^2, or None for a domain without
+  cells.  A matrix has cells only with an ``order``: its label ranks,
+* ``constant(value)`` -- the value a select constant stands for; a linear
+  domain reads text as a number,
+* ``threshold_only``  -- true for crisp domains only: merges keep their
+  threshold check whatever method is asked.
+
+Each kind checks a value on one path, which ``degree``, ``compile`` and
+``near`` share.
 
 All objects are immutable and every function here is pure.
 """
@@ -101,8 +112,20 @@ class ProximityMatrix:
         return self.entries[self.position(x)][self.position(y)]
 
 
+class _Kind:
+    """Defaults of a spec kind: no cells, and select constants as given."""
+
+    threshold_only = False
+
+    def embedding(self):
+        return None
+
+    def constant(self, value: Value) -> Value:
+        return value
+
+
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Kind):
     """Degrees on [0, length] fall off linearly with distance."""
 
     length: float
@@ -113,13 +136,34 @@ class Linear:
             raise DomainError(f"length must be positive and finite, got {self.length}")
 
     def degree(self, x: Value, y: Value) -> float:
-        return proximity_linear(_linear_value(x), _linear_value(y), self.length)
+        p, q = self._position(x), self._position(y)
+        return 1.0 - abs(q - p) / self.length
 
     def compile(self, values) -> "_LineCut":
         return _LineCut(self, values)
 
+    def embedding(self):
+        return 1, self.length, self._position
+
+    def constant(self, value: Value) -> Value:
+        """Text that spells a number stands for the number."""
+        if not isinstance(value, str):
+            return value
+        try:
+            return float(value)
+        except ValueError:
+            raise UnknownValueError(f"cannot interpret {value!r} as a number") from None
+
     def _position(self, v: Value) -> float:
-        return _on_line(_linear_value(v), self.length)
+        if isinstance(v, bool):
+            raise UnknownValueError(f"cannot interpret {v!r} as a number")
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            raise UnknownValueError(f"cannot interpret {v!r} as a number") from None
+        if not 0.0 <= x <= self.length:
+            raise DomainError(f"value {x} outside [0, {self.length}]")
+        return x
 
     def parse(self, text: str) -> Value:
         """An int when ``text`` spells one, else a float."""
@@ -133,7 +177,7 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class Planar:
+class Planar(_Kind):
     """Degrees on the square [0, side]^2; labels resolve through ``locations``."""
 
     side: float
@@ -143,34 +187,34 @@ class Planar:
         side = _as_number(self.side, "side")
         if not 0 < side < math.inf:
             raise DomainError(f"side must be positive and finite, got {side}")
-        locs = {}
-        for label, point in dict(self.locations).items():
-            x, y = (_as_number(c, f"coordinate of {label!r}") for c in point)
-            if not (0.0 <= x <= side and 0.0 <= y <= side):
-                raise DomainError(f"location {label!r} = ({x}, {y}) outside the square")
-            locs[label] = (x, y)
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "locations", locs)
+        object.__setattr__(self, "locations", {
+            label: self._in_square(point, f"location {label!r}")
+            for label, point in dict(self.locations).items()})
 
     def resolve(self, value: Value | Point) -> Point:
+        """The location of a label, or a point checked to lie in the square."""
         if isinstance(value, tuple):
-            return value
+            return self._in_square(value, "point")
         try:
             return self.locations[value]
         except (KeyError, TypeError):
             raise UnknownValueError(f"no location known for {value!r}") from None
 
     def degree(self, x: Value | Point, y: Value | Point) -> float:
-        return proximity_planar(self.resolve(x), self.resolve(y), self.side)
+        return 1.0 - math.dist(self.resolve(x), self.resolve(y)) / (_SQRT2 * self.side)
 
     def compile(self, values) -> "_PlaneCut":
         return _PlaneCut(self, values)
 
-    def _point(self, v: Value | Point) -> Point:
-        if not isinstance(v, tuple):
-            return self.resolve(v)  # locations are checked when the spec is built
-        _in_square(v, self.side)
-        return v
+    def embedding(self):
+        return 2, self.side, self.resolve
+
+    def _in_square(self, point, what: str) -> Point:
+        x, y = (_as_number(c, f"coordinate of {what}") for c in point)
+        if not (0.0 <= x <= self.side and 0.0 <= y <= self.side):
+            raise DomainError(f"{what} ({x}, {y}) outside the square [0, {self.side}]^2")
+        return x, y
 
     def parse(self, text: str) -> Value:
         if text not in self.locations:
@@ -182,16 +226,41 @@ class Planar:
 
 
 @dataclass(frozen=True)
-class ExplicitMatrix:
-    """Wraps a ProximityMatrix as a proximity specification."""
+class ExplicitMatrix(_Kind):
+    """Wraps a ProximityMatrix as a proximity specification.
+
+    ``order`` lists the matrix labels of a linearly ordered domain.  It
+    gives the domain its cells: label i sits at rank i on
+    [0, len(order) - 1], where interval and equalized partitions apply.
+    Without an order a matrix domain has no cells.
+    """
 
     matrix: ProximityMatrix
+    order: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.order is None:
+            return
+        order = tuple(self.order)
+        if len(set(order)) != len(order) or len(order) < 2:
+            raise ValidationError("order must list at least 2 distinct labels")
+        if set(order) != set(self.matrix.labels):
+            raise ValidationError("order does not match the matrix labels")
+        rank = {label: i for i, label in enumerate(order)}
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_ranks", tuple(rank[lab] for lab in self.matrix.labels))
 
     def degree(self, x: Value, y: Value) -> float:
         return self.matrix.degree(x, y)
 
     def compile(self, values) -> "_MatrixCut":
         return _MatrixCut(self.matrix, values)
+
+    def embedding(self):
+        if self.order is None:
+            return None
+        ranks = getattr(self, "_ranks")
+        return 1, float(len(ranks) - 1), lambda v: ranks[self.matrix.position(v)]
 
     def parse(self, text: str) -> Value:
         if text not in self.matrix.labels:
@@ -200,17 +269,30 @@ class ExplicitMatrix:
 
 
 @dataclass(frozen=True)
-class CrispIdentity:
-    """Classical equality: degree 1 for equal values, 0 otherwise."""
+class CrispIdentity(_Kind):
+    """Classical equality: degree 1 for equal values, 0 otherwise.
+
+    A value unequal to itself, such as a float NaN, is rejected with
+    UnknownValueError, so the relation stays reflexive.  It has no cells,
+    and merges keep its threshold check under every method.
+    """
+
+    threshold_only = True
 
     def degree(self, x: Value, y: Value) -> float:
-        return 1.0 if x == y else 0.0
+        return 1.0 if _crisp_value(x) == _crisp_value(y) else 0.0
 
     def compile(self, values) -> "_CrispCut":
         return _CrispCut(values)
 
     def parse(self, text: str) -> Value:
         return text
+
+
+def _crisp_value(v: Value) -> Value:
+    if v != v:
+        raise UnknownValueError(f"crisp value {v!r} is not equal to itself")
+    return v
 
 
 ProximitySpec = Union[ExplicitMatrix, Linear, Planar, CrispIdentity]
@@ -246,12 +328,12 @@ class _PlaneCut:
 
     def __init__(self, spec: Planar, values):
         self._spec = spec
-        self._points = sorted(((spec._point(v), v) for v in values),
+        self._points = sorted(((spec.resolve(v), v) for v in values),
                               key=lambda pv: pv[0][0])
         self._xs = [p[0] for p, _ in self._points]
 
     def near(self, x: Value | Point, level: float) -> frozenset:
-        p = self._spec._point(x)
+        p = self._spec.resolve(x)
         scale = _SQRT2 * self._spec.side
         reach = (1.0 - level + _REACH_SLACK) * scale
         lo = bisect_left(self._xs, p[0] - reach)
@@ -276,50 +358,17 @@ class _CrispCut:
     """Crisp values by equality; a cut is every value, the equal one or none."""
 
     def __init__(self, values):
-        self._values = {v: v for v in values}
+        self._values = {_crisp_value(v): v for v in values}
 
     def near(self, x: Value, level: float) -> frozenset:
+        _crisp_value(x)
         if level <= 0.0:
             return frozenset(self._values)
         try:
             y = self._values[x]
         except (KeyError, TypeError):
             return frozenset()
-        return frozenset((y,)) if level <= 1.0 and x == y else frozenset()
-
-
-def proximity_linear(a: float, b: float, length: float) -> float:
-    """Degree of two reals in [0, length]: 1 - |b - a| / length."""
-    L = _as_number(length, "length")
-    if L <= 0:
-        raise DomainError(f"length must be positive, got {L}")
-    x = _as_number(a, "a")
-    y = _as_number(b, "b")
-    _on_line(x, L)
-    _on_line(y, L)
-    return 1.0 - abs(y - x) / L
-
-
-def _on_line(v: float, L: float) -> float:
-    if not 0.0 <= v <= L:
-        raise DomainError(f"value {v} outside [0, {L}]")
-    return v
-
-
-def proximity_planar(p1: Point, p2: Point, side: float) -> float:
-    """Degree of two points of [0, side]^2: 1 - d(p1, p2) / (sqrt(2) * side)."""
-    L = _as_number(side, "side")
-    if L <= 0:
-        raise DomainError(f"side must be positive, got {L}")
-    _in_square(p1, L)
-    _in_square(p2, L)
-    return 1.0 - math.dist(p1, p2) / (_SQRT2 * L)
-
-
-def _in_square(p: Point, L: float) -> None:
-    x, y = (_as_number(c, "coordinate") for c in p)
-    if not (0.0 <= x <= L and 0.0 <= y <= L):
-        raise DomainError(f"point ({x}, {y}) outside the square [0, {L}]^2")
+        return frozenset((y,)) if level <= 1.0 else frozenset()
 
 
 def build_ordinal_matrix(labels) -> ProximityMatrix:
@@ -379,11 +428,3 @@ def degree_of(spec: ProximitySpec, x: Value, y: Value) -> float:
     """Degree of two values under any proximity specification."""
     return spec.degree(x, y)
 
-
-def _linear_value(v: Value) -> float:
-    if isinstance(v, bool):
-        raise UnknownValueError(f"cannot interpret {v!r} as a number")
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise UnknownValueError(f"cannot interpret {v!r} as a number") from None

@@ -124,22 +124,12 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
     return FuzzyRelation(schema, tuple(tuples))
 
 
-def format_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _sorted_values(component) -> list[Value]:
     return sorted(component, key=value_sort_key)
 
 
 def _cell_text(component) -> str:
-    rendered = [format_value(v) for v in _sorted_values(component)]
+    rendered = [str(v) for v in _sorted_values(component)]
     if len(rendered) == 1:
         return rendered[0]
     return "{" + ", ".join(rendered) + "}"
@@ -169,7 +159,7 @@ def relation_to_csv(r: FuzzyRelation) -> str:
     writer.writerow(r.names)
     for t in r.tuples:
         writer.writerow(
-            [SET_SEPARATOR.join(format_value(v) for v in _sorted_values(c))
+            [SET_SEPARATOR.join(map(str, _sorted_values(c)))
              for c in t.components]
         )
     return out.getvalue()
@@ -179,7 +169,7 @@ def format_grouping(g: Grouping) -> str:
     """One class per line, in the grouping's class order."""
     lines = []
     for i, cls in enumerate(g.classes, start=1):
-        members = ", ".join(format_value(v) for v in _sorted_values(cls))
+        members = ", ".join(map(str, _sorted_values(cls)))
         lines.append(f"{i}: {{{members}}}")
     return "\n".join(lines)
 
@@ -190,7 +180,7 @@ def grouping_to_csv(g: Grouping) -> str:
     writer.writerow(["class", "members"])
     for i, cls in enumerate(g.classes, start=1):
         writer.writerow(
-            [i, SET_SEPARATOR.join(format_value(v) for v in _sorted_values(cls))]
+            [i, SET_SEPARATOR.join(map(str, _sorted_values(cls)))]
         )
     return out.getvalue()
 

@@ -17,6 +17,7 @@ from fuzzyrel import (
     LevelMap,
     Linear,
     ParseError,
+    Planar,
     ProximityMatrix,
     build_ordinal_matrix,
     cell_of,
@@ -32,8 +33,6 @@ from fuzzyrel import (
     partition_line,
     partition_plane,
     project,
-    proximity_linear,
-    proximity_planar,
     select,
 )
 
@@ -408,7 +407,7 @@ def test_same_interval_class_implies_degree(length, alpha, mode, u, v):
     lo, hi = part.intervals[j - 1]
     y = lo + v * (hi - lo)
     if class_of(y, part) == j:
-        assert proximity_linear(x, y, length) >= alpha - 1e-9
+        assert Linear(length).degree(x, y) >= alpha - 1e-9
 
 
 @LAWS
@@ -425,7 +424,7 @@ def test_same_grid_cell_implies_degree(length, alpha, us):
     (lo_y, hi_y) = grid.axis.intervals[cell[1] - 1]
     q = (lo_x + us[2] * (hi_x - lo_x), lo_y + us[3] * (hi_y - lo_y))
     if cell_of(q, grid) == cell:
-        assert proximity_planar(p, q, length) >= alpha - 1e-9
+        assert Planar(length, {}).degree(p, q) >= alpha - 1e-9
 
 
 def _maxmin_closure(entries):

@@ -404,8 +404,7 @@ SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
 CLASS_PATH_DOMAINS = {
     "linear": (AttributeSpec("X", Linear(10)),
                st.one_of(st.integers(0, 10), st.floats(0, 10))),
-    "ordinal": (AttributeSpec("X", ExplicitMatrix(build_ordinal_matrix(RANKS)),
-                              order=RANKS),
+    "ordinal": (AttributeSpec("X", ExplicitMatrix(build_ordinal_matrix(RANKS), RANKS)),
                 st.sampled_from(RANKS)),
     "planar": (AttributeSpec("X", Planar(10, SITES)), st.sampled_from(sorted(SITES))),
 }

@@ -257,6 +257,10 @@ ERROR_PATHS = {
     "locations-not-utf8": (
         "suppliers", _not_utf8("city_locations.csv"), _classes("STATUS"), 2,
         ["city_locations.csv"]),
+    "ordinal-label-not-in-matrix": (
+        "survey", _replace("schema.cfg", "Severe, Major", "Severe, Awful"),
+        _classes("Effect"), 2,
+        ["schema.cfg", "'Effect'", "does not match the matrix labels"]),
     "matrix-not-utf8": (
         "survey", _not_utf8("effect_matrix.csv"), _classes("Effect"), 2,
         ["effect_matrix.csv"]),

@@ -417,8 +417,8 @@ def attributes(draw, name):
         return AttributeSpec(name, Planar(10, SITES), method), tuple(SITES), kind
     ordered = draw(st.booleans())
     method = draw(st.sampled_from(METHODS if ordered else ("threshold", "closure")))
-    spec = AttributeSpec(name, ExplicitMatrix(draw(matrices())), method,
-                         LABELS if ordered else None)
+    spec = AttributeSpec(name, ExplicitMatrix(draw(matrices()),
+                                              LABELS if ordered else None), method)
     return spec, LABELS, kind
 
 
@@ -567,13 +567,9 @@ class TestNamedCases:
         assert len(merge_relation(r, levels)) == 2
 
     def test_value_unequal_to_itself(self):
-        # a crisp NaN has degree 0 to itself; one component holding it has
-        # no pair of distinct values, so it passes any level
-        nan = float("nan")
-        r = linear_crisp([(1, nan), (2, nan), (1, "b")])
-        levels = LevelMap({"X": 0.0, "Y": 1.0})
-        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
-        assert len(merge_relation(r, levels)) == 2
+        # a crisp NaN would have degree 0 to itself, so the spec rejects it
+        with pytest.raises(UnknownValueError, match="not equal to itself"):
+            linear_crisp([(1, "a"), (2, float("nan"))])
 
     def test_component_failing_its_own_level_stays(self):
         r = linear_crisp([({0, 10}, "a"), (0, "a"), (10, "a")])

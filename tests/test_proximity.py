@@ -1,6 +1,8 @@
 """Degree computations, matrix construction and property reporting."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,41 +18,39 @@ from fuzzyrel import (
     ValidationError,
     build_ordinal_matrix,
     degree_of,
-    proximity_linear,
-    proximity_planar,
     relation_properties,
 )
 
 
 class TestLinear:
     def test_reflexive(self):
-        assert proximity_linear(17.0, 17.0, 40.0) == 1.0
+        assert Linear(40.0).degree(17.0, 17.0) == 1.0
 
     def test_maximal_distance_is_zero(self):
-        assert proximity_linear(0.0, 100.0, 100.0) == 0.0
+        assert Linear(100.0).degree(0.0, 100.0) == 0.0
 
     def test_hand_value(self):
-        assert proximity_linear(20, 30, 100) == pytest.approx(0.9)
+        assert Linear(100).degree(20, 30) == pytest.approx(0.9)
 
     def test_symmetric(self):
-        assert proximity_linear(3, 11, 50) == proximity_linear(11, 3, 50)
+        assert Linear(50).degree(3, 11) == Linear(50).degree(11, 3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            proximity_linear(-1, 5, 10)
+            Linear(10).degree(-1, 5)
         with pytest.raises(DomainError):
-            proximity_linear(5, 11, 10)
+            Linear(10).degree(5, 11)
 
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
-            proximity_linear(0, 0, 0)
+            Linear(0).degree(0, 0)
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(0.01, 1.0))
     def test_alpha_cut_is_distance_bound(self, a, b, alpha):
         # degree >= alpha exactly when |a - b| <= (1 - alpha) * L
         L = 100.0
         close = abs(a - b) <= (1 - alpha) * L
-        degree = proximity_linear(a, b, L)
+        degree = Linear(L).degree(a, b)
         if degree > alpha + 1e-9:
             assert close
         if degree < alpha - 1e-9:
@@ -67,18 +67,18 @@ def test_spec_rejects_a_size_that_is_not_positive_and_finite(size):
 
 class TestPlanar:
     def test_identical_points(self):
-        assert proximity_planar((3.0, 4.0), (3.0, 4.0), 10.0) == 1.0
+        assert Planar(10.0, {}).degree((3.0, 4.0), (3.0, 4.0)) == 1.0
 
     def test_opposite_corners(self):
-        assert proximity_planar((0, 0), (5, 5), 5) == pytest.approx(0.0)
+        assert Planar(5, {}).degree((0, 0), (5, 5)) == pytest.approx(0.0)
 
     def test_city_pair(self):
-        got = proximity_planar((1.7492, 1.5739), (0.2218, 1.4128), 2)
+        got = Planar(2, {}).degree((1.7492, 1.5739), (0.2218, 1.4128))
         assert got == pytest.approx(0.457, abs=0.001)
 
     def test_rejects_point_outside_square(self):
         with pytest.raises(DomainError):
-            proximity_planar((0, 0), (3, 1), 2)
+            Planar(2, {}).degree((0, 0), (3, 1))
 
 
 class TestOrdinalMatrix:
@@ -156,10 +156,39 @@ class TestProperties:
         )
 
 
+class TestMatrixOrder:
+    MATRIX = build_ordinal_matrix(["a", "b", "c"])
+
+    @pytest.mark.parametrize("order, message", [
+        (("a", "b", "a"), "at least 2 distinct labels"),
+        (("a",), "at least 2 distinct labels"),
+        (("a", "b", "d"), "does not match the matrix labels"),
+        (("a", "b"), "does not match the matrix labels"),
+    ])
+    def test_rejects_an_order_that_is_not_the_labels(self, order, message):
+        with pytest.raises(ValidationError, match=message):
+            ExplicitMatrix(self.MATRIX, order)
+
+    def test_cells_are_ranks_in_the_order(self):
+        dims, length, rank = ExplicitMatrix(self.MATRIX, ("c", "a", "b")).embedding()
+        assert (dims, length) == (1, 2.0)
+        assert [rank(v) for v in "abc"] == [1, 2, 0]
+        with pytest.raises(UnknownValueError):
+            rank("d")
+
+    def test_no_order_no_cells(self):
+        assert ExplicitMatrix(self.MATRIX).embedding() is None
+        assert CrispIdentity().embedding() is None
+
+
 class TestDegreeOf:
     def test_crisp(self):
         assert degree_of(CrispIdentity(), "Expert", "Expert") == 1.0
         assert degree_of(CrispIdentity(), "Expert", "Resident") == 0.0
+
+    def test_crisp_rejects_a_value_unequal_to_itself(self):
+        with pytest.raises(UnknownValueError, match="not equal to itself"):
+            degree_of(CrispIdentity(), math.nan, math.nan)
 
     def test_matrix_lookup(self, effect_matrix):
         assert degree_of(ExplicitMatrix(effect_matrix), "Severe", "Major") == 0.80
@@ -273,6 +302,7 @@ class TestNear:
                                   ("a", 1)]),
         (ExplicitMatrix(ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))), "p",
          ["r", 3, ["p"]]),
+        (CrispIdentity(), "a", [math.nan]),
     ])
     def test_bad_values_raise_what_degree_raises(self, spec, good, bad):
         cut = spec.compile([good])
@@ -281,3 +311,40 @@ class TestNear:
             assert expected is not None
             assert raised(cut.near, value, 0.5) == expected
             assert raised(spec.compile, [good, value]) == expected
+
+
+# --- spec kinds own their decisions ----------------------------------------
+
+SPEC_KINDS = {"Linear", "Planar", "ExplicitMatrix", "CrispIdentity"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "fuzzyrel"
+
+
+def spec_type_tests(source: str) -> set:
+    """(line, kind) of each ``isinstance`` call that names a spec kind."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            for sub in ast.walk(node.args[1]):
+                kind = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if kind in SPEC_KINDS:
+                    found.add((node.lineno, kind))
+    return found
+
+
+def test_guard_sees_every_form_of_a_spec_type_test():
+    source = "isinstance(s, Linear)\nisinstance(s, (Planar, proximity.CrispIdentity))"
+    assert spec_type_tests(source) == {(1, "Linear"), (2, "Planar"), (2, "CrispIdentity")}
+
+
+def test_no_spec_type_test_outside_proximity():
+    switches = {path.name: spec_type_tests(path.read_text(encoding="utf-8"))
+                for path in sorted(SRC.glob("*.py")) if path.name != "proximity.py"}
+    assert {name: found for name, found in switches.items() if found} == {}
+
+
+def test_algebra_imports_no_spec_kind_but_the_crisp_default():
+    tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported & SPEC_KINDS == {"CrispIdentity"}
