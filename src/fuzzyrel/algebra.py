@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field, replace
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,14 +35,13 @@ from .partition import (
     partition_line,
     partition_plane,
 )
-from .proximity import CrispIdentity, ProximitySpec, Value
+from .proximity import CrispIdentity, ProximitySpec, Value, _Record
 
 CELL_METHODS = ("interval", "equalized", "grid")
 METHODS = ("threshold",) + CELL_METHODS + ("closure",)
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class AttributeSpec(_Record):
     """Binds an attribute name to its proximity and class-formation method.
 
     The proximity spec owns the domain's cells: an ordinal domain's label
@@ -51,33 +49,31 @@ class AttributeSpec:
     cells that interval, equalized and grid partitions cut.
     """
 
-    name: str
-    proximity: ProximitySpec = CrispIdentity()
-    default_method: str = "threshold"
+    __slots__ = _fields = ("name", "proximity", "default_method")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, proximity: ProximitySpec = CrispIdentity(),
+                 default_method: str = "threshold"):
+        if not name:
             raise ValidationError("attribute name must be non-empty")
-        if self.default_method not in METHODS:
+        if default_method not in METHODS:
             raise ValidationError(
-                f"method must be one of {METHODS}, got {self.default_method!r}"
+                f"method must be one of {METHODS}, got {default_method!r}"
             )
+        self._set(name=name, proximity=proximity, default_method=default_method)
         # Fail early on impossible method/proximity pairings.
-        _resolve_method(self, self.default_method)
+        _resolve_method(self, default_method)
 
     __hash__ = None
 
 
-@dataclass(frozen=True, slots=True)
-class FuzzyTuple:
+class FuzzyTuple(_Record):
     """A tuple whose components are non-empty finite value sets."""
 
-    names: tuple[str, ...]
-    components: tuple[frozenset, ...]
+    __slots__ = _fields = ("names", "components")
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        comps = tuple(frozenset(c) for c in self.components)
+    def __init__(self, names: tuple[str, ...], components: tuple[frozenset, ...]):
+        names = tuple(names)
+        comps = tuple(frozenset(c) for c in components)
         if len(names) != len(comps):
             raise SchemaMismatchError(
                 f"{len(names)} names but {len(comps)} components"
@@ -87,6 +83,23 @@ class FuzzyTuple:
                 raise DomainError(f"component {name!r} is empty")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], components: tuple[frozenset, ...]):
+        """The tuple of parts already checked: non-empty frozensets, one per name."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "names", names)
+        object.__setattr__(t, "components", components)
+        return t
+
+    # Written out rather than inherited: these run once per tuple per merge.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.components) == (other.names, other.components)
+
+    def __hash__(self):
+        return hash((self.names, self.components))
 
     @classmethod
     def of(cls, values: Mapping[str, object]) -> "FuzzyTuple":
@@ -107,29 +120,25 @@ class FuzzyTuple:
             raise UnknownAttributeError(f"no attribute {name!r} in tuple") from None
 
 
-@dataclass(frozen=True)
-class FuzzyRelation:
+class FuzzyRelation(_Record):
     """An ordered schema plus a duplicate-free sequence of conforming tuples."""
 
-    schema: tuple[AttributeSpec, ...]
-    tuples: tuple[FuzzyTuple, ...]
+    _fields = ("schema", "tuples")
+    __slots__ = _fields + ("_indexes", "_cuts")
 
-    def __post_init__(self):
-        schema = tuple(self.schema)
+    def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
+        schema = tuple(schema)
         names = tuple(a.name for a in schema)
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate attribute names in schema: {names}")
         seen: dict[FuzzyTuple, None] = {}
-        for t in self.tuples:
+        for t in tuples:
             if t.names != names:
                 raise SchemaMismatchError(
                     f"tuple attributes {t.names} do not match schema {names}"
                 )
             seen.setdefault(t)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "tuples", tuple(seen))
-        object.__setattr__(self, "_indexes", {})
-        object.__setattr__(self, "_cuts", {})
+        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={})
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -179,7 +188,7 @@ class FuzzyRelation:
         ascend, in machine-word arrays, and values are keyed by Python
         equality.
         """
-        indexes = getattr(self, "_indexes")
+        indexes = self._indexes
         index = indexes.get(idx)
         if index is None:
             index = {}
@@ -195,7 +204,7 @@ class FuzzyRelation:
         Built on first use and kept, like ``_column_index``; one per
         column, whatever the levels asked of it.
         """
-        cuts = getattr(self, "_cuts")
+        cuts = self._cuts
         cut = cuts.get(idx)
         if cut is None:
             cut = cuts[idx] = self.schema[idx].proximity.compile(self._column_index(idx))
@@ -204,30 +213,28 @@ class FuzzyRelation:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class LevelMap:
+class LevelMap(_Record):
     """Per-attribute merge thresholds and optional method overrides.
 
     Attributes missing from the map default to level 1.  A renamed join
     column ``X_2`` inherits the level configured for ``X``.
     """
 
-    levels: Mapping[str, float] = field(default_factory=dict)
-    methods: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("levels", "methods")
 
-    def __post_init__(self):
-        levels = {}
-        for name, lvl in dict(self.levels).items():
+    def __init__(self, levels: Mapping[str, float] | None = None,
+                 methods: Mapping[str, str] | None = None):
+        checked = {}
+        for name, lvl in dict(levels or {}).items():
             value = float(lvl)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"level for {name!r} must lie in [0, 1], got {lvl}")
-            levels[name] = value
-        methods = dict(self.methods)
+            checked[name] = value
+        methods = dict(methods or {})
         for name, m in methods.items():
             if m not in METHODS:
                 raise ValidationError(f"unknown method {m!r} for {name!r}")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "methods", methods)
+        self._set(levels=checked, methods=methods)
 
     def _lookup(self, table: Mapping[str, object], name: str):
         while True:
@@ -354,8 +361,7 @@ def _classifier(attr: AttributeSpec, method: str, level: float,
 _MIXED = object()  # class key of a component that spans two classes
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(_Record):
     """Redundancy test for one attribute position, memoised for one call.
 
     A class test caches each value's class key.  A threshold test holds
@@ -367,12 +373,14 @@ class _Check:
     cache dies with it.
     """
 
-    index: int
-    name: str
-    level: float
-    cut: object | None = None                  # threshold test
-    classify: Callable | None = None           # class test
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("index", "name", "level", "cut", "classify")
+    __slots__ = _fields + ("memo",)
+
+    def __init__(self, index: int, name: str, level: float,
+                 cut: object | None = None, classify: Callable | None = None):
+        # a threshold test has a ``cut``, a class test a ``classify``
+        self._set(index=index, name=name, level=level, cut=cut, classify=classify,
+                  memo={})
 
     def class_key(self, values: frozenset):
         """The one class key all ``values`` share, or ``_MIXED``."""
@@ -465,7 +473,8 @@ def merge_tuples(t1: FuzzyTuple, t2: FuzzyTuple) -> FuzzyTuple:
     """Componentwise union of two tuples over the same attributes."""
     if t1.names != t2.names:
         raise SchemaMismatchError(f"cannot merge {t1.names} with {t2.names}")
-    return FuzzyTuple(t1.names, tuple(a | b for a, b in zip(t1.components, t2.components)))
+    return FuzzyTuple._trusted(
+        t1.names, tuple(a | b for a, b in zip(t1.components, t2.components)))
 
 
 def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
@@ -592,9 +601,8 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
     names = tuple(a.name for a in schema)
-    rows = tuple(
-        FuzzyTuple(names, tuple(t.components[i] for i in indices)) for t in r.tuples
-    )
+    make = FuzzyTuple._trusted
+    rows = tuple(make(names, tuple(t.components[i] for i in indices)) for t in r.tuples)
     return merge_relation(FuzzyRelation(schema, rows), levels, mode)
 
 
@@ -609,7 +617,8 @@ def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
         while new_name in names:
             new_name += "_2"
         names.add(new_name)
-        right_extra.append((a.name, replace(a, name=new_name)))
+        right_extra.append(
+            (a.name, AttributeSpec(new_name, a.proximity, a.default_method)))
     return tuple(out + [spec for _, spec in right_extra]), right_extra
 
 
@@ -659,5 +668,5 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
                 for i, a in enumerate(r1.schema)
             ]
             comps.extend(t2.components[i] for i in right_rest)
-            out_rows.append(FuzzyTuple(names, tuple(comps)))
+            out_rows.append(FuzzyTuple._trusted(names, tuple(comps)))
     return merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)

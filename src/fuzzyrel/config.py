@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .algebra import AttributeSpec, FuzzyRelation, LevelMap
 from .closure import temporal_domain
 from .errors import FormatError, UnknownAttributeError, UnknownRelationError, ValidationError
-from .proximity import CrispIdentity, ExplicitMatrix, Linear, Planar, build_ordinal_matrix
+from .proximity import (CrispIdentity, ExplicitMatrix, Linear, Planar, _Record,
+                        build_ordinal_matrix)
 from .tables import load_locations, load_matrix, load_relation
 
 _KINDS = ("ordinal", "numeric", "planar", "crisp")
@@ -45,23 +45,25 @@ _DEFAULT_METHOD = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeConfig:
+class AttributeConfig(_Record):
     """One configured attribute: its spec plus an optional fixed level."""
 
-    spec: AttributeSpec
-    alpha: float | None = None
+    __slots__ = _fields = ("spec", "alpha")
+
+    def __init__(self, spec: AttributeSpec, alpha: float | None = None):
+        self._set(spec=spec, alpha=alpha)
 
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class Database:
+class Database(_Record):
     """Named relations plus the attribute configuration they share."""
 
-    path: Path
-    relations: Mapping[str, FuzzyRelation]
-    attributes: Mapping[str, AttributeConfig]
+    __slots__ = _fields = ("path", "relations", "attributes")
+
+    def __init__(self, path: Path, relations: Mapping[str, FuzzyRelation],
+                 attributes: Mapping[str, AttributeConfig]):
+        self._set(path=path, relations=relations, attributes=attributes)
 
     __hash__ = None
 
@@ -117,6 +119,13 @@ def _number(section: Mapping[str, str], key: str, where: str) -> float:
     return value
 
 
+def _length(section: Mapping[str, str], where: str) -> float:
+    length = _number(section, "length", where)
+    if length <= 0:
+        raise FormatError(f"{where}: length = {section['length']!r} is not positive")
+    return length
+
+
 def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> AttributeConfig:
     where = f"{base / 'schema.cfg'}: attribute {name!r}"
     kind = section.get("kind", "").strip().lower()
@@ -127,13 +136,13 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
     elif kind == "numeric":
         if "length" not in section:
             raise FormatError(f"{where}: numeric kind needs length")
-        proximity = Linear(_number(section, "length", where))
+        proximity = Linear(_length(section, where))
     elif kind == "planar":
         for key in ("length", "locations"):
             if key not in section:
                 raise FormatError(f"{where}: planar kind needs {key}")
         locations = load_locations(base / section["locations"])
-        proximity = Planar(_number(section, "length", where), locations)
+        proximity = Planar(_length(section, where), locations)
     else:
         if "labels" not in section:
             raise FormatError(f"{where}: ordinal kind needs labels")

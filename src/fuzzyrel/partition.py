@@ -16,11 +16,10 @@ intersections with the cells, numbered from 1 in cell order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from .errors import DomainError, UnknownValueError
-from .proximity import Point, Value, _as_number
+from .proximity import Point, Value, _as_number, _Record
 
 # Relative slack when deciding whether a value sits exactly on a cell
 # boundary; boundaries are multiples of a float width, so exact data such
@@ -37,20 +36,19 @@ def _unit_interval(alpha, what: str = "alpha") -> float:
     return a
 
 
-@dataclass(frozen=True)
-class Partition1D:
+class Partition1D(_Record):
     """Decomposition of [0, length] for one threshold.
 
     ``singleton`` marks the degenerate alpha = 1 partition in which every
     value forms its own class; it has no numbered cells.
     """
 
-    length: float
-    alpha: float
-    mode: str
-    width: float
-    cell_count: int
-    singleton: bool = False
+    __slots__ = _fields = ("length", "alpha", "mode", "width", "cell_count", "singleton")
+
+    def __init__(self, length: float, alpha: float, mode: str, width: float,
+                 cell_count: int, singleton: bool = False):
+        self._set(length=length, alpha=alpha, mode=mode, width=width,
+                  cell_count=cell_count, singleton=singleton)
 
     @property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -100,11 +98,13 @@ def class_of(x, p: Partition1D) -> int:
     return min(j, p.cell_count - 1) + 1
 
 
-@dataclass(frozen=True)
-class Partition2D:
+class Partition2D(_Record):
     """Grid over [0, length]^2: the standard axis partition crossed with itself."""
 
-    axis: Partition1D
+    __slots__ = _fields = ("axis",)
+
+    def __init__(self, axis: Partition1D):
+        self._set(axis=axis)
 
     @property
     def cell_count(self) -> int:
@@ -138,8 +138,7 @@ def value_sort_key(v: Value):
     return (1, str(v), 0.0)
 
 
-@dataclass(frozen=True)
-class Grouping:
+class Grouping(_Record):
     """A partition of a finite value set into non-empty classes.
 
     Classes are indexed from 1 in the order of ``classes``; ``index`` maps
@@ -148,8 +147,10 @@ class Grouping:
     order instead.
     """
 
-    classes: tuple[frozenset, ...]
-    index: Mapping[Value, int]
+    __slots__ = _fields = ("classes", "index")
+
+    def __init__(self, classes: tuple[frozenset, ...], index: Mapping[Value, int]):
+        self._set(classes=classes, index=index)
 
     __hash__ = None
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Union
 
@@ -63,24 +62,64 @@ _INT_RE = re.compile(r"[+-]?\d+")
 _REACH_SLACK = 1e-9
 
 
+class _Record:
+    """Value semantics driven by a per-class ``_fields`` tuple.
+
+    ``==`` compares the fields of two objects of exactly the same class,
+    ``hash`` hashes them unless the class sets ``__hash__ = None``, ``repr``
+    reads ``Name(field=value, ...)``, and copy and pickle call the class
+    with them.  Objects are frozen: assignment and deletion raise
+    AttributeError, so ``__init__`` stores through ``_set``.  Slots outside
+    ``_fields`` hold hidden caches, out of ``==`` and ``repr``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
+class ProximityMatrix(_Record):
     """Reflexive, symmetric degree table over a finite label domain."""
 
-    labels: tuple[str, ...]
-    entries: tuple[tuple[float, ...], ...]
+    _fields = ("labels", "entries")
+    __slots__ = _fields + ("_pos",)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        entries = tuple(tuple(float(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[float, ...], ...]):
+        labels = tuple(labels)
+        entries = tuple(tuple(float(v) for v in row) for row in entries)
         n = len(labels)
         if n == 0:
             raise ValidationError("matrix needs at least one label")
@@ -99,12 +138,13 @@ class ProximityMatrix:
                     raise ValidationError(f"degree {v} for ({x}, {y}) outside [0, 1]")
                 if v != entries[j][i]:
                     raise ValidationError(f"asymmetric entries for ({x}, {y})")
-        object.__setattr__(self, "_pos", {lab: i for i, lab in enumerate(labels)})
+        self._set(labels=labels, entries=entries,
+                  _pos={lab: i for i, lab in enumerate(labels)})
 
     def position(self, label: Value) -> int:
         """Row of ``label``; UnknownValueError for a label not in the domain."""
         try:
-            return getattr(self, "_pos")[label]
+            return self._pos[label]
         except (KeyError, TypeError):
             raise UnknownValueError(f"label {label!r} not in matrix domain") from None
 
@@ -112,9 +152,10 @@ class ProximityMatrix:
         return self.entries[self.position(x)][self.position(y)]
 
 
-class _Kind:
+class _Kind(_Record):
     """Defaults of a spec kind: no cells, and select constants as given."""
 
+    __slots__ = ()
     threshold_only = False
 
     def embedding(self):
@@ -124,16 +165,16 @@ class _Kind:
         return value
 
 
-@dataclass(frozen=True)
 class Linear(_Kind):
     """Degrees on [0, length] fall off linearly with distance."""
 
-    length: float
+    __slots__ = _fields = ("length",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "length", _as_number(self.length, "length"))
-        if not 0 < self.length < math.inf:
-            raise DomainError(f"length must be positive and finite, got {self.length}")
+    def __init__(self, length: float):
+        length = _as_number(length, "length")
+        if not 0 < length < math.inf:
+            raise DomainError(f"length must be positive and finite, got {length}")
+        self._set(length=length)
 
     def degree(self, x: Value, y: Value) -> float:
         p, q = self._position(x), self._position(y)
@@ -176,21 +217,19 @@ class Linear(_Kind):
         return number
 
 
-@dataclass(frozen=True)
 class Planar(_Kind):
     """Degrees on the square [0, side]^2; labels resolve through ``locations``."""
 
-    side: float
-    locations: Mapping[str, Point]
+    __slots__ = _fields = ("side", "locations")
 
-    def __post_init__(self):
-        side = _as_number(self.side, "side")
+    def __init__(self, side: float, locations: Mapping[str, Point]):
+        side = _as_number(side, "side")
         if not 0 < side < math.inf:
             raise DomainError(f"side must be positive and finite, got {side}")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "locations", {
+        self._set(side=side)
+        self._set(locations={
             label: self._in_square(point, f"location {label!r}")
-            for label, point in dict(self.locations).items()})
+            for label, point in dict(locations).items()})
 
     def resolve(self, value: Value | Point) -> Point:
         """The location of a label, or a point checked to lie in the square."""
@@ -211,6 +250,8 @@ class Planar(_Kind):
         return 2, self.side, self.resolve
 
     def _in_square(self, point, what: str) -> Point:
+        if len(point) != 2:
+            raise DomainError(f"{what} {point!r} is not an (x, y) pair")
         x, y = (_as_number(c, f"coordinate of {what}") for c in point)
         if not (0.0 <= x <= self.side and 0.0 <= y <= self.side):
             raise DomainError(f"{what} ({x}, {y}) outside the square [0, {self.side}]^2")
@@ -225,7 +266,6 @@ class Planar(_Kind):
     __hash__ = None
 
 
-@dataclass(frozen=True)
 class ExplicitMatrix(_Kind):
     """Wraps a ProximityMatrix as a proximity specification.
 
@@ -235,20 +275,20 @@ class ExplicitMatrix(_Kind):
     Without an order a matrix domain has no cells.
     """
 
-    matrix: ProximityMatrix
-    order: tuple[str, ...] | None = None
+    _fields = ("matrix", "order")
+    __slots__ = _fields + ("_ranks",)
 
-    def __post_init__(self):
-        if self.order is None:
+    def __init__(self, matrix: ProximityMatrix, order: tuple[str, ...] | None = None):
+        self._set(matrix=matrix, order=None, _ranks=None)
+        if order is None:
             return
-        order = tuple(self.order)
+        order = tuple(order)
         if len(set(order)) != len(order) or len(order) < 2:
             raise ValidationError("order must list at least 2 distinct labels")
-        if set(order) != set(self.matrix.labels):
+        if set(order) != set(matrix.labels):
             raise ValidationError("order does not match the matrix labels")
         rank = {label: i for i, label in enumerate(order)}
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_ranks", tuple(rank[lab] for lab in self.matrix.labels))
+        self._set(order=order, _ranks=tuple(rank[lab] for lab in matrix.labels))
 
     def degree(self, x: Value, y: Value) -> float:
         return self.matrix.degree(x, y)
@@ -259,7 +299,7 @@ class ExplicitMatrix(_Kind):
     def embedding(self):
         if self.order is None:
             return None
-        ranks = getattr(self, "_ranks")
+        ranks = self._ranks
         return 1, float(len(ranks) - 1), lambda v: ranks[self.matrix.position(v)]
 
     def parse(self, text: str) -> Value:
@@ -268,7 +308,6 @@ class ExplicitMatrix(_Kind):
         return text
 
 
-@dataclass(frozen=True)
 class CrispIdentity(_Kind):
     """Classical equality: degree 1 for equal values, 0 otherwise.
 
@@ -277,6 +316,7 @@ class CrispIdentity(_Kind):
     and merges keep its threshold check under every method.
     """
 
+    __slots__ = ()
     threshold_only = True
 
     def degree(self, x: Value, y: Value) -> float:
@@ -390,14 +430,16 @@ def build_ordinal_matrix(labels) -> ProximityMatrix:
     return ProximityMatrix(labs, entries)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Which of the three similarity-relation properties a matrix satisfies."""
 
-    reflexive: bool
-    symmetric: bool
-    max_min_transitive: bool
-    first_violation: tuple[str, str, str] | None = None
+    __slots__ = _fields = ("reflexive", "symmetric", "max_min_transitive",
+                           "first_violation")
+
+    def __init__(self, reflexive: bool, symmetric: bool, max_min_transitive: bool,
+                 first_violation: tuple[str, str, str] | None = None):
+        self._set(reflexive=reflexive, symmetric=symmetric,
+                  max_min_transitive=max_min_transitive, first_violation=first_violation)
 
 
 def relation_properties(m: ProximityMatrix) -> PropertyReport:

@@ -18,13 +18,12 @@ bind the same threshold, compared non-strictly during evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
 from . import algebra
 from .algebra import FuzzyRelation, LevelMap
 from .errors import FuzzyRelError, UnknownRelationError
-from .proximity import Value
+from .proximity import Value, _Record
 
 _KEYWORDS = {
     "select", "project", "join", "where", "over", "on", "with",
@@ -46,56 +45,65 @@ class ParseError(FuzzyRelError):
         super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
 
 
-@dataclass(frozen=True)
-class Cond:
-    attr: str
-    value: Value
+# Distinct classes, not named tuples: a Select never equals a Project.
+
+class Cond(_Record):
+    __slots__ = _fields = ("attr", "value")
+
+    def __init__(self, attr: str, value: Value):
+        self._set(attr=attr, value=value)
 
 
-@dataclass(frozen=True)
-class LevelClause:
-    attr: str
-    value: float
+class LevelClause(_Record):
+    __slots__ = _fields = ("attr", "value")
+
+    def __init__(self, attr: str, value: float):
+        self._set(attr=attr, value=value)
 
 
-@dataclass(frozen=True)
-class RelationRef:
-    name: str
+class RelationRef(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name=name)
 
 
-@dataclass(frozen=True)
-class Select:
-    child: "Node"
-    conds: tuple[Cond, ...]
-    levels: tuple[LevelClause, ...] = ()
+class Select(_Record):
+    __slots__ = _fields = ("child", "conds", "levels")
+
+    def __init__(self, child: Node, conds: tuple[Cond, ...],
+                 levels: tuple[LevelClause, ...] = ()):
+        self._set(child=child, conds=conds, levels=levels)
 
 
-@dataclass(frozen=True)
-class Project:
-    child: "Node"
-    attrs: tuple[str, ...]
-    levels: tuple[LevelClause, ...] = ()
+class Project(_Record):
+    __slots__ = _fields = ("child", "attrs", "levels")
+
+    def __init__(self, child: Node, attrs: tuple[str, ...],
+                 levels: tuple[LevelClause, ...] = ()):
+        self._set(child=child, attrs=attrs, levels=levels)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Node"
-    right: "Node"
-    on: tuple[str, ...]
-    levels: tuple[LevelClause, ...] = ()
+class Join(_Record):
+    __slots__ = _fields = ("left", "right", "on", "levels")
+
+    def __init__(self, left: Node, right: Node, on: tuple[str, ...],
+                 levels: tuple[LevelClause, ...] = ()):
+        self._set(left=left, right=right, on=on, levels=levels)
 
 
 Node = Union[RelationRef, Select, Project, Join]
 
 
-@dataclass(frozen=True)
-class Query:
-    root: Node
-    giving: str | None = None
+class Query(_Record):
+    __slots__ = _fields = ("root", "giving")
+
+    def __init__(self, root: Node, giving: str | None = None):
+        self._set(root=root, giving=giving)
 
 
 class _Token(NamedTuple):
-    # a tuple, not a dataclass: a query makes ~50 and building them
+    # a tuple, not a frozen class: a query makes ~50 and building them
     # dominated the tokenizer
     kind: str  # IDENT | STRING | NUMBER | SYMBOL | EOF
     value: object

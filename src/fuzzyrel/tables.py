@@ -111,6 +111,7 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
     # Cells of one column with the same text share one parsed set: parsing
     # is deterministic, and a set per cell would cost memory per row.
     parsed: list[dict[str, frozenset]] = [{} for _ in schema]
+    make = FuzzyTuple._trusted  # row lengths are checked; cells parse to non-empty sets
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(schema):
             raise FormatError(f"{path}:{lineno}: expected {len(schema)} cells")
@@ -120,7 +121,7 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
             if comp is None:
                 comp = seen[cell] = _parse_cell(cell, attr, f"{path}:{lineno}")
             comps.append(comp)
-        tuples.append(FuzzyTuple(names, tuple(comps)))
+        tuples.append(make(names, tuple(comps)))
     return FuzzyRelation(schema, tuple(tuples))
 
 

@@ -259,10 +259,10 @@ class TestEvaluationCounts:
 
     def test_index_is_built_on_first_use_and_hidden(self, suppliers_db):
         rel = suppliers_db.relation("SUPPLIERS")
-        assert vars(rel)["_indexes"] == {}
+        assert rel._indexes == {}
         before = repr(rel)
         select(rel, [("STATUS", 20)], LevelMap({"STATUS": 0.9}))
-        assert vars(rel)["_indexes"]
+        assert rel._indexes
         assert repr(rel) == before
         assert rel == FuzzyRelation(rel.schema, rel.tuples)
 

@@ -36,6 +36,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every command pays for the import; these modules cost start-up time
+    # and nothing in fuzzyrel needs them
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = f"import fuzzyrel.cli, sys; print([m for m in {heavy} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
+
+
 class TestClasses:
     def test_status_interval(self, capsys):
         code, out, _ = run(capsys, "classes", "--db", DATA / "suppliers",
@@ -240,6 +251,18 @@ ERROR_PATHS = {
     "length-nan": (
         "suppliers", _replace("schema.cfg", "length = 100", "length = nan"),
         _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'nan'", "finite"]),
+    "length-zero": (
+        "suppliers", _replace("schema.cfg", "length = 100", "length = 0"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'0'", "positive"]),
+    "length-negative": (
+        "suppliers", _replace("schema.cfg", "length = 100", "length = -5"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "length", "'-5'", "positive"]),
+    "side-zero": (
+        "gb", _replace("schema.cfg", "length = 2", "length = 0"),
+        _classes("CITY"), 2, ["schema.cfg", "'CITY'", "length", "'0'", "positive"]),
+    "location-outside-square": (
+        "gb", _replace("schema.cfg", "length = 2", "length = 1"),
+        _classes("CITY"), 3, ["location 'Peterborough'", "outside the square"]),
     "side-infinite": (
         "gb", _replace("schema.cfg", "length = 2", "length = Infinity"),
         _classes("CITY"), 2, ["schema.cfg", "'CITY'", "length", "'Infinity'"]),

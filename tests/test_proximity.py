@@ -11,6 +11,7 @@ from fuzzyrel import (
     CrispIdentity,
     DomainError,
     ExplicitMatrix,
+    FuzzyRelError,
     Linear,
     Planar,
     ProximityMatrix,
@@ -308,9 +309,15 @@ class TestNear:
         cut = spec.compile([good])
         for value in bad:
             expected = raised(spec.degree, value, good)
-            assert expected is not None
+            assert expected is not None and issubclass(expected[0], FuzzyRelError)
             assert raised(cut.near, value, 0.5) == expected
             assert raised(spec.compile, [good, value]) == expected
+
+    def test_planar_point_of_three_coordinates(self):
+        spec = Planar(10, SITES)
+        expected = (DomainError, "point (1, 2, 3) is not an (x, y) pair")
+        assert raised(spec.resolve, (1, 2, 3)) == expected
+        assert raised(spec.degree, "C", (1, 2, 3)) == expected
 
 
 # --- spec kinds own their decisions ----------------------------------------
