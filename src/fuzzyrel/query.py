@@ -45,8 +45,6 @@ class ParseError(FuzzyRelError):
         super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
 
 
-# Distinct classes, not named tuples: a Select never equals a Project.
-
 class Cond(_Record):
     __slots__ = _fields = ("attr", "value")
 
@@ -68,6 +66,7 @@ class RelationRef(_Record):
         self._set(name=name)
 
 
+# Distinct classes, not named tuples: a Select never equals a Project.
 class Select(_Record):
     __slots__ = _fields = ("child", "conds", "levels")
 
