@@ -92,15 +92,6 @@ class FuzzyTuple(_Record):
         object.__setattr__(t, "components", components)
         return t
 
-    # Written out rather than inherited: these run once per tuple per merge.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.names, self.components) == (other.names, other.components)
-
-    def __hash__(self):
-        return hash((self.names, self.components))
-
     @classmethod
     def of(cls, values: Mapping[str, object]) -> "FuzzyTuple":
         """Build from a name-to-value mapping; scalars become singletons."""

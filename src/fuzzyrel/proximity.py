@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Union
 
 from .errors import DomainError, FormatError, UnknownValueError, ValidationError
@@ -80,23 +80,28 @@ class _Record:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The fields for == and hash in one C call: the bare value of a
+        # one-field class, the class itself when there are none.  Neither
+        # callable is a descriptor, so ``self._key`` is the callable.
+        cls._key = attrgetter(*cls._fields) if cls._fields else type
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
