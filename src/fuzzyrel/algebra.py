@@ -205,43 +205,29 @@ class FuzzyRelation(_Record):
 
 
 class LevelMap(_Record):
-    """Per-attribute merge thresholds and optional method overrides.
+    """Per-attribute merge thresholds.
 
     Attributes missing from the map default to level 1.  A renamed join
     column ``X_2`` inherits the level configured for ``X``.
     """
 
-    __slots__ = _fields = ("levels", "methods")
+    __slots__ = _fields = ("levels",)
 
-    def __init__(self, levels: Mapping[str, float] | None = None,
-                 methods: Mapping[str, str] | None = None):
+    def __init__(self, levels: Mapping[str, float] | None = None):
         checked = {}
         for name, lvl in dict(levels or {}).items():
             value = float(lvl)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"level for {name!r} must lie in [0, 1], got {lvl}")
             checked[name] = value
-        methods = dict(methods or {})
-        for name, m in methods.items():
-            if m not in METHODS:
-                raise ValidationError(f"unknown method {m!r} for {name!r}")
-        self._set(levels=checked, methods=methods)
-
-    def _lookup(self, table: Mapping[str, object], name: str):
-        while True:
-            if name in table:
-                return table[name]
-            if name.endswith("_2"):
-                name = name[:-2]
-            else:
-                return None
+        self._set(levels=checked)
 
     def level(self, name: str) -> float:
-        found = self._lookup(self.levels, name)
-        return 1.0 if found is None else found
-
-    def method(self, name: str) -> str | None:
-        return self._lookup(self.methods, name)
+        while name not in self.levels:
+            if not name.endswith("_2"):
+                return 1.0
+            name = name[:-2]
+        return self.levels[name]
 
     __hash__ = None
 
@@ -418,8 +404,7 @@ def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
         level = levels.level(attr.name)
         if level == 0.0:
             continue
-        requested = mode or levels.method(attr.name) or attr.default_method
-        effective = _resolve_method(attr, requested)
+        effective = _resolve_method(attr, mode or attr.default_method)
         if effective == "threshold":
             if domains is not None and attr.name in domains:
                 values = domains[attr.name]
@@ -439,25 +424,22 @@ def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
     return checks
 
 
-def _pair_redundant(checks: Sequence[_Check], t1: FuzzyTuple, t2: FuzzyTuple) -> bool:
-    return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
-               for c in checks)
-
-
 def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
               levels: LevelMap, mode: str | None = None) -> bool:
     """Decide whether two tuples over r's schema would merge.
 
     ``mode`` forces one class-formation method for every attribute;
-    None follows each attribute's configured default (or the LevelMap
-    override).  Closure classes are computed from r's current content.
+    None follows each attribute's configured default.  Closure classes
+    are computed from r's current content.
     """
     for t in (t1, t2):
         if t.names != r.names:
             raise SchemaMismatchError(
                 f"tuple attributes {t.names} do not match schema {r.names}"
             )
-    return _pair_redundant(_build_checks(r, levels, mode, tested=(t1, t2)), t1, t2)
+    checks = _build_checks(r, levels, mode, tested=(t1, t2))
+    return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
+               for c in checks)
 
 
 def merge_tuples(t1: FuzzyTuple, t2: FuzzyTuple) -> FuzzyTuple:
@@ -539,11 +521,6 @@ def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
         yield members[i], t
 
 
-def _coerce_constant(spec: ProximitySpec, constant: Value) -> Value:
-    """The domain value a select constant stands for under ``spec``."""
-    return spec.constant(constant)
-
-
 def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
            levels: LevelMap | None = None) -> FuzzyRelation:
     """Keep tuples whose components are close enough to the condition constants.
@@ -568,11 +545,10 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     prepared = []
     for attr, constant in conds:
         idx = r.attribute_index(attr)
-        spec = r.schema[idx].proximity
         level = levels.level(attr)
         if level == 0.0:
             continue  # degree >= 0 always holds
-        prepared.append((idx, _coerce_constant(spec, constant), level))
+        prepared.append((idx, r.schema[idx].proximity.constant(constant), level))
     tuples = r.tuples
     kept = range(len(tuples))
     for idx, constant, level in prepared:

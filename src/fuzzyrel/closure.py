@@ -55,4 +55,4 @@ def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
             component |= found
             frontier.extend(found)
         components.append(component)
-    return Grouping.from_classes(components)
+    return Grouping.in_order(components)  # each found from its smallest member

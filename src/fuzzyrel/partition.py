@@ -26,6 +26,15 @@ from .proximity import Point, Value, _as_number, _Record
 # as x = 40 on a width computed as 40.000000000000006 must not land left.
 _EPS = 1e-9
 
+# Most cells a line partition may have.  ``class_of`` computes v / width,
+# which is at most the cell count n, with a relative error of a few ulps
+# (2**-53 ~ 1.1e-16 each) from ``width`` and the division.  A value
+# exactly on the boundary k * width may thus come out below k by about
+# k * 4 * 1.1e-16, and ``_EPS`` must absorb that: n * 4.4e-16 <= 1e-9
+# holds up to n ~ 2.3e6.  Past about 10**6 cells a boundary value can
+# land in the wrong cell, so finer partitions are refused.
+_MAX_CELLS = 10**6
+
 MODES = ("standard", "equalized")
 
 
@@ -76,6 +85,9 @@ def partition_line(length, alpha, mode: str = "standard") -> Partition1D:
     if a == 1.0:
         return Partition1D(L, a, mode, 0.0, 0, singleton=True)
     q = 1.0 / (1.0 - a)
+    if q > _MAX_CELLS:
+        raise DomainError(
+            f"alpha {a} cuts [0, {L}] into more than {_MAX_CELLS} cells")
     integral = abs(q - round(q)) <= _EPS * max(1.0, q)
     if mode == "standard":
         n = round(q) if integral else math.floor(q)

@@ -157,6 +157,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _is_name(tok: _Token) -> bool:
+    if tok.kind == "STRING":
+        return True
+    return tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS
+
+
+def _is_symbol(tok: _Token, sym: str) -> bool:
+    return tok.kind == "SYMBOL" and tok.value == sym
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -166,24 +176,8 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def lookahead(self, offset: int = 1) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    @staticmethod
-    def _starts_name(tok: _Token) -> bool:
-        if tok.kind == "STRING":
-            return True
-        return tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS
-
-    @staticmethod
-    def _starts_level(tok: _Token) -> bool:
-        return tok.kind == "IDENT" and tok.value.lower() in ("level", "thres")
+    def advance(self):
+        self.pos += 1  # only past a token already matched, never past EOF
 
     def error(self, expected: str) -> ParseError:
         tok = self.peek()
@@ -195,20 +189,10 @@ class _Parser:
             return tok.value.lower()
         return None
 
-    def expect_keyword(self, word: str):
-        if self.keyword() != word:
-            raise self.error(f"keyword {word!r}")
-        self.advance()
-
     def expect_symbol(self, sym: str):
-        tok = self.peek()
-        if tok.kind != "SYMBOL" or tok.value != sym:
+        if not _is_symbol(self.peek(), sym):
             raise self.error(repr(sym))
         self.advance()
-
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYMBOL" and tok.value == sym
 
     def parse_query(self) -> Query:
         root = self.parse_expr()
@@ -226,93 +210,51 @@ class _Parser:
             tok = self.peek()
             raise ParseError(tok.line, tok.column, "a shallower query (nesting too deep)")
         try:
-            word = self.keyword()
-            if word == "select":
-                return self.parse_select()
-            if word == "project":
-                return self.parse_project()
-            if word == "join":
-                return self.parse_join()
-            return RelationRef(self.parse_name())
+            op = _OPERATORS.get(self.keyword())
+            if op is None:
+                return RelationRef(self.parse_name())
+            cls, operands, list_word, item = op
+            self.advance()
+            self.expect_symbol("(")
+            children = [self.parse_expr()]
+            for _ in range(1, operands):
+                self.expect_symbol(",")
+                children.append(self.parse_expr())
+            self.expect_symbol(")")
+            if self.keyword() != list_word:
+                raise self.error(f"keyword {list_word!r}")
+            self.advance()
+            items = self.parse_list(item)
+            levels = ()
+            if self.keyword() == "with":
+                self.advance()
+                levels = self.parse_list("level")
+            return cls(*children, items, levels)
         finally:
             self.depth -= 1
 
     # Commas both separate list items and the arguments of join, so a
     # list continues past a comma only when the following tokens can
     # actually start another item of that list.
-
-    def _more_conds(self) -> bool:
-        nxt = self.lookahead(1)
-        eq = self.lookahead(2)
-        return (self.at_symbol(",") and self._starts_name(nxt)
-                and eq.kind == "SYMBOL" and eq.value == "=")
-
-    def _more_names(self) -> bool:
-        return self.at_symbol(",") and self._starts_name(self.lookahead(1))
-
-    def _more_levels(self) -> bool:
-        return self.at_symbol(",") and self._starts_level(self.lookahead(1))
-
-    def parse_select(self) -> Select:
-        self.advance()
-        self.expect_symbol("(")
-        child = self.parse_expr()
-        self.expect_symbol(")")
-        self.expect_keyword("where")
-        conds = [self.parse_cond()]
-        while self._more_conds():
+    def parse_list(self, item: str) -> tuple:
+        parse_item, starts_item, _ = _ITEMS[item]
+        items = [parse_item(self)]
+        while _is_symbol(self.peek(), ",") and starts_item(self.tokens, self.pos + 1):
             self.advance()
-            conds.append(self.parse_cond())
-        return Select(child, tuple(conds), self.parse_with())
-
-    def parse_project(self) -> Project:
-        self.advance()
-        self.expect_symbol("(")
-        child = self.parse_expr()
-        self.expect_symbol(")")
-        self.expect_keyword("over")
-        attrs = [self.parse_name()]
-        while self._more_names():
-            self.advance()
-            attrs.append(self.parse_name())
-        return Project(child, tuple(attrs), self.parse_with())
-
-    def parse_join(self) -> Join:
-        self.advance()
-        self.expect_symbol("(")
-        left = self.parse_expr()
-        self.expect_symbol(",")
-        right = self.parse_expr()
-        self.expect_symbol(")")
-        self.expect_keyword("on")
-        on = [self.parse_name()]
-        while self._more_names():
-            self.advance()
-            on.append(self.parse_name())
-        return Join(left, right, tuple(on), self.parse_with())
-
-    def parse_with(self) -> tuple[LevelClause, ...]:
-        if self.keyword() != "with":
-            return ()
-        self.advance()
-        clauses = [self.parse_level()]
-        while self._more_levels():
-            self.advance()
-            clauses.append(self.parse_level())
-        return tuple(clauses)
+            items.append(parse_item(self))
+        return tuple(items)
 
     def parse_level(self) -> LevelClause:
-        word = self.keyword()
-        if word not in ("level", "thres"):
+        if self.keyword() not in ("level", "thres"):
             raise self.error("'level' or 'thres'")
         self.advance()
         self.expect_symbol("(")
         attr = self.parse_name()
         self.expect_symbol(")")
-        if self.at_symbol(">=") or self.at_symbol("=") or self.at_symbol(">"):
-            self.advance()
-        else:
+        tok = self.peek()
+        if tok.kind != "SYMBOL" or tok.value not in (">=", "=", ">"):
             raise self.error("'=', '>=' or '>'")
+        self.advance()
         tok = self.peek()
         if tok.kind != "NUMBER":
             raise self.error("a number in [0, 1]")
@@ -324,25 +266,65 @@ class _Parser:
 
     def parse_name(self) -> str:
         tok = self.peek()
-        if tok.kind == "STRING":
-            self.advance()
-            return tok.value
-        if tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS:
-            self.advance()
-            return tok.value
-        raise self.error("a name")
+        if not _is_name(tok):
+            raise self.error("a name")
+        self.advance()
+        return tok.value
 
     def parse_cond(self) -> Cond:
         attr = self.parse_name()
         self.expect_symbol("=")
         tok = self.peek()
-        if tok.kind in ("STRING", "NUMBER"):
-            self.advance()
-            return Cond(attr, tok.value)
-        if tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS:
-            self.advance()
-            return Cond(attr, tok.value)
-        raise self.error("a literal")
+        if tok.kind != "NUMBER" and not _is_name(tok):
+            raise self.error("a literal")
+        self.advance()
+        return Cond(attr, tok.value)
+
+
+def _render_name(name: str) -> str:
+    if _IDENT_RE.fullmatch(name) and name.lower() not in _KEYWORDS:
+        return name
+    return f'"{name}"'
+
+
+def _render_literal(value: Value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    text = repr(value)
+    if not isinstance(value, float) or "e" not in text:
+        return text
+    # The tokenizer reads no exponent, so move repr's point instead: the
+    # same digits read back as the same float.
+    mantissa, exponent = text.split("e")
+    sign = "-" * mantissa.startswith("-")
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exponent) + 1  # repr writes one digit before its point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    return f"{sign}{digits.ljust(point, '0')}.0"
+
+
+# The operators of the grammar in the module docstring, which is the
+# grammar of record: keyword -> (node class, operand count, list keyword,
+# list item).  A node's fields are (operands..., items, levels).
+_OPERATORS = {
+    "select": (Select, 1, "where", "cond"),
+    "project": (Project, 1, "over", "name"),
+    "join": (Join, 2, "on", "name"),
+}
+
+# list item -> (parse, whether tokens[i:] start another item after a
+# comma, render); tokens[i] follows a comma, so it is not EOF
+_ITEMS = {
+    "cond": (_Parser.parse_cond,
+             lambda tokens, i: _is_name(tokens[i]) and _is_symbol(tokens[i + 1], "="),
+             lambda c: f"{_render_name(c.attr)} = {_render_literal(c.value)}"),
+    "name": (_Parser.parse_name, lambda tokens, i: _is_name(tokens[i]), _render_name),
+    "level": (_Parser.parse_level,
+              lambda tokens, i: (tokens[i].kind == "IDENT"
+                                 and tokens[i].value.lower() in ("level", "thres")),
+              lambda c: f"level({_render_name(c.attr)}) = {_render_literal(c.value)}"),
+}
 
 
 def parse(text: str) -> Query:
@@ -382,27 +364,6 @@ def evaluate(query: Query | Node, relations: Mapping[str, FuzzyRelation],
     raise TypeError(f"not a query node: {node!r}")
 
 
-def _render_name(name: str) -> str:
-    if _IDENT_RE.fullmatch(name) and name.lower() not in _KEYWORDS:
-        return name
-    return f'"{name}"'
-
-
-def _render_literal(value: Value) -> str:
-    if isinstance(value, str):
-        return f'"{value}"'
-    return repr(value)
-
-
-def _render_with(levels: tuple[LevelClause, ...]) -> str:
-    if not levels:
-        return ""
-    parts = ", ".join(
-        f"level({_render_name(c.attr)}) = {c.value!r}" for c in levels
-    )
-    return f" with {parts}"
-
-
 def render(query: Query | Node) -> str:
     """Canonical text for a query; parsing it back yields an equal tree."""
     if isinstance(query, Query):
@@ -410,21 +371,14 @@ def render(query: Query | Node) -> str:
         if query.giving is not None:
             text += f" giving {_render_name(query.giving)}"
         return text
-    node = query
-    if isinstance(node, RelationRef):
-        return _render_name(node.name)
-    if isinstance(node, Select):
-        conds = ", ".join(
-            f"{_render_name(c.attr)} = {_render_literal(c.value)}" for c in node.conds
-        )
-        return (f"select ({render(node.child)}) where {conds}"
-                f"{_render_with(node.levels)}")
-    if isinstance(node, Project):
-        attrs = ", ".join(_render_name(a) for a in node.attrs)
-        return (f"project ({render(node.child)}) over {attrs}"
-                f"{_render_with(node.levels)}")
-    if isinstance(node, Join):
-        on = ", ".join(_render_name(a) for a in node.on)
-        return (f"join ({render(node.left)}, {render(node.right)}) on {on}"
-                f"{_render_with(node.levels)}")
-    raise TypeError(f"not a query node: {node!r}")
+    if isinstance(query, RelationRef):
+        return _render_name(query.name)
+    for word, (cls, _, list_word, item) in _OPERATORS.items():
+        if isinstance(query, cls):
+            *operands, items, levels = (getattr(query, f) for f in cls._fields)
+            text = (f"{word} ({', '.join(map(render, operands))}) {list_word} "
+                    + ", ".join(map(_ITEMS[item][2], items)))
+            if levels:
+                text += " with " + ", ".join(map(_ITEMS["level"][2], levels))
+            return text
+    raise TypeError(f"not a query node: {query!r}")

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fuzzyrel.query as querylang
 from fuzzyrel import (
     AttributeSpec,
+    DomainError,
     ExplicitMatrix,
     FuzzyRelation,
     FuzzyTuple,
@@ -35,6 +36,7 @@ from fuzzyrel import (
     project,
     select,
 )
+from fuzzyrel.partition import _MAX_CELLS
 
 LAWS = settings(max_examples=1000, deadline=None,
                 suppress_health_check=[HealthCheck.filter_too_much])
@@ -503,6 +505,10 @@ def test_merge_is_order_independent_class_mode(statuses, alpha, mode, seed):
     rows = [{"K": f"k{i % 2}", "S": s} for i, s in enumerate(statuses)]
     rel = FuzzyRelation.from_rows(schema, rows)
     levels = LevelMap({"S": alpha, "K": 0.0})
+    if alpha < 1.0 and 1.0 / (1.0 - alpha) > _MAX_CELLS:
+        with pytest.raises(DomainError):  # cells past the partition bound
+            merge_relation(rel, levels, mode)
+        return
     merged = merge_relation(rel, levels, mode)
     shuffled = list(rel.tuples)
     random.Random(seed).shuffle(shuffled)

@@ -39,7 +39,7 @@ def run(capsys, *argv):
 def test_import_leaves_out_dataclasses_and_inspect():
     # every command pays for the import; these modules cost start-up time
     # and nothing in fuzzyrel needs them
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "decimal")
     code = f"import fuzzyrel.cli, sys; print([m for m in {heavy} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)

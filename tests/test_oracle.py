@@ -4,12 +4,13 @@
 ``merge_relation`` merged the first redundant pair and restarted the scan
 from the first pair, with unmemoised redundancy checks.  Later the
 threshold check memoised ``degree(x, y) >= level`` per value pair,
-``closure_classes`` tested every pair of values, and the query tokenizer
-stepped through the text one character at a time.  Those versions are
+``closure_classes`` tested every pair of values, the query tokenizer
+stepped through the text one character at a time, and the query parser
+and ``render`` spelled out each operator by hand.  Those versions are
 copied below unchanged, with ``project`` and ``join`` rebuilt on them,
-and Hypothesis requires the engine to return the same tuples, classes or
-tokens in the same order, or to raise the same exception with the same
-message.
+and Hypothesis requires the engine to return the same tuples, classes,
+tokens or query trees in the same order, or to raise the same exception
+with the same message.
 """
 
 import itertools
@@ -44,7 +45,6 @@ from fuzzyrel.algebra import (
     _MIXED,
     METHODS,
     _classifier,
-    _coerce_constant,
     _joined_schema,
     _min_pairwise,
     _resolve_method,
@@ -52,8 +52,22 @@ from fuzzyrel.algebra import (
 from fuzzyrel.closure import temporal_domain
 from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
 from fuzzyrel.partition import Grouping, _unit_interval, value_sort_key
-from fuzzyrel.proximity import ProximitySpec, Value, degree_of
-from fuzzyrel.query import ParseError, _Token
+from fuzzyrel.proximity import ProximitySpec, Value, _Record, degree_of
+from fuzzyrel.query import (
+    _KEYWORDS,
+    _MAX_DEPTH,
+    Cond,
+    Join,
+    LevelClause,
+    Node,
+    ParseError,
+    Project,
+    Query,
+    RelationRef,
+    Select,
+    _Token,
+    _tokenize,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -85,8 +99,7 @@ def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
         level = levels.level(attr.name)
         if level == 0.0:
             continue
-        requested = mode or levels.method(attr.name) or attr.default_method
-        effective = _resolve_method(attr, requested)
+        effective = _resolve_method(attr, mode or attr.default_method)
         if effective == "threshold":
             checks.append(_Check(idx, attr.name, level, spec=attr.proximity))
         else:
@@ -148,7 +161,7 @@ def oracle_select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         level = levels.level(attr)
         if level == 0.0:
             continue  # degree >= 0 always holds
-        prepared.append((idx, spec, _coerce_constant(spec, constant), level))
+        prepared.append((idx, spec, spec.constant(constant), level))
     kept = tuple(
         t for t in r.tuples
         if all(
@@ -340,6 +353,248 @@ def oracle_tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The query parser and ``render`` with one method or branch per operator.
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def lookahead(self, offset: int = 1) -> _Token:
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    @staticmethod
+    def _starts_name(tok: _Token) -> bool:
+        if tok.kind == "STRING":
+            return True
+        return tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS
+
+    @staticmethod
+    def _starts_level(tok: _Token) -> bool:
+        return tok.kind == "IDENT" and tok.value.lower() in ("level", "thres")
+
+    def error(self, expected: str) -> ParseError:
+        tok = self.peek()
+        return ParseError(tok.line, tok.column, expected, tok.describe())
+
+    def keyword(self) -> str | None:
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.value.lower() in _KEYWORDS:
+            return tok.value.lower()
+        return None
+
+    def expect_keyword(self, word: str):
+        if self.keyword() != word:
+            raise self.error(f"keyword {word!r}")
+        self.advance()
+
+    def expect_symbol(self, sym: str):
+        tok = self.peek()
+        if tok.kind != "SYMBOL" or tok.value != sym:
+            raise self.error(repr(sym))
+        self.advance()
+
+    def at_symbol(self, sym: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "SYMBOL" and tok.value == sym
+
+    def parse_query(self) -> Query:
+        root = self.parse_expr()
+        giving = None
+        if self.keyword() == "giving":
+            self.advance()
+            giving = self.parse_name()
+        if self.peek().kind != "EOF":
+            raise self.error("end of input")
+        return Query(root, giving)
+
+    def parse_expr(self) -> Node:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            raise ParseError(tok.line, tok.column, "a shallower query (nesting too deep)")
+        try:
+            word = self.keyword()
+            if word == "select":
+                return self.parse_select()
+            if word == "project":
+                return self.parse_project()
+            if word == "join":
+                return self.parse_join()
+            return RelationRef(self.parse_name())
+        finally:
+            self.depth -= 1
+
+    # Commas both separate list items and the arguments of join, so a
+    # list continues past a comma only when the following tokens can
+    # actually start another item of that list.
+
+    def _more_conds(self) -> bool:
+        nxt = self.lookahead(1)
+        eq = self.lookahead(2)
+        return (self.at_symbol(",") and self._starts_name(nxt)
+                and eq.kind == "SYMBOL" and eq.value == "=")
+
+    def _more_names(self) -> bool:
+        return self.at_symbol(",") and self._starts_name(self.lookahead(1))
+
+    def _more_levels(self) -> bool:
+        return self.at_symbol(",") and self._starts_level(self.lookahead(1))
+
+    def parse_select(self) -> Select:
+        self.advance()
+        self.expect_symbol("(")
+        child = self.parse_expr()
+        self.expect_symbol(")")
+        self.expect_keyword("where")
+        conds = [self.parse_cond()]
+        while self._more_conds():
+            self.advance()
+            conds.append(self.parse_cond())
+        return Select(child, tuple(conds), self.parse_with())
+
+    def parse_project(self) -> Project:
+        self.advance()
+        self.expect_symbol("(")
+        child = self.parse_expr()
+        self.expect_symbol(")")
+        self.expect_keyword("over")
+        attrs = [self.parse_name()]
+        while self._more_names():
+            self.advance()
+            attrs.append(self.parse_name())
+        return Project(child, tuple(attrs), self.parse_with())
+
+    def parse_join(self) -> Join:
+        self.advance()
+        self.expect_symbol("(")
+        left = self.parse_expr()
+        self.expect_symbol(",")
+        right = self.parse_expr()
+        self.expect_symbol(")")
+        self.expect_keyword("on")
+        on = [self.parse_name()]
+        while self._more_names():
+            self.advance()
+            on.append(self.parse_name())
+        return Join(left, right, tuple(on), self.parse_with())
+
+    def parse_with(self) -> tuple[LevelClause, ...]:
+        if self.keyword() != "with":
+            return ()
+        self.advance()
+        clauses = [self.parse_level()]
+        while self._more_levels():
+            self.advance()
+            clauses.append(self.parse_level())
+        return tuple(clauses)
+
+    def parse_level(self) -> LevelClause:
+        word = self.keyword()
+        if word not in ("level", "thres"):
+            raise self.error("'level' or 'thres'")
+        self.advance()
+        self.expect_symbol("(")
+        attr = self.parse_name()
+        self.expect_symbol(")")
+        if self.at_symbol(">=") or self.at_symbol("=") or self.at_symbol(">"):
+            self.advance()
+        else:
+            raise self.error("'=', '>=' or '>'")
+        tok = self.peek()
+        if tok.kind != "NUMBER":
+            raise self.error("a number in [0, 1]")
+        value = float(tok.value)
+        if not 0.0 <= value <= 1.0:
+            raise ParseError(tok.line, tok.column, "a number in [0, 1]", str(tok.value))
+        self.advance()
+        return LevelClause(attr, value)
+
+    def parse_name(self) -> str:
+        tok = self.peek()
+        if tok.kind == "STRING":
+            self.advance()
+            return tok.value
+        if tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS:
+            self.advance()
+            return tok.value
+        raise self.error("a name")
+
+    def parse_cond(self) -> Cond:
+        attr = self.parse_name()
+        self.expect_symbol("=")
+        tok = self.peek()
+        if tok.kind in ("STRING", "NUMBER"):
+            self.advance()
+            return Cond(attr, tok.value)
+        if tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS:
+            self.advance()
+            return Cond(attr, tok.value)
+        raise self.error("a literal")
+
+
+def oracle_parse(text: str) -> Query:
+    """Parse query text; raises ParseError with a position on bad input."""
+    return _Parser(text).parse_query()
+
+
+def _render_name(name: str) -> str:
+    if _IDENT_RE.fullmatch(name) and name.lower() not in _KEYWORDS:
+        return name
+    return f'"{name}"'
+
+
+def _render_literal(value: Value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    return repr(value)
+
+
+def _render_with(levels: tuple[LevelClause, ...]) -> str:
+    if not levels:
+        return ""
+    parts = ", ".join(
+        f"level({_render_name(c.attr)}) = {c.value!r}" for c in levels
+    )
+    return f" with {parts}"
+
+
+def oracle_render(query: Query | Node) -> str:
+    """Canonical text for a query; parsing it back yields an equal tree."""
+    if isinstance(query, Query):
+        text = oracle_render(query.root)
+        if query.giving is not None:
+            text += f" giving {_render_name(query.giving)}"
+        return text
+    node = query
+    if isinstance(node, RelationRef):
+        return _render_name(node.name)
+    if isinstance(node, Select):
+        conds = ", ".join(
+            f"{_render_name(c.attr)} = {_render_literal(c.value)}" for c in node.conds
+        )
+        return (f"select ({oracle_render(node.child)}) where {conds}"
+                f"{_render_with(node.levels)}")
+    if isinstance(node, Project):
+        attrs = ", ".join(_render_name(a) for a in node.attrs)
+        return (f"project ({oracle_render(node.child)}) over {attrs}"
+                f"{_render_with(node.levels)}")
+    if isinstance(node, Join):
+        on = ", ".join(_render_name(a) for a in node.on)
+        return (f"join ({oracle_render(node.left)}, {oracle_render(node.right)}) on {on}"
+                f"{_render_with(node.levels)}")
+    raise TypeError(f"not a query node: {node!r}")
+
+
 # --- comparison ------------------------------------------------------------
 
 
@@ -355,6 +610,28 @@ def outcome(fn, *args):
 def assert_same(new, old, *args):
     got, expected = outcome(new, *args), outcome(old, *args)
     assert got == expected
+
+
+def tree_or_error(parse, text):
+    """The query tree with its repr, which shows value types, or the
+    ParseError's position."""
+    try:
+        tree = parse(text)
+    except ParseError as exc:
+        return ("raised", exc.line, exc.column, exc.expected, exc.found)
+    return ("parsed", tree, repr(tree))
+
+
+def leaves(node):
+    """The field values of a query tree that are not records or tuples."""
+    if isinstance(node, tuple):
+        for child in node:
+            yield from leaves(child)
+    elif isinstance(node, _Record):
+        for name in node._fields:
+            yield from leaves(getattr(node, name))
+    else:
+        yield node
 
 
 def tokens_or_error(tokenize, text):
@@ -447,12 +724,95 @@ def relations(draw, max_rows=10, attrs=None):
 
 @st.composite
 def level_maps(draw, names):
-    levels = {n: draw(st.sampled_from(LEVELS)) for n in names}
-    overrides = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(METHODS)))
-    return LevelMap(levels, overrides)
+    return LevelMap({n: draw(st.sampled_from(LEVELS)) for n in names})
 
 
 modes = st.sampled_from((None,) + METHODS)
+
+
+# --- generated queries -----------------------------------------------------
+
+
+# Bare and quoted names, keyword-like ones among them, and literals and
+# levels that read as ints, as floats, in exponent range, or out of [0, 1].
+QUERY_NAMES = ("R", "S", "x_1", "Level_2", "selects", "WITHIN", '"my table"',
+               '"select"', '"With"', '"level"', '""', '"a, b"')
+QUERY_LITERALS = QUERY_NAMES + ("20", "0", "0.5", ".25", "7.", "0.00001",
+                                "10000000000000000.0", '"two words"')
+QUERY_LEVELS = ("0", "1", "0.85", ".5", "1.", "0.00001", "2")
+
+
+@st.composite
+def query_pieces(draw, max_depth=3):
+    """The tokens of a query the grammar allows, as pieces of text.
+
+    The parser still rejects some: a level above 1, and a join whose left
+    operand's last list takes its right operand as one more name.
+    """
+    def word(w):
+        return draw(st.sampled_from((w, w.upper(), w.capitalize())))
+
+    def listed(item):
+        pieces = item()
+        for _ in range(draw(st.integers(0, 2))):
+            pieces += [","] + item()
+        return pieces
+
+    def name():
+        return [draw(st.sampled_from(QUERY_NAMES))]
+
+    def cond():
+        return name() + ["=", draw(st.sampled_from(QUERY_LITERALS))]
+
+    def level():
+        return ([word(draw(st.sampled_from(("level", "thres")))), "("] + name()
+                + [")", draw(st.sampled_from(("=", ">=", ">"))),
+                   draw(st.sampled_from(QUERY_LEVELS))])
+
+    def expr(depth):
+        op = draw(st.sampled_from(("relation",) + (("select", "project", "join")
+                                                   if depth else ())))
+        if op == "relation":
+            return name()
+        pieces = [word(op), "("] + expr(depth - 1)
+        if op == "join":
+            pieces += [","] + expr(depth - 1)
+        list_word, item = {"select": ("where", cond), "project": ("over", name),
+                           "join": ("on", name)}[op]
+        pieces += [")", word(list_word)] + listed(item)
+        if draw(st.booleans()):
+            pieces += [word("with")] + listed(level)
+        return pieces
+
+    pieces = expr(max_depth)
+    if draw(st.booleans()):
+        pieces += [word("giving")] + name()
+    return pieces
+
+
+@st.composite
+def mutated(draw, pieces):
+    """``pieces`` with one piece dropped, duplicated or swapped with another."""
+    i = draw(st.integers(0, len(pieces) - 1))
+    how = draw(st.sampled_from(("drop", "duplicate", "swap")))
+    pieces = list(pieces)
+    if how == "drop":
+        del pieces[i]
+    elif how == "duplicate":
+        pieces.insert(i, pieces[i])
+    else:
+        j = draw(st.integers(0, len(pieces) - 1))
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    return pieces
+
+
+@st.composite
+def joined(draw, pieces):
+    """The pieces as one text, with spaces or line breaks between them."""
+    text = pieces[0] if pieces else ""
+    for piece in pieces[1:]:
+        text += draw(st.sampled_from((" ", "  ", "\n"))) + piece
+    return text
 
 
 # --- differential tests ----------------------------------------------------
@@ -522,6 +882,29 @@ class TestAgainstOracles:
         text = "".join(pieces)
         assert tokens_or_error(query._tokenize, text) == \
             tokens_or_error(oracle_tokenize, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_parse_well_formed(self, data):
+        self.check_parse(data.draw(joined(data.draw(query_pieces()))))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_parse_mutated(self, data):
+        pieces = data.draw(mutated(data.draw(query_pieces())))
+        self.check_parse(data.draw(joined(pieces)))
+
+    @staticmethod
+    def check_parse(text):
+        got = tree_or_error(query.parse, text)
+        assert got == tree_or_error(oracle_parse, text)
+        if got[0] == "parsed":
+            tree = got[1]
+            if any(isinstance(v, float) and "e" in repr(v) for v in leaves(tree)):
+                # the oracle wrote an exponent, which does not parse back
+                assert query.parse(query.render(tree)) == tree
+            else:
+                assert query.render(tree) == oracle_render(tree)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -608,6 +991,22 @@ class TestNamedCases:
         assert_same(select, oracle_select, r, [("X", constant)], LevelMap({"X": 0.5}))
         # at level 0 the condition is skipped, constant and all
         assert_same(select, oracle_select, r, [("X", constant)], LevelMap({"X": 0.0}))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "select (" * (_MAX_DEPTH + 1) + "R",
+        "select (" * (_MAX_DEPTH - 1) + "R" + ") where A = 1" * (_MAX_DEPTH - 1),
+        "join (R, S) on A, B, with level(A) = 1",
+        "join (R, S) on A, with = 1",
+        "select (R) where A = 1, B = with level(A) = 1, thres(B) > .5, giving",
+        "project (R) over A with level(A) >= 1.5",
+        "project (R) over A with level(A) ) 1",
+        "project (R) over A with thres A",
+        "R giving",
+        "select (R) where select = 1",
+    ])
+    def test_parse_edge(self, text):
+        assert tree_or_error(query.parse, text) == tree_or_error(oracle_parse, text)
 
     def test_first_condition_removes_every_tuple(self):
         r = linear_crisp([(1, "a"), (2, "b")])

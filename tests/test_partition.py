@@ -11,6 +11,7 @@ from fuzzyrel import (
     partition_line,
     partition_plane,
 )
+from fuzzyrel.partition import _MAX_CELLS
 
 HAIR = ("Bk", "DB", "A", "R", "LB", "Bd", "Bc")
 HAIR_POS = {label: i for i, label in enumerate(HAIR)}
@@ -77,10 +78,21 @@ class TestPartitionLine:
         with pytest.raises(DomainError):
             partition_line(10, 0.5, "banana")
 
+    def test_rejects_more_cells_than_the_bound(self):
+        # 1 / (1 - alpha) is 2**53 here: one pair per cell would never end
+        for partition in (partition_line, partition_plane):
+            with pytest.raises(DomainError, match="cells"):
+                partition(100.0, 0.9999999999999999)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 100.0),
            st.sampled_from(["standard", "equalized"]))
     def test_disjoint_cover(self, alpha, x, mode):
-        # every in-range value lands in exactly one cell
+        # every in-range value lands in exactly one cell, and a partition
+        # finer than the cell bound is refused
+        if alpha < 1.0 and 1.0 / (1.0 - alpha) > _MAX_CELLS:
+            with pytest.raises(DomainError):
+                partition_line(100.0, alpha, mode)
+            return
         p = partition_line(100.0, alpha, mode)
         if p.singleton:
             return

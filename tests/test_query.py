@@ -1,6 +1,7 @@
 """Query parsing, rendering and evaluation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyrel import FuzzyTuple, ParseError, UnknownRelationError, evaluate, parse, render
 from fuzzyrel.query import Cond, Join, LevelClause, Project, Query, RelationRef, Select
@@ -13,6 +14,39 @@ over NAME, "HAIR COLOR", BUILD
 with level(NAME) = 0.0, level("HAIR COLOR") = 0.7, level(BUILD) = 0.7
 giving "LIKELY ARSONISTS"
 """
+
+
+# Trees ``parse`` can produce: quoted names and strings hold no '"' or
+# newline, numbers are non-negative and finite, levels lie in [0, 1].
+NAMES = st.text(st.characters(exclude_characters='"\n'), max_size=6)
+LITERALS = st.one_of(NAMES, st.integers(min_value=0),
+                     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+LEVEL_CLAUSES = st.lists(st.builds(LevelClause, NAMES, st.floats(0.0, 1.0)),
+                         max_size=2).map(tuple)
+
+
+def _items(items):
+    return st.lists(items, min_size=1, max_size=3).map(tuple)
+
+
+def _parseable(join):
+    # In "join (project (R) over A, S) on B" the list over A takes S too,
+    # so no text parses to a join whose left operand ends in a name list
+    # and whose right operand is a bare name.
+    return not (isinstance(join.left, (Project, Join)) and not join.left.levels
+                and isinstance(join.right, RelationRef))
+
+
+QUERIES = st.builds(Query, st.recursive(
+    st.builds(RelationRef, NAMES),
+    lambda children: st.one_of(
+        st.builds(Select, children, _items(st.builds(Cond, NAMES, LITERALS)),
+                  LEVEL_CLAUSES),
+        st.builds(Project, children, _items(NAMES), LEVEL_CLAUSES),
+        st.builds(Join, children, children, _items(NAMES),
+                  LEVEL_CLAUSES).filter(_parseable)),
+    max_leaves=5), st.none() | NAMES)
+
 
 
 class TestParse:
@@ -102,6 +136,28 @@ class TestRender:
     def test_round_trip_literals(self):
         q = parse('select (R) where A = 20, B = 0.5, C = "two words", D = bare')
         assert parse(render(q)) == q
+
+    @pytest.mark.parametrize("text, rendered", [
+        ("select (R) where X = 0.00001", "select (R) where X = 0.00001"),
+        ("project (R) over X with level(X) = 0.00001",
+         "project (R) over X with level(X) = 0.00001"),
+        ("select (R) where X = 10000000000000000.0",
+         "select (R) where X = 10000000000000000.0"),
+        ("select (R) where X = 0.000012345", "select (R) where X = 0.000012345"),
+    ])
+    def test_floats_render_without_exponent(self, text, rendered):
+        # repr writes these with an exponent, which the tokenizer does not read
+        q = parse(text)
+        assert render(q) == rendered
+        assert parse(render(q)) == q
+
+    @settings(max_examples=500, deadline=None)
+    @given(q=QUERIES)
+    def test_round_trip_keeps_trees_and_value_types(self, q):
+        back = parse(render(q))
+        assert back == q
+        assert repr(back) == repr(q)  # an int stays an int, a float a float
+
 
 
 class TestEvaluate:

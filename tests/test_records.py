@@ -75,9 +75,8 @@ RECORDS = {
         "default_method='threshold'),), tuples=(FuzzyTuple(names=('A',), "
         "components=(frozenset({1}),)),))"),
     LevelMap: (
-        {"levels": {"A": 0.5}, "methods": {"A": "closure"}},
-        {"levels": {}, "methods": {}}, LevelMap({"A": 0.6}), False,
-        "LevelMap(levels={'A': 0.5}, methods={'A': 'closure'})"),
+        {"levels": {"A": 0.5}}, {"levels": {}}, LevelMap({"A": 0.6}), False,
+        "LevelMap(levels={'A': 0.5})"),
     _Check: (
         {"index": 0, "name": "A", "level": 0.5, "cut": None, "classify": len},
         {"cut": None, "classify": None}, _Check(1, "A", 0.5), False,
