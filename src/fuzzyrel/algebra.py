@@ -21,7 +21,7 @@ from array import array
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .closure import closure_classes, temporal_domain
+from .closure import closure_classes
 from .errors import (
     DomainError,
     SchemaMismatchError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .partition import (
     Grouping,
-    cell_key,
     classes_over,
     partition_line,
     partition_plane,
@@ -301,53 +300,40 @@ def _resolve_method(attr: AttributeSpec, requested: str) -> str:
     return class_method(attr, requested)
 
 
-def _cells(attr: AttributeSpec, method: str, level: float):
-    """(partitioner, resolve) of a cell method's cells at one level."""
-    dims, length, resolve = attr.proximity.embedding()
-    if dims == 2:
-        return partition_plane(length, level), resolve
-    mode = "equalized" if method == "equalized" else "standard"
-    return partition_line(length, level, mode), resolve
-
-
 def class_grouping(attr: AttributeSpec, method: str, level: float,
                    values) -> Grouping:
     """Equivalence classes of a finite value set of one attribute.
 
-    ``method`` is mapped through ``class_method``, the same rule merges
-    and joins follow, so two values share a class here exactly when their
-    singleton tuples would merge at ``level``.  Closure classes come from
-    ``values``; interval, equalized and grid classes from the cells of the
-    attribute's domain, numbered in cell order.  Raises ValidationError
-    when the attribute supports no such classes.
+    The one place classes are formed, for the CLI and for the class
+    checks of merges and joins, so two values share a class here exactly
+    when their singleton tuples would merge at ``level``.  Closure classes
+    come from ``values``; interval, equalized and grid classes from the
+    cells of the attribute's domain (``method`` mapped by ``class_method``),
+    numbered in cell order.  Raises ValidationError when the attribute
+    supports no such classes.
     """
     method = class_method(attr, method)
     if method == "closure":
         return closure_classes(values, attr.proximity, level)
-    return classes_over(values, *_cells(attr, method, level))
-
-
-def _classifier(attr: AttributeSpec, method: str, level: float,
-                domain: frozenset | None) -> Callable[[Value], object]:
-    """Function mapping a value to the key of its equivalence class."""
-    if method == "closure":
-        return closure_classes(domain or frozenset(), attr.proximity, level).class_index
-    return cell_key(*_cells(attr, method, level))
+    dims, length, resolve = attr.proximity.embedding()
+    if dims == 2:
+        return classes_over(values, partition_plane(length, level), resolve)
+    mode = "equalized" if method == "equalized" else "standard"
+    return classes_over(values, partition_line(length, level, mode), resolve)
 
 
 _MIXED = object()  # class key of a component that spans two classes
 
 
 class _Check(_Record):
-    """Redundancy test for one attribute position, memoised for one call.
+    """Redundancy test for one attribute position, built for one call.
 
-    A class test caches each value's class key.  A threshold test holds
-    the values it will see, compiled by the attribute's spec, and caches
-    each value's neighbourhood: the values within the level of it.  A
-    component is mutually close exactly when it lies inside the
-    intersection of its members' neighbourhoods.  Both caches are keyed by
-    Python equality, so a check is built once per operator call and its
-    cache dies with it.
+    Both kinds hold the values the call will test.  A class test keys
+    them by the ``class_index`` of their ``class_grouping``.  A threshold
+    test holds them compiled by the attribute's spec, and caches each
+    value's neighbourhood: the values within the level of it.  A component
+    is mutually close exactly when it lies inside the intersection of its
+    members' neighbourhoods.  Values are keyed by Python equality.
     """
 
     _fields = ("index", "name", "level", "cut", "classify")
@@ -361,12 +347,7 @@ class _Check(_Record):
 
     def class_key(self, values: frozenset):
         """The one class key all ``values`` share, or ``_MIXED``."""
-        memo = self.memo
-        keys = set()
-        for v in values:
-            if v not in memo:
-                memo[v] = self.classify(v)
-            keys.add(memo[v])
+        keys = set(map(self.classify, values))
         return keys.pop() if len(keys) == 1 else _MIXED
 
     def common(self, values: frozenset) -> frozenset:
@@ -388,39 +369,31 @@ class _Check(_Record):
     __hash__ = None
 
 
-def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
-                  domains: Mapping[str, frozenset] | None = None,
-                  tested: Sequence[FuzzyTuple] | None = None) -> list[_Check]:
-    """One check per attribute above level 0.
+def _column(tuples: Iterable[FuzzyTuple], idx: int) -> frozenset:
+    return frozenset().union(*(t.components[idx] for t in tuples))
 
-    ``domains`` gives the value sets of some attributes, for closure
-    classes and threshold cuts alike; otherwise closure classes come from
-    r's content and a threshold check compiles the values of the tuples it
-    will test, ``tested`` or else r's.
+
+def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
+                  values_of: Callable[[int, str], frozenset]) -> list[_Check]:
+    """One check per attribute above level 0, at its position in ``schema``.
+
+    ``values_of(idx, method)`` is the value set the check of position
+    ``idx`` will see, given its resolved method: a threshold check
+    compiles it, a class check groups it with ``class_grouping``.
     """
     checks = []
-    tested = r.tuples if tested is None else tested
-    for idx, attr in enumerate(r.schema):
+    for idx, attr in enumerate(schema):
         level = levels.level(attr.name)
         if level == 0.0:
             continue
-        effective = _resolve_method(attr, mode or attr.default_method)
-        if effective == "threshold":
-            if domains is not None and attr.name in domains:
-                values = domains[attr.name]
-            else:
-                values = frozenset().union(*(t.components[idx] for t in tested))
+        method = _resolve_method(attr, mode or attr.default_method)
+        values = values_of(idx, method)
+        if method == "threshold":
             checks.append(_Check(idx, attr.name, level,
                                  cut=attr.proximity.compile(values)))
         else:
-            if domains is not None and attr.name in domains:
-                domain = domains[attr.name]
-            else:
-                domain = temporal_domain(r, attr.name) if effective == "closure" else None
-            checks.append(
-                _Check(idx, attr.name, level,
-                       classify=_classifier(attr, effective, level, domain))
-            )
+            grouping = class_grouping(attr, method, level, values)
+            checks.append(_Check(idx, attr.name, level, classify=grouping.class_index))
     return checks
 
 
@@ -437,7 +410,9 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
             raise SchemaMismatchError(
                 f"tuple attributes {t.names} do not match schema {r.names}"
             )
-    checks = _build_checks(r, levels, mode, tested=(t1, t2))
+    # closure classes depend on r's content, cells and cuts only on t1, t2
+    checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
+        r.tuples if method == "closure" else (t1, t2), idx))
     return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
                for c in checks)
 
@@ -463,20 +438,21 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     spanning two classes never merges.  In a bucket, tuple i absorbs each
     later tuple that passes the threshold checks against it, and
     survivors keep the position of their first member: at most O(n^2)
-    pair checks, O(n) with class checks only.
+    pair checks, O(n) with class checks only.  A later tuple equal to the
+    growing one is absorbed when the scan reaches it.
 
-    A threshold check compiles the column's values once and finds each
-    value's neighbourhood once (see ``_Check``).  The growing tuple
-    carries the intersection of its members' neighbourhoods, so a later
-    tuple whose own components are mutually close is redundant with it
-    exactly when each of those components lies inside that intersection:
-    one subset test per attribute.  Class keys and neighbourhoods are
-    keyed by Python equality, which is exact for every value a spec
-    accepts; compiling checks every value of a threshold column, so a
-    relation built with a value its spec rejects raises here.
+    Each check is built over its column's values (see ``_Check``): class
+    keys come from the column's ``class_grouping``, and each value's
+    neighbourhood is found once.  The growing tuple carries the
+    intersection of its members' neighbourhoods, so a later tuple whose
+    own components are mutually close is redundant with it exactly when
+    each of those components lies inside that intersection: one subset
+    test per attribute.  Keys are by Python equality, exact for every
+    value a spec accepts; building the checks tests every value of a
+    checked column, so a value its spec rejects raises here.
     """
     levels = levels or LevelMap()
-    checks = _build_checks(r, levels, mode)
+    checks = _build_checks(r.schema, levels, mode, lambda idx, _: _column(r.tuples, idx))
     class_checks = [c for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
     survivors: dict[int, FuzzyTuple] = {}
@@ -499,7 +475,6 @@ def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
         yield members[0], tuples[members[0]]
         return
     alive = [tuples[p] for p in members]
-    later = {t: k for k, t in enumerate(alive)}
     parts = [[t.components[c.index] for c in checks] for t in alive]
     commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]
     # A tuple with a component that is not mutually close merges with none.
@@ -515,9 +490,6 @@ def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
             t = merge_tuples(t, alive[j])
             common = list(map(and_, common, commons[j]))
             alive[j] = None
-            k = later.get(t)
-            if k is not None and k > j:
-                alive[k] = None
         yield members[i], t
 
 
@@ -597,7 +569,9 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     their components passes the redundancy test at that attribute's
     level.  The output carries the union on join attributes, the left
     tuple's other components, and the right tuple's other components
-    under a ``_2`` suffix where names collide.
+    under a ``_2`` suffix where names collide.  Each join attribute's
+    check holds the values of both columns; one named twice raises
+    ValidationError.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -611,29 +585,30 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
             raise SchemaMismatchError(str(exc)) from None
         if left_spec != right_spec:
             raise SchemaMismatchError(f"join attribute {a!r} differs between schemas")
+    if len(set(on)) != len(on):
+        raise ValidationError(f"duplicate join attributes: {on}")
 
-    domains = {a: temporal_domain(r1, a) | temporal_domain(r2, a) for a in on}
+    on_left = [r1.attribute_index(a) for a in on]
+    on_right = [r2.attribute_index(a) for a in on]
+    # a check's index is its attribute's position in ``on``
     on_checks = _build_checks(
-        FuzzyRelation(tuple(r1.attribute(a) for a in on), ()),
-        levels, mode, domains=domains,
-    )
+        tuple(r1.schema[i] for i in on_left), levels, mode,
+        lambda k, _: _column(r1.tuples, on_left[k]) | _column(r2.tuples, on_right[k]))
     schema, right_extra = _joined_schema(r1, r2, on)
     names = tuple(a.name for a in schema)
-    on_left = {a: r1.attribute_index(a) for a in on}
-    on_right = {a: r2.attribute_index(a) for a in on}
     right_rest = [r2.attribute_index(original) for original, _ in right_extra]
 
     out_rows = []
     for t1 in r1.tuples:
+        left = t1.components
         for t2 in r2.tuples:
-            unions = {a: t1.components[on_left[a]] | t2.components[on_right[a]]
-                      for a in on}
-            if not all(c.component_ok(unions[c.name]) for c in on_checks):
+            right = t2.components
+            unions = [left[i] | right[j] for i, j in zip(on_left, on_right)]
+            if not all(c.component_ok(unions[c.index]) for c in on_checks):
                 continue
-            comps = [
-                unions[a.name] if a.name in on else t1.components[i]
-                for i, a in enumerate(r1.schema)
-            ]
-            comps.extend(t2.components[i] for i in right_rest)
+            comps = list(left)
+            for i, union in zip(on_left, unions):
+                comps[i] = union
+            comps.extend(right[i] for i in right_rest)
             out_rows.append(FuzzyTuple._trusted(names, tuple(comps)))
     return merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import query as querylang
-from .algebra import class_grouping, class_method, merge_relation
+from .algebra import METHODS, class_grouping, class_method, merge_relation
 from .config import Database, load_database
 from .errors import (
     FormatError,
@@ -32,7 +32,7 @@ from .tables import (
     relation_to_csv,
 )
 
-CLASS_METHODS = ("interval", "equalized", "grid", "closure")
+CLASS_METHODS = tuple(m for m in METHODS if m != "threshold")
 ALL_METHODS = CLASS_METHODS + ("threshold",)
 
 

@@ -211,35 +211,21 @@ def _make_resolver(resolve: Resolver):
     return lookup
 
 
-def cell_key(partitioner: Partitioner,
-             resolve: Resolver = None) -> Callable[[Value], object]:
-    """Function mapping a value to the key of the cell it falls in.
+def classes_over(values, partitioner: Partitioner, resolve: Resolver = None) -> Grouping:
+    """Group a finite value set by the cell each value falls in.
 
     ``resolve`` maps raw values to reals (1D) or points (2D); labels of an
     ordinal domain resolve to their rank, city names to their coordinates.
-    The key is the cell index on a line and the ``(column, row)`` tuple of
-    ``cell_of`` on a grid.  The singleton partition (alpha = 1) has no
-    cells, so it keys every value by itself, unresolved.
-    """
-    if partitioner.singleton:
-        return lambda v: v
-    resolver = _make_resolver(resolve)
-    if isinstance(partitioner, Partition2D):
-        return lambda v: cell_of(resolver(v), partitioner)
-    return lambda v: class_of(resolver(v), partitioner)
-
-
-def classes_over(values, partitioner: Partitioner, resolve: Resolver = None) -> Grouping:
-    """Group a finite value set by the cell ``cell_key`` assigns each value.
-
     Only non-empty classes are returned, numbered from 1 in cell order:
-    by cell index on a line, by ``(column, row)`` on a grid.  The
-    singleton partition's one-value classes follow ``value_sort_key``.
+    by ``class_of`` index on a line, by ``cell_of``'s ``(column, row)`` on
+    a grid.  The singleton partition (alpha = 1) has no cells, so each
+    value, unresolved, forms its own class, ordered by ``value_sort_key``.
     """
     if partitioner.singleton:
         return Grouping.from_classes({v} for v in set(values))
-    key = cell_key(partitioner, resolve)
+    resolver = _make_resolver(resolve)
+    cell = cell_of if isinstance(partitioner, Partition2D) else class_of
     buckets: dict = {}
     for v in values:
-        buckets.setdefault(key(v), set()).add(v)
+        buckets.setdefault(cell(resolver(v), partitioner), set()).add(v)
     return Grouping.in_order(buckets[k] for k in sorted(buckets))

@@ -365,7 +365,12 @@ def evaluate(query: Query | Node, relations: Mapping[str, FuzzyRelation],
 
 
 def render(query: Query | Node) -> str:
-    """Canonical text for a query; parsing it back yields an equal tree."""
+    """Canonical text for a query; parsing it back yields an equal tree.
+
+    Raises ValueError on a join whose right operand is a bare name and
+    whose left one ends in a name list (a project or join without
+    ``with``): the list would take the name, so no text spells the tree.
+    """
     if isinstance(query, Query):
         text = render(query.root)
         if query.giving is not None:
@@ -373,6 +378,9 @@ def render(query: Query | Node) -> str:
         return text
     if isinstance(query, RelationRef):
         return _render_name(query.name)
+    if (isinstance(query, Join) and isinstance(query.right, RelationRef)
+            and isinstance(query.left, (Project, Join)) and not query.left.levels):
+        raise ValueError(f"no query text spells {query!r}")
     for word, (cls, _, list_word, item) in _OPERATORS.items():
         if isinstance(query, cls):
             *operands, items, levels = (getattr(query, f) for f in cls._fields)

@@ -18,6 +18,7 @@ from fuzzyrel import (
     SchemaMismatchError,
     UnknownAttributeError,
     UnknownValueError,
+    ValidationError,
     build_ordinal_matrix,
     class_grouping,
     interpretations,
@@ -154,6 +155,12 @@ class TestRedundant:
         rel = FuzzyRelation(schema, ())
         with pytest.raises(SchemaMismatchError):
             redundant(rel, tup({"Other": "x"}), tup({"Other": "y"}), LevelMap())
+
+    def test_closure_class_of_a_value_the_relation_lacks(self):
+        # closure classes come from r's content, which holds no 5
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,), (2,)])
+        with pytest.raises(UnknownValueError, match="^value 5 is in no class$"):
+            redundant(rel, rel.tuples[0], tup({"X": 5}), LevelMap({"X": 0.5}), "closure")
 
 
 class TestMergeTuples:
@@ -347,6 +354,11 @@ class TestJoin:
         with pytest.raises(SchemaMismatchError):
             join(left, right, ["K"])
 
+    def test_join_attribute_named_twice(self):
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,), (2,)])
+        with pytest.raises(ValidationError, match="duplicate join attributes"):
+            join(rel, rel, ["X", "X"])
+
 
 class TestLevelMap:
     def test_default_is_one(self):
@@ -432,3 +444,18 @@ class TestOneClassPath:
             (x,), (y,) = t1.components[0], t2.components[0]
             same = grouping.class_index(x) == grouping.class_index(y)
             assert same == redundant(rel, t1, t2, levels, method)
+
+    @settings(max_examples=300)
+    @given(case=attribute_and_values(),
+           method=st.sampled_from(["interval", "equalized", "grid", "closure"]),
+           level=st.sampled_from([0.0, 0.3, 0.45, 0.6, 2 / 3, 0.7, 0.8, 0.95, 1.0]))
+    def test_shared_class_iff_singletons_join(self, case, method, level):
+        attr, values = case
+        levels = LevelMap({"X": level})
+        for x, y in itertools.combinations(values, 2):
+            left = FuzzyRelation.from_rows((attr,), [(x,)])
+            right = FuzzyRelation.from_rows((attr,), [(y,)])
+            # a join forms its classes over the values of both sides
+            grouping = class_grouping(attr, method, level, {x, y})
+            same = grouping.class_index(x) == grouping.class_index(y)
+            assert same == (len(join(left, right, ["X"], levels, method)) > 0)

@@ -44,14 +44,23 @@ from fuzzyrel import algebra, query
 from fuzzyrel.algebra import (
     _MIXED,
     METHODS,
-    _classifier,
     _joined_schema,
     _min_pairwise,
     _resolve_method,
 )
 from fuzzyrel.closure import temporal_domain
 from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
-from fuzzyrel.partition import Grouping, _unit_interval, value_sort_key
+from fuzzyrel.partition import (
+    Grouping,
+    Partition2D,
+    _make_resolver,
+    _unit_interval,
+    cell_of,
+    class_of,
+    partition_line,
+    partition_plane,
+    value_sort_key,
+)
 from fuzzyrel.proximity import ProximitySpec, Value, _Record, degree_of
 from fuzzyrel.query import (
     _KEYWORDS,
@@ -71,6 +80,30 @@ from fuzzyrel.query import (
 
 
 # --- oracles ---------------------------------------------------------------
+
+
+def _classifier(attr: AttributeSpec, method: str, level: float,
+                domain: frozenset | None) -> Callable[[Value], object]:
+    """Function mapping a value to the key of its equivalence class.
+
+    A closure key is the value's class ordinal in ``domain``; a cell key
+    is the cell it falls in, by ``class_of`` or ``cell_of``, or the value
+    itself on the singleton partition.
+    """
+    if method == "closure":
+        return closure_classes(domain or frozenset(), attr.proximity, level).class_index
+    dims, length, resolve = attr.proximity.embedding()
+    if dims == 2:
+        partitioner = partition_plane(length, level)
+    else:
+        mode = "equalized" if method == "equalized" else "standard"
+        partitioner = partition_line(length, level, mode)
+    if partitioner.singleton:
+        return lambda v: v
+    resolver = _make_resolver(resolve)
+    if isinstance(partitioner, Partition2D):
+        return lambda v: cell_of(resolver(v), partitioner)
+    return lambda v: class_of(resolver(v), partitioner)
 
 
 @dataclass(frozen=True)
@@ -852,7 +885,8 @@ class TestAgainstOracles:
             st.frozensets(st.sampled_from(values), min_size=1, max_size=4),
             min_size=1, max_size=6))
         r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
-        check, = algebra._build_checks(r, LevelMap({"X": level}), "threshold")
+        check, = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
+                                       lambda idx, _: temporal_domain(r, "X"))
         old = _MemoCheck(0, "X", level, spec=attr.proximity)
         for a in comps:
             for b in comps:

@@ -350,6 +350,42 @@ def test_no_spec_type_test_outside_proximity():
     assert {name: found for name, found in switches.items() if found} == {}
 
 
+CLASS_FORMERS = {"closure_classes": "closure.py", "classes_over": "partition.py"}
+
+
+def class_former_calls(source: str) -> set:
+    """(enclosing function, callee) of each call that forms classes."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if callee in CLASS_FORMERS:
+                    found.add((function, callee))
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_class_guard_sees_every_form_of_a_call():
+    source = ("x = closure_classes(v)\n"
+              "def f():\n    def g():\n        partition.classes_over(v)\n"
+              "    return closure_classes")
+    assert class_former_calls(source) == {(None, "closure_classes"), ("g", "classes_over")}
+
+
+def test_classes_are_formed_only_in_class_grouping():
+    calls = {(path.name, function, callee)
+             for path in sorted(SRC.glob("*.py"))
+             for function, callee in class_former_calls(path.read_text(encoding="utf-8"))
+             if CLASS_FORMERS[callee] != path.name}
+    assert calls == {("algebra.py", "class_grouping", "closure_classes"),
+                     ("algebra.py", "class_grouping", "classes_over")}
+
+
 def test_algebra_imports_no_spec_kind_but_the_crisp_default():
     tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

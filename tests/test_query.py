@@ -29,12 +29,19 @@ def _items(items):
     return st.lists(items, min_size=1, max_size=3).map(tuple)
 
 
-def _parseable(join):
+def _spellable(node):
     # In "join (project (R) over A, S) on B" the list over A takes S too,
     # so no text parses to a join whose left operand ends in a name list
     # and whose right operand is a bare name.
-    return not (isinstance(join.left, (Project, Join)) and not join.left.levels
-                and isinstance(join.right, RelationRef))
+    if isinstance(node, Query):
+        return _spellable(node.root)
+    if isinstance(node, RelationRef):
+        return True
+    if isinstance(node, Join):
+        return (not (isinstance(node.left, (Project, Join)) and not node.left.levels
+                     and isinstance(node.right, RelationRef))
+                and _spellable(node.left) and _spellable(node.right))
+    return _spellable(node.child)
 
 
 QUERIES = st.builds(Query, st.recursive(
@@ -43,8 +50,7 @@ QUERIES = st.builds(Query, st.recursive(
         st.builds(Select, children, _items(st.builds(Cond, NAMES, LITERALS)),
                   LEVEL_CLAUSES),
         st.builds(Project, children, _items(NAMES), LEVEL_CLAUSES),
-        st.builds(Join, children, children, _items(NAMES),
-                  LEVEL_CLAUSES).filter(_parseable)),
+        st.builds(Join, children, children, _items(NAMES), LEVEL_CLAUSES)),
     max_leaves=5), st.none() | NAMES)
 
 
@@ -151,9 +157,30 @@ class TestRender:
         assert render(q) == rendered
         assert parse(render(q)) == q
 
+    @pytest.mark.parametrize("text, left", [
+        ("join (project (R) over A, S) on B", Project(RelationRef("R"), ("A",))),
+        ("join (join (R, T) on A, S) on B",
+         Join(RelationRef("R"), RelationRef("T"), ("A",))),
+    ])
+    def test_join_that_no_text_spells_is_refused(self, text, left):
+        # the only text for the tree does not parse: the list takes S
+        with pytest.raises(ParseError, match="expected ','"):
+            parse(text)
+        with pytest.raises(ValueError, match="no query text spells"):
+            render(Query(Join(left, RelationRef("S"), ("B",))))
+        # a with clause ends the left operand's list, and then S is spelt
+        fields = [getattr(left, f) for f in left._fields[:-1]]
+        spelt = Query(Join(type(left)(*fields, (LevelClause("A", 0.5),)),
+                           RelationRef("S"), ("B",)))
+        assert parse(render(spelt)) == spelt
+
     @settings(max_examples=500, deadline=None)
     @given(q=QUERIES)
     def test_round_trip_keeps_trees_and_value_types(self, q):
+        if not _spellable(q):
+            with pytest.raises(ValueError, match="no query text spells"):
+                render(q)
+            return
         back = parse(render(q))
         assert back == q
         assert repr(back) == repr(q)  # an int stays an int, a float a float
