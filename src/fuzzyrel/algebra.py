@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from functools import partial
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -111,10 +112,20 @@ class FuzzyTuple(_Record):
 
 
 class FuzzyRelation(_Record):
-    """An ordered schema plus a duplicate-free sequence of conforming tuples."""
+    """An ordered schema plus a duplicate-free sequence of conforming tuples.
+
+    Hidden caches, out of ``==``, ``repr`` and pickle, hold each column's
+    value index and compiled cut over this relation's own values, and its
+    ``_Domain``: the stored column its values come from.  A relation built
+    here owns its columns; the operators' outputs share their source's
+    domains.  So in a relation built without ``from_rows``, a value its
+    cell method cannot place raises when a cell check of any relation
+    derived from it reaches the column, even after a select dropped its
+    row, as a ``select`` compiles every value of a column it reaches.
+    """
 
     _fields = ("schema", "tuples")
-    __slots__ = _fields + ("_indexes", "_cuts")
+    __slots__ = _fields + ("_indexes", "_cuts", "_domains")
 
     def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
         schema = tuple(schema)
@@ -128,7 +139,16 @@ class FuzzyRelation(_Record):
                     f"tuple attributes {t.names} do not match schema {names}"
                 )
             seen.setdefault(t)
-        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={})
+        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={}, _domains=None)
+
+    @classmethod
+    def _derived(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
+                 domains: tuple["_Domain", ...]) -> "FuzzyRelation":
+        """An operator's output: distinct tuples named as ``schema``, whose
+        column values lie in ``domains``."""
+        r = object.__new__(cls)
+        r._set(schema=schema, tuples=tuples, _indexes={}, _cuts={}, _domains=domains)
+        return r
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -199,6 +219,17 @@ class FuzzyRelation(_Record):
         if cut is None:
             cut = cuts[idx] = self.schema[idx].proximity.compile(self._column_index(idx))
         return cut
+
+    def _column_domains(self) -> tuple["_Domain", ...]:
+        """Each column's domain; a relation that owns its columns makes
+        them on first use, and a derived one has its source's."""
+        domains = self._domains
+        if domains is None:
+            tuples = self.tuples
+            domains = tuple(_Domain(attr, partial(_column, tuples, idx))
+                            for idx, attr in enumerate(self.schema))
+            self._set(_domains=domains)
+        return domains
 
     __hash__ = None
 
@@ -322,28 +353,60 @@ def class_grouping(attr: AttributeSpec, method: str, level: float,
     return classes_over(values, partition_line(length, level, mode), resolve)
 
 
+# Groupings a domain keeps, the oldest dropped first: a stored relation
+# lives as long as its database, and levels are free floats.
+_MAX_GROUPINGS = 16
+
+
+class _Domain:
+    """A stored column's values, read on first use, and the cell classes
+    formed over them, once per (method, level) while kept.
+
+    Relations derived from the column's owner hold a subset of the values.
+    Cell classes depend only on the attribute's domain, so two of them
+    share a class here exactly when they do in a grouping of the subset.
+    Closure classes depend on the values present and are never asked here.
+    """
+
+    __slots__ = ("attr", "_read", "_values", "_groupings")
+
+    def __init__(self, attr: AttributeSpec, read: Callable[[], frozenset]):
+        self.attr, self._read, self._values, self._groupings = attr, read, None, {}
+
+    def grouping(self, method: str, level: float) -> Grouping:
+        groupings = self._groupings
+        grouping = groupings.get((method, level))
+        if grouping is None:
+            if self._read is not None:
+                self._values, self._read = self._read(), None
+            grouping = class_grouping(self.attr, method, level, self._values)
+            if len(groupings) == _MAX_GROUPINGS:
+                del groupings[next(iter(groupings))]
+            groupings[method, level] = grouping
+        return grouping
+
+
 _MIXED = object()  # class key of a component that spans two classes
 
 
 class _Check(_Record):
     """Redundancy test for one attribute position, built for one call.
 
-    Both kinds hold the values the call will test.  A class test keys
-    them by the ``class_index`` of their ``class_grouping``.  A threshold
-    test holds them compiled by the attribute's spec, and caches each
-    value's neighbourhood: the values within the level of it.  A component
-    is mutually close exactly when it lies inside the intersection of its
+    A class test keys values by the ``class_index`` of a ``class_grouping``
+    that holds every value the call will test.  A threshold test holds
+    those values compiled by the attribute's spec, and caches each value's
+    neighbourhood: the values within the level of it.  A component is
+    mutually close exactly when it lies inside the intersection of its
     members' neighbourhoods.  Values are keyed by Python equality.
     """
 
-    _fields = ("index", "name", "level", "cut", "classify")
+    _fields = ("index", "level", "cut", "classify")
     __slots__ = _fields + ("memo",)
 
-    def __init__(self, index: int, name: str, level: float,
+    def __init__(self, index: int, level: float,
                  cut: object | None = None, classify: Callable | None = None):
         # a threshold test has a ``cut``, a class test a ``classify``
-        self._set(index=index, name=name, level=level, cut=cut, classify=classify,
-                  memo={})
+        self._set(index=index, level=level, cut=cut, classify=classify, memo={})
 
     def class_key(self, values: frozenset):
         """The one class key all ``values`` share, or ``_MIXED``."""
@@ -373,13 +436,25 @@ def _column(tuples: Iterable[FuzzyTuple], idx: int) -> frozenset:
     return frozenset().union(*(t.components[idx] for t in tuples))
 
 
+def _joined_column(left: Sequence[FuzzyTuple], i: int,
+                   right: Sequence[FuzzyTuple], j: int) -> frozenset:
+    return _column(left, i) | _column(right, j)
+
+
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
-                  values_of: Callable[[int, str], frozenset]) -> list[_Check]:
+                  values_of: Callable[[int, str], frozenset],
+                  domains: Sequence[_Domain] | None = None) -> list[_Check]:
     """One check per attribute above level 0, at its position in ``schema``.
 
     ``values_of(idx, method)`` is the value set the check of position
-    ``idx`` will see, given its resolved method: a threshold check
-    compiles it, a class check groups it with ``class_grouping``.
+    ``idx`` will see, given its resolved method.  A threshold check
+    compiles it and a closure check groups it with ``class_grouping``: a
+    neighbourhood or a closure class over more values would differ.  A
+    cell-method check takes the grouping of ``domains[idx]``, the stored
+    column those values come from, formed there once; without ``domains``
+    it groups ``values_of`` too.  So a value the cell method cannot place
+    raises here when it lies anywhere in that stored column, even in a row
+    the relation being checked no longer holds.
     """
     checks = []
     for idx, attr in enumerate(schema):
@@ -387,13 +462,15 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
         if level == 0.0:
             continue
         method = _resolve_method(attr, mode or attr.default_method)
-        values = values_of(idx, method)
         if method == "threshold":
-            checks.append(_Check(idx, attr.name, level,
-                                 cut=attr.proximity.compile(values)))
+            cut = attr.proximity.compile(values_of(idx, method))
+            checks.append(_Check(idx, level, cut=cut))
+            continue
+        if method == "closure" or domains is None:
+            grouping = class_grouping(attr, method, level, values_of(idx, method))
         else:
-            grouping = class_grouping(attr, method, level, values)
-            checks.append(_Check(idx, attr.name, level, classify=grouping.class_index))
+            grouping = domains[idx].grouping(method, level)
+        checks.append(_Check(idx, level, classify=grouping.class_index))
     return checks
 
 
@@ -441,18 +518,24 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     pair checks, O(n) with class checks only.  A later tuple equal to the
     growing one is absorbed when the scan reaches it.
 
-    Each check is built over its column's values (see ``_Check``): class
-    keys come from the column's ``class_grouping``, and each value's
-    neighbourhood is found once.  The growing tuple carries the
+    Threshold and closure checks are built over r's own column values
+    (see ``_Check``), and each value's neighbourhood is found once; cell
+    class keys come from the grouping of the column's domain, the stored
+    column r's values come from, formed once for every relation derived
+    from it (see ``_build_checks``).  The growing tuple carries the
     intersection of its members' neighbourhoods, so a later tuple whose
     own components are mutually close is redundant with it exactly when
     each of those components lies inside that intersection: one subset
     test per attribute.  Keys are by Python equality, exact for every
-    value a spec accepts; building the checks tests every value of a
-    checked column, so a value its spec rejects raises here.
+    value a spec accepts.  Building the checks tests every value of a
+    checked column, and a cell check every value of its stored column, so
+    a value its spec rejects raises here, even one whose row a select
+    dropped before this merge.
     """
     levels = levels or LevelMap()
-    checks = _build_checks(r.schema, levels, mode, lambda idx, _: _column(r.tuples, idx))
+    domains = r._column_domains()
+    checks = _build_checks(r.schema, levels, mode,
+                           lambda idx, _: _column(r.tuples, idx), domains)
     class_checks = [c for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
     survivors: dict[int, FuzzyTuple] = {}
@@ -465,7 +548,9 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
             buckets.setdefault(keys, []).append(pos)
     for members in buckets.values():
         survivors.update(_absorb(r.tuples, members, threshold_checks))
-    return FuzzyRelation(r.schema, tuple(survivors[p] for p in sorted(survivors)))
+    # distinct: of two equal survivors, the first would have absorbed the other
+    return FuzzyRelation._derived(
+        r.schema, tuple(survivors[p] for p in sorted(survivors)), domains)
 
 
 def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
@@ -531,7 +616,8 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
             index = r._column_index(idx)
             kept = sorted({pos for v in passing for pos in index[v]})
         kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
-    return FuzzyRelation(r.schema, tuple(tuples[pos] for pos in kept))
+    return FuzzyRelation._derived(
+        r.schema, tuple(tuples[pos] for pos in kept), r._column_domains())
 
 
 def project(r: FuzzyRelation, attrs: Sequence[str],
@@ -540,9 +626,13 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
     names = tuple(a.name for a in schema)
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate attribute names in schema: {names}")
     make = FuzzyTuple._trusted
-    rows = tuple(make(names, tuple(t.components[i] for i in indices)) for t in r.tuples)
-    return merge_relation(FuzzyRelation(schema, rows), levels, mode)
+    rows = {make(names, tuple(t.components[i] for i in indices)): None for t in r.tuples}
+    domains = r._column_domains()
+    projected = FuzzyRelation._derived(schema, tuple(rows), tuple(domains[i] for i in indices))
+    return merge_relation(projected, levels, mode)
 
 
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
@@ -571,7 +661,9 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     tuple's other components, and the right tuple's other components
     under a ``_2`` suffix where names collide.  Each join attribute's
     check holds the values of both columns; one named twice raises
-    ValidationError.
+    ValidationError.  A join attribute whose two columns come from one
+    stored column keeps its domain; otherwise its cell classes are formed
+    over the union of both columns' values.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -590,13 +682,20 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
 
     on_left = [r1.attribute_index(a) for a in on]
     on_right = [r2.attribute_index(a) for a in on]
+    domains, right_domains = list(r1._column_domains()), r2._column_domains()
+    for i, j in zip(on_left, on_right):
+        if domains[i] is not right_domains[j]:
+            domains[i] = _Domain(r1.schema[i],
+                                 partial(_joined_column, r1.tuples, i, r2.tuples, j))
     # a check's index is its attribute's position in ``on``
     on_checks = _build_checks(
         tuple(r1.schema[i] for i in on_left), levels, mode,
-        lambda k, _: _column(r1.tuples, on_left[k]) | _column(r2.tuples, on_right[k]))
+        lambda k, _: _joined_column(r1.tuples, on_left[k], r2.tuples, on_right[k]),
+        [domains[i] for i in on_left])
     schema, right_extra = _joined_schema(r1, r2, on)
     names = tuple(a.name for a in schema)
     right_rest = [r2.attribute_index(original) for original, _ in right_extra]
+    domains.extend(right_domains[j] for j in right_rest)
 
     out_rows = []
     for t1 in r1.tuples:
@@ -611,4 +710,5 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
                 comps[i] = union
             comps.extend(right[i] for i in right_rest)
             out_rows.append(FuzzyTuple._trusted(names, tuple(comps)))
-    return merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)
+    joined = FuzzyRelation._derived(schema, tuple(dict.fromkeys(out_rows)), tuple(domains))
+    return merge_relation(joined, levels, mode)

@@ -61,11 +61,13 @@ class Partition1D(_Record):
 
     @property
     def intervals(self) -> tuple[tuple[float, float], ...]:
-        """Cell bounds as (lo, hi) pairs; all half-open but the last."""
+        """Cell bounds as (lo, hi) pairs; all half-open but the last, which
+        ends at ``length`` even where ``cell_count * width`` falls short."""
         if self.singleton:
             return ()
+        last = self.cell_count - 1
         return tuple(
-            (k * self.width, min((k + 1) * self.width, self.length))
+            (k * self.width, self.length if k == last else min((k + 1) * self.width, self.length))
             for k in range(self.cell_count)
         )
 

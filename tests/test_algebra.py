@@ -31,6 +31,7 @@ from fuzzyrel import (
     thres,
     valid_tuple,
 )
+from fuzzyrel import algebra
 
 
 def tup(mapping):
@@ -242,8 +243,33 @@ def keyed_rows(effect_matrix, count):
     return rel, spec
 
 
+def linear_rows(count):
+    """``count`` distinct rows over two interval-class columns, told apart by KEY."""
+    schema = (AttributeSpec("KEY"), AttributeSpec("X", Linear(10), "interval"),
+              AttributeSpec("Y", Linear(10), "interval"))
+    return FuzzyRelation.from_rows(schema, [(k, k % 11, k % 7) for k in range(count)])
+
+
+@pytest.fixture
+def groupings_formed(monkeypatch):
+    """Counts ``class_grouping`` calls by attribute name and method."""
+    calls = collections.Counter()
+
+    def counted(attr, method, level, values):
+        calls[attr.name, method] += 1
+        return class_grouping(attr, method, level, values)
+
+    monkeypatch.setattr(algebra, "class_grouping", counted)
+    return calls
+
+
 class TestEvaluationCounts:
-    """No degree is evaluated: select and merge look up alpha-cut neighbourhoods."""
+    """No degree is evaluated: select and merge look up alpha-cut neighbourhoods.
+
+    Cell classes are formed once per stored column, method and level, for
+    every relation derived from it; closure classes and threshold cuts are
+    formed per call, over the values the call sees.
+    """
 
     def test_select_one_lookup_per_condition(self, effect_matrix):
         rel, spec = keyed_rows(effect_matrix, 60)
@@ -272,6 +298,56 @@ class TestEvaluationCounts:
         assert rel._indexes
         assert repr(rel) == before
         assert rel == FuzzyRelation(rel.schema, rel.tuples)
+
+    def test_cell_classes_are_formed_once_per_stored_column(self, groupings_formed):
+        rel = linear_rows(40)
+        levels = LevelMap({"X": 0.8})
+        first = project(rel, ["X"], levels)
+        assert project(rel, ["X"], levels) == first
+        assert groupings_formed == {("X", "interval"): 1}
+        # relations derived from rel share its grouping: a select, a project
+        # of the project, a join of two of its projections
+        project(select(rel, [("Y", 3)], LevelMap({"Y": 0.9})), ["X"], levels)
+        project(first, ["X"], levels)
+        join(project(rel, ["KEY", "X"], levels), first, ["X"], levels)
+        assert groupings_formed == {("X", "interval"): 1}
+        # another method or level forms one more
+        project(rel, ["X"], levels, "equalized")
+        project(rel, ["X"], LevelMap({"X": 0.9}))
+        assert groupings_formed == {("X", "interval"): 2, ("X", "equalized"): 1}
+
+    def test_closure_and_threshold_checks_are_built_on_every_call(
+            self, effect_matrix, groupings_formed):
+        rel, spec = keyed_rows(effect_matrix, 30)
+        levels = LevelMap({"E": 0.8})
+        for _ in range(2):
+            project(rel, ["E"], levels)
+        assert spec.calls["compile"] == 2
+        for _ in range(2):
+            project(rel, ["E"], levels, "closure")
+        assert groupings_formed == {("E", "closure"): 2}
+        assert spec.calls["compile"] == 4  # each closure walks a new cut
+
+    def test_groupings_kept_per_column_are_bounded(self, groupings_formed):
+        rel = linear_rows(40)
+        levels = [LevelMap({"X": 0.5 + k / 100}) for k in range(40)]
+        first = [project(rel, ["X"], lv) for lv in levels]
+        kept = algebra._MAX_GROUPINGS
+        assert len(rel._column_domains()[1]._groupings) == kept
+        # the newest are kept; the oldest were dropped and are formed again
+        assert [project(rel, ["X"], lv) for lv in levels[-kept:]] == first[-kept:]
+        assert groupings_formed == {("X", "interval"): 40}
+        assert project(rel, ["X"], levels[0]) == first[0]
+        assert groupings_formed == {("X", "interval"): 41}
+
+    def test_no_domain_is_built_for_a_column_no_check_reaches(self, groupings_formed):
+        rel = linear_rows(40)
+        select(rel, [("X", 5)], LevelMap({"X": 0.8}))
+        assert groupings_formed == {}
+        project(rel, ["X", "Y"], LevelMap({"X": 0.8, "Y": 0.0}))
+        project(rel, ["X"], LevelMap({"X": 0.8}), "threshold")
+        assert groupings_formed == {("X", "interval"): 1}
+        assert [d._values is None for d in rel._column_domains()] == [True, False, True]
 
 
 class TestSelect:
@@ -308,6 +384,26 @@ class TestProject:
     def test_unknown_attribute(self, survey_db):
         with pytest.raises(UnknownAttributeError):
             project(survey_db.relation("SURVEY"), ["Pollutant", "Smell"])
+
+    def test_attribute_named_twice(self, survey_db):
+        with pytest.raises(ValidationError, match="duplicate attribute names"):
+            project(survey_db.relation("SURVEY"), ["Pollutant", "Pollutant"])
+
+    def test_cell_check_places_every_value_of_the_stored_column(self):
+        # a relation built without from_rows holds 500, outside [0, 10]
+        schema = (AttributeSpec("X", Linear(10), "interval"), AttributeSpec("K"))
+        rel = FuzzyRelation(schema, (tup({"X": 1, "K": "a"}), tup({"X": 500, "K": "b"})))
+        kept = select(rel, [("K", "a")])
+        assert kept.tuples == (tup({"X": 1, "K": "a"}),)
+        levels = LevelMap({"X": 0.8})
+        # the interval classes are those of rel's column, which holds 500
+        with pytest.raises(DomainError, match="value 500.0 outside"):
+            project(kept, ["X"], levels)
+        # threshold and closure checks see only the kept values, and so
+        # does a fresh copy, which owns its column
+        assert len(project(kept, ["X"], levels, "threshold")) == 1
+        assert len(project(kept, ["X"], levels, "closure")) == 1
+        assert len(project(FuzzyRelation(kept.schema, kept.tuples), ["X"], levels)) == 1
 
 
 class TestJoin:

@@ -11,6 +11,10 @@ copied below unchanged, with ``project`` and ``join`` rebuilt on them,
 and Hypothesis requires the engine to return the same tuples, classes,
 tokens or query trees in the same order, or to raise the same exception
 with the same message.
+
+A relation an operator derives shares its source's cell classes.  A
+law below requires each operator to treat it exactly as a fresh copy of
+its schema and tuples, which shares nothing.
 """
 
 import itertools
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fuzzyrel import (
     AttributeSpec,
@@ -952,6 +956,90 @@ class TestAgainstOracles:
             conds.append((name, constant))
         levels = LevelMap({n: data.draw(st.sampled_from(LEVELS)) for n in r.names})
         assert_same(select, oracle_select, r, conds, levels)
+
+
+@st.composite
+def derived(draw, r, domains, min_steps=1, max_steps=3):
+    """``r`` put through selects, projects and merges, at levels from 0 to 1
+    and each attribute's default method or a forced one every attribute
+    supports."""
+    for _ in range(draw(st.integers(min_steps, max_steps))):
+        levels = draw(level_maps(r.names))
+        op = draw(st.sampled_from(("select", "project", "merge")))
+        if op == "select":
+            r = select(r, draw(conditions(r.names, domains)), levels)
+            continue
+        mode = draw(st.sampled_from((None, "threshold", "closure")))
+        if op == "project":
+            attrs = draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True))
+            r = project(r, attrs, levels, mode)
+        else:
+            r = merge_relation(r, levels, mode)
+    return r
+
+
+@st.composite
+def conditions(draw, names, domains):
+    return [(name, draw(st.sampled_from(domains[name][0])))
+            for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))]
+
+
+def fresh(r: FuzzyRelation) -> FuzzyRelation:
+    return FuzzyRelation(r.schema, r.tuples)
+
+
+class TestDerivedRelations:
+    """An operator on a derived relation equals it on a fresh copy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_unary_operators(self, data, mode):
+        r, domains, _ = data.draw(relations())
+        d = data.draw(derived(r, domains))
+        levels = data.draw(level_maps(d.names))
+        op = data.draw(st.sampled_from(("select", "project", "merge")))
+        if op == "select":
+            fn, args = select, (data.draw(conditions(d.names, domains)), levels)
+        elif op == "project":
+            attrs = data.draw(st.lists(st.sampled_from(d.names), min_size=1, unique=True))
+            fn, args = project, (attrs, levels, mode)
+        else:
+            fn, args = merge_relation, (levels, mode)
+        assert outcome(fn, d, *args) == outcome(fn, fresh(d), *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_nested_selects_at_low_levels(self, data, mode):
+        # the stored column's neighbourhoods hold values the selected
+        # relation lacks
+        r, domains, _ = data.draw(relations(max_rows=12))
+        d = r
+        for _ in range(data.draw(st.integers(2, 3))):
+            low = LevelMap({n: data.draw(st.sampled_from(LEVELS[:5])) for n in r.names})
+            d = select(d, data.draw(conditions(r.names, domains)), low)
+        conds = data.draw(conditions(r.names, domains))
+        levels = data.draw(level_maps(r.names))
+        assert outcome(select, d, conds, levels) == outcome(select, fresh(d), conds, levels)
+        assert outcome(merge_relation, d, levels, mode) == \
+            outcome(merge_relation, fresh(d), levels, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), mode=modes, one_stored=st.booleans())
+    def test_join_of_two_projections(self, data, mode, one_stored):
+        r, domains, attrs = data.draw(relations(max_rows=6))
+        s = r if one_stored else data.draw(relations(max_rows=6, attrs=attrs))[0]
+        projections = []
+        for stored in (r, s):
+            d = data.draw(derived(stored, domains, 0, 2))
+            attrs = data.draw(st.lists(st.sampled_from(d.names), min_size=1, unique=True))
+            projections.append(project(d, attrs, data.draw(level_maps(d.names))))
+        left, right = projections
+        shared = [n for n in left.names if n in right.names]
+        assume(shared)
+        on = data.draw(st.lists(st.sampled_from(shared), min_size=1, unique=True))
+        levels = data.draw(level_maps(r.names))
+        assert outcome(join, left, right, on, levels, mode) == \
+            outcome(join, fresh(left), fresh(right), on, levels, mode)
 
 
 # --- the cases the generators must not miss --------------------------------

@@ -43,6 +43,8 @@ class TestPartitionLine:
         p = partition_line(100, 0.8)
         assert p.cell_count == 5
         assert p.width == pytest.approx(20.0)
+        # 5 * width is 99.99999999999999; the last cell still closes at 100
+        assert p.intervals[-1] == (4 * p.width, 100.0)
 
     def test_alpha_zero_collapses(self):
         for mode in ("standard", "equalized"):

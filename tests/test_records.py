@@ -78,9 +78,9 @@ RECORDS = {
         {"levels": {"A": 0.5}}, {"levels": {}}, LevelMap({"A": 0.6}), False,
         "LevelMap(levels={'A': 0.5})"),
     _Check: (
-        {"index": 0, "name": "A", "level": 0.5, "cut": None, "classify": len},
-        {"cut": None, "classify": None}, _Check(1, "A", 0.5), False,
-        "_Check(index=0, name='A', level=0.5, cut=None, classify=<built-in function len>)"),
+        {"index": 0, "level": 0.5, "cut": None, "classify": len},
+        {"cut": None, "classify": None}, _Check(1, 0.5), False,
+        "_Check(index=0, level=0.5, cut=None, classify=<built-in function len>)"),
     Partition1D: (
         {"length": 10.0, "alpha": 0.5, "mode": "standard", "width": 5.0,
          "cell_count": 2, "singleton": True}, {"singleton": False}, AXIS, True,
