@@ -360,7 +360,9 @@ _MAX_GROUPINGS = 16
 
 class _Domain:
     """A stored column's values, read on first use, and the cell classes
-    formed over them, once per (method, level) while kept.
+    formed over them, once per (method, level) while kept.  ``redundant``
+    and a join attribute over two stored columns make one-off domains over
+    the values they test.
 
     Relations derived from the column's owner hold a subset of the values.
     Cell classes depend only on the attribute's domain, so two of them
@@ -443,7 +445,7 @@ def _joined_column(left: Sequence[FuzzyTuple], i: int,
 
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
                   values_of: Callable[[int, str], frozenset],
-                  domains: Sequence[_Domain] | None = None) -> list[_Check]:
+                  domains: Sequence[_Domain]) -> list[_Check]:
     """One check per attribute above level 0, at its position in ``schema``.
 
     ``values_of(idx, method)`` is the value set the check of position
@@ -451,10 +453,9 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
     compiles it and a closure check groups it with ``class_grouping``: a
     neighbourhood or a closure class over more values would differ.  A
     cell-method check takes the grouping of ``domains[idx]``, the stored
-    column those values come from, formed there once; without ``domains``
-    it groups ``values_of`` too.  So a value the cell method cannot place
-    raises here when it lies anywhere in that stored column, even in a row
-    the relation being checked no longer holds.
+    column those values come from, formed there once.  So a value the cell
+    method cannot place raises here when it lies anywhere in that stored
+    column, even in a row the relation being checked no longer holds.
     """
     checks = []
     for idx, attr in enumerate(schema):
@@ -466,7 +467,7 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
             cut = attr.proximity.compile(values_of(idx, method))
             checks.append(_Check(idx, level, cut=cut))
             continue
-        if method == "closure" or domains is None:
+        if method == "closure":
             grouping = class_grouping(attr, method, level, values_of(idx, method))
         else:
             grouping = domains[idx].grouping(method, level)
@@ -489,7 +490,8 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
             )
     # closure classes depend on r's content, cells and cuts only on t1, t2
     checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
-        r.tuples if method == "closure" else (t1, t2), idx))
+        r.tuples if method == "closure" else (t1, t2), idx),
+        tuple(_Domain(a, partial(_column, (t1, t2), i)) for i, a in enumerate(r.schema)))
     return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
                for c in checks)
 
@@ -685,8 +687,9 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     domains, right_domains = list(r1._column_domains()), r2._column_domains()
     for i, j in zip(on_left, on_right):
         if domains[i] is not right_domains[j]:
-            domains[i] = _Domain(r1.schema[i],
-                                 partial(_joined_column, r1.tuples, i, r2.tuples, j))
+            # read now: a lazy read would keep both inputs' tuples alive
+            union = _joined_column(r1.tuples, i, r2.tuples, j)
+            domains[i] = _Domain(r1.schema[i], partial(frozenset, union))
     # a check's index is its attribute's position in ``on``
     on_checks = _build_checks(
         tuple(r1.schema[i] for i in on_left), levels, mode,

@@ -1,7 +1,9 @@
 """Tuple interpretations, thresholds, redundancy, merging and the operators."""
 
 import collections
+import gc
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,7 +408,32 @@ class TestProject:
         assert len(project(FuzzyRelation(kept.schema, kept.tuples), ["X"], levels)) == 1
 
 
+def _reachable(root) -> set[int]:
+    """Ids of the objects ``root`` reaches, not through classes or code."""
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for obj in gc.get_referents(todo.pop()):
+            if id(obj) not in seen and not isinstance(
+                    obj, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(obj))
+                todo.append(obj)
+    return seen
+
+
 class TestJoin:
+    def test_output_keeps_no_input_row_alive(self):
+        # a join attribute whose two columns come from two stored columns
+        # reads both at the join: whichever checks ran, its domain holds
+        # their values, not the projected rows
+        schema = (AttributeSpec("X", Linear(10), "interval"), AttributeSpec("K"))
+        stored = [FuzzyRelation.from_rows(schema, rows)
+                  for rows in ([(1, "a"), (2, "b")], [(2, "c"), (9, "d")])]
+        left, right = (project(r, ["X", "K"]) for r in stored)
+        rows = {id(t) for t in left.tuples + right.tuples}
+        for mode, level in (("threshold", 0.8), ("closure", 0.8), (None, 0.0), (None, 0.8)):
+            got = join(left, right, ["X"], LevelMap({"X": level}), mode)
+            assert got.tuples and not rows & _reachable(got)
+
     def test_crisp_key_is_natural_join(self):
         left = FuzzyRelation.from_rows(
             (AttributeSpec("K"), AttributeSpec("L")),

@@ -890,7 +890,8 @@ class TestAgainstOracles:
             min_size=1, max_size=6))
         r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
         check, = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
-                                       lambda idx, _: temporal_domain(r, "X"))
+                                       lambda idx, _: temporal_domain(r, "X"),
+                                       r._column_domains())
         old = _MemoCheck(0, "X", level, spec=attr.proximity)
         for a in comps:
             for b in comps:
