@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import partial
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .partition import (
     Grouping,
+    cell_key,
     classes_over,
     partition_line,
     partition_plane,
@@ -46,10 +46,13 @@ class AttributeSpec(_Record):
 
     The proximity spec owns the domain's cells: an ordinal domain's label
     order lives on its ``ExplicitMatrix``, and ``embedding()`` gives the
-    cells that interval, equalized and grid partitions cut.
+    cells that interval, equalized and grid partitions cut.  A hidden
+    cache, out of ``==``, ``repr`` and pickle, memoises each value's cell
+    per method and level (see ``_cell_keys``).
     """
 
-    __slots__ = _fields = ("name", "proximity", "default_method")
+    _fields = ("name", "proximity", "default_method")
+    __slots__ = _fields + ("_cells",)
 
     def __init__(self, name: str, proximity: ProximitySpec = CrispIdentity(),
                  default_method: str = "threshold"):
@@ -59,7 +62,7 @@ class AttributeSpec(_Record):
             raise ValidationError(
                 f"method must be one of {METHODS}, got {default_method!r}"
             )
-        self._set(name=name, proximity=proximity, default_method=default_method)
+        self._set(name=name, proximity=proximity, default_method=default_method, _cells={})
         # Fail early on impossible method/proximity pairings.
         _resolve_method(self, default_method)
 
@@ -115,17 +118,11 @@ class FuzzyRelation(_Record):
     """An ordered schema plus a duplicate-free sequence of conforming tuples.
 
     Hidden caches, out of ``==``, ``repr`` and pickle, hold each column's
-    value index and compiled cut over this relation's own values, and its
-    ``_Domain``: the stored column its values come from.  A relation built
-    here owns its columns; the operators' outputs share their source's
-    domains.  So in a relation built without ``from_rows``, a value its
-    cell method cannot place raises when a cell check of any relation
-    derived from it reaches the column, even after a select dropped its
-    row, as a ``select`` compiles every value of a column it reaches.
+    value index and compiled cut over this relation's own values.
     """
 
     _fields = ("schema", "tuples")
-    __slots__ = _fields + ("_indexes", "_cuts", "_domains")
+    __slots__ = _fields + ("_indexes", "_cuts")
 
     def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
         schema = tuple(schema)
@@ -139,15 +136,14 @@ class FuzzyRelation(_Record):
                     f"tuple attributes {t.names} do not match schema {names}"
                 )
             seen.setdefault(t)
-        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={}, _domains=None)
+        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={})
 
     @classmethod
-    def _derived(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
-                 domains: tuple["_Domain", ...]) -> "FuzzyRelation":
-        """An operator's output: distinct tuples named as ``schema``, whose
-        column values lie in ``domains``."""
+    def _derived(cls, schema: tuple[AttributeSpec, ...],
+                 tuples: tuple[FuzzyTuple, ...]) -> "FuzzyRelation":
+        """An operator's output: distinct tuples named as ``schema``."""
         r = object.__new__(cls)
-        r._set(schema=schema, tuples=tuples, _indexes={}, _cuts={}, _domains=domains)
+        r._set(schema=schema, tuples=tuples, _indexes={}, _cuts={})
         return r
 
     @classmethod
@@ -219,17 +215,6 @@ class FuzzyRelation(_Record):
         if cut is None:
             cut = cuts[idx] = self.schema[idx].proximity.compile(self._column_index(idx))
         return cut
-
-    def _column_domains(self) -> tuple["_Domain", ...]:
-        """Each column's domain; a relation that owns its columns makes
-        them on first use, and a derived one has its source's."""
-        domains = self._domains
-        if domains is None:
-            tuples = self.tuples
-            domains = tuple(_Domain(attr, partial(_column, tuples, idx))
-                            for idx, attr in enumerate(self.schema))
-            self._set(_domains=domains)
-        return domains
 
     __hash__ = None
 
@@ -321,8 +306,8 @@ def _resolve_method(attr: AttributeSpec, requested: str) -> str:
     """Map a requested merge method to one the attribute supports.
 
     A ``threshold_only`` spec (crisp) keeps the threshold check under
-    every method: it has no cells, and its closure classes, its single
-    values, would cost a degree evaluation per pair of values.
+    every method: it has no cells, and above level 0 its closure classes
+    are its single values, which the threshold check already decides.
     """
     if requested not in METHODS:
         raise ValidationError(f"unknown method {requested!r}")
@@ -331,61 +316,61 @@ def _resolve_method(attr: AttributeSpec, requested: str) -> str:
     return class_method(attr, requested)
 
 
+def _partitioner(attr: AttributeSpec, method: str, level: float):
+    """(partitioner, resolve) of the cells a cell method cuts at ``level``."""
+    dims, length, resolve = attr.proximity.embedding()
+    if dims == 2:
+        return partition_plane(length, level), resolve
+    mode = "equalized" if method == "equalized" else "standard"
+    return partition_line(length, level, mode), resolve
+
+
 def class_grouping(attr: AttributeSpec, method: str, level: float,
                    values) -> Grouping:
     """Equivalence classes of a finite value set of one attribute.
 
-    The one place classes are formed, for the CLI and for the class
-    checks of merges and joins, so two values share a class here exactly
-    when their singleton tuples would merge at ``level``.  Closure classes
-    come from ``values``; interval, equalized and grid classes from the
-    cells of the attribute's domain (``method`` mapped by ``class_method``),
-    numbered in cell order.  Raises ValidationError when the attribute
-    supports no such classes.
+    The one place classes are formed, for the CLI and for the closure
+    checks of merges and joins; cell checks key values by the same
+    ``cell_key``.  So two values share a class here exactly when their
+    singleton tuples would merge at ``level``.  Closure classes come from
+    ``values``; interval, equalized and grid classes from the cells of the
+    attribute's domain (``method`` mapped by ``class_method``), numbered in
+    cell order.  Raises ValidationError when the attribute supports no such
+    classes.
     """
     method = class_method(attr, method)
     if method == "closure":
         return closure_classes(values, attr.proximity, level)
-    dims, length, resolve = attr.proximity.embedding()
-    if dims == 2:
-        return classes_over(values, partition_plane(length, level), resolve)
-    mode = "equalized" if method == "equalized" else "standard"
-    return classes_over(values, partition_line(length, level, mode), resolve)
+    return classes_over(values, *_partitioner(attr, method, level))
 
 
-# Groupings a domain keeps, the oldest dropped first: a stored relation
-# lives as long as its database, and levels are free floats.
-_MAX_GROUPINGS = 16
+# (method, level) memos an attribute keeps, the oldest dropped first:
+# levels are free floats.
+_MAX_CELL_MEMOS = 16
 
 
-class _Domain:
-    """A stored column's values, read on first use, and the cell classes
-    formed over them, once per (method, level) while kept.  ``redundant``
-    and a join attribute over two stored columns make one-off domains over
-    the values they test.
+class _CellMemo(dict):
+    """Each value's cell key under one method and level, found on first lookup."""
 
-    Relations derived from the column's owner hold a subset of the values.
-    Cell classes depend only on the attribute's domain, so two of them
-    share a class here exactly when they do in a grouping of the subset.
-    Closure classes depend on the values present and are never asked here.
-    """
+    __slots__ = ("compute",)
 
-    __slots__ = ("attr", "_read", "_values", "_groupings")
+    def __missing__(self, value):
+        cell = self[value] = self.compute(value)
+        return cell
 
-    def __init__(self, attr: AttributeSpec, read: Callable[[], frozenset]):
-        self.attr, self._read, self._values, self._groupings = attr, read, None, {}
 
-    def grouping(self, method: str, level: float) -> Grouping:
-        groupings = self._groupings
-        grouping = groupings.get((method, level))
-        if grouping is None:
-            if self._read is not None:
-                self._values, self._read = self._read(), None
-            grouping = class_grouping(self.attr, method, level, self._values)
-            if len(groupings) == _MAX_GROUPINGS:
-                del groupings[next(iter(groupings))]
-            groupings[method, level] = grouping
-        return grouping
+def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[Value], object]:
+    """``cell_key`` of the cells ``method`` cuts at ``level``, memoised on
+    ``attr``: a value's cell depends only on the attribute's domain."""
+    memos = attr._cells
+    memo = memos.get((method, level))
+    if memo is None:
+        memo = _CellMemo()
+        memo.compute = cell_key(*_partitioner(attr, method, level))
+        if len(memos) == _MAX_CELL_MEMOS:
+            del memos[next(iter(memos))]
+        memos[method, level] = memo
+    return memo.__getitem__
 
 
 _MIXED = object()  # class key of a component that spans two classes
@@ -394,9 +379,10 @@ _MIXED = object()  # class key of a component that spans two classes
 class _Check(_Record):
     """Redundancy test for one attribute position, built for one call.
 
-    A class test keys values by the ``class_index`` of a ``class_grouping``
-    that holds every value the call will test.  A threshold test holds
-    those values compiled by the attribute's spec, and caches each value's
+    A cell test keys values by their cell (see ``_cell_keys``), a closure
+    test by the ``class_index`` of a ``class_grouping`` that holds every
+    value the call will test.  A threshold test holds those values
+    compiled by the attribute's spec, and caches each value's
     neighbourhood: the values within the level of it.  A component is
     mutually close exactly when it lies inside the intersection of its
     members' neighbourhoods.  Values are keyed by Python equality.
@@ -412,6 +398,9 @@ class _Check(_Record):
 
     def class_key(self, values: frozenset):
         """The one class key all ``values`` share, or ``_MIXED``."""
+        if len(values) == 1:
+            value, = values
+            return self.classify(value)
         keys = set(map(self.classify, values))
         return keys.pop() if len(keys) == 1 else _MIXED
 
@@ -438,24 +427,15 @@ def _column(tuples: Iterable[FuzzyTuple], idx: int) -> frozenset:
     return frozenset().union(*(t.components[idx] for t in tuples))
 
 
-def _joined_column(left: Sequence[FuzzyTuple], i: int,
-                   right: Sequence[FuzzyTuple], j: int) -> frozenset:
-    return _column(left, i) | _column(right, j)
-
-
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
-                  values_of: Callable[[int, str], frozenset],
-                  domains: Sequence[_Domain]) -> list[_Check]:
+                  values_of: Callable[[int, str], frozenset]) -> list[_Check]:
     """One check per attribute above level 0, at its position in ``schema``.
 
     ``values_of(idx, method)`` is the value set the check of position
     ``idx`` will see, given its resolved method.  A threshold check
     compiles it and a closure check groups it with ``class_grouping``: a
     neighbourhood or a closure class over more values would differ.  A
-    cell-method check takes the grouping of ``domains[idx]``, the stored
-    column those values come from, formed there once.  So a value the cell
-    method cannot place raises here when it lies anywhere in that stored
-    column, even in a row the relation being checked no longer holds.
+    cell check needs no values: it keys each value it tests by its cell.
     """
     checks = []
     for idx, attr in enumerate(schema):
@@ -466,12 +446,11 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
         if method == "threshold":
             cut = attr.proximity.compile(values_of(idx, method))
             checks.append(_Check(idx, level, cut=cut))
-            continue
-        if method == "closure":
+        elif method == "closure":
             grouping = class_grouping(attr, method, level, values_of(idx, method))
+            checks.append(_Check(idx, level, classify=grouping.class_index))
         else:
-            grouping = domains[idx].grouping(method, level)
-        checks.append(_Check(idx, level, classify=grouping.class_index))
+            checks.append(_Check(idx, level, classify=_cell_keys(attr, method, level)))
     return checks
 
 
@@ -488,10 +467,9 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
             raise SchemaMismatchError(
                 f"tuple attributes {t.names} do not match schema {r.names}"
             )
-    # closure classes depend on r's content, cells and cuts only on t1, t2
+    # closure classes depend on r's content, cuts only on t1, t2
     checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
-        r.tuples if method == "closure" else (t1, t2), idx),
-        tuple(_Domain(a, partial(_column, (t1, t2), i)) for i, a in enumerate(r.schema)))
+        r.tuples if method == "closure" else (t1, t2), idx))
     return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
                for c in checks)
 
@@ -521,23 +499,18 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     growing one is absorbed when the scan reaches it.
 
     Threshold and closure checks are built over r's own column values
-    (see ``_Check``), and each value's neighbourhood is found once; cell
-    class keys come from the grouping of the column's domain, the stored
-    column r's values come from, formed once for every relation derived
-    from it (see ``_build_checks``).  The growing tuple carries the
+    and cell checks key each value by its cell (see ``_Check``); each
+    value's neighbourhood is found once.  The growing tuple carries the
     intersection of its members' neighbourhoods, so a later tuple whose
     own components are mutually close is redundant with it exactly when
     each of those components lies inside that intersection: one subset
     test per attribute.  Keys are by Python equality, exact for every
-    value a spec accepts.  Building the checks tests every value of a
-    checked column, and a cell check every value of its stored column, so
-    a value its spec rejects raises here, even one whose row a select
-    dropped before this merge.
+    value a spec accepts.  Building the checks, or keying the tuples,
+    tests every value of a checked column, so a value its spec rejects
+    raises here.
     """
     levels = levels or LevelMap()
-    domains = r._column_domains()
-    checks = _build_checks(r.schema, levels, mode,
-                           lambda idx, _: _column(r.tuples, idx), domains)
+    checks = _build_checks(r.schema, levels, mode, lambda idx, _: _column(r.tuples, idx))
     class_checks = [c for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
     survivors: dict[int, FuzzyTuple] = {}
@@ -551,8 +524,7 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     for members in buckets.values():
         survivors.update(_absorb(r.tuples, members, threshold_checks))
     # distinct: of two equal survivors, the first would have absorbed the other
-    return FuzzyRelation._derived(
-        r.schema, tuple(survivors[p] for p in sorted(survivors)), domains)
+    return FuzzyRelation._derived(r.schema, tuple(survivors[p] for p in sorted(survivors)))
 
 
 def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
@@ -618,8 +590,7 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
             index = r._column_index(idx)
             kept = sorted({pos for v in passing for pos in index[v]})
         kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
-    return FuzzyRelation._derived(
-        r.schema, tuple(tuples[pos] for pos in kept), r._column_domains())
+    return FuzzyRelation._derived(r.schema, tuple(tuples[pos] for pos in kept))
 
 
 def project(r: FuzzyRelation, attrs: Sequence[str],
@@ -632,9 +603,7 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
         raise ValidationError(f"duplicate attribute names in schema: {names}")
     make = FuzzyTuple._trusted
     rows = {make(names, tuple(t.components[i] for i in indices)): None for t in r.tuples}
-    domains = r._column_domains()
-    projected = FuzzyRelation._derived(schema, tuple(rows), tuple(domains[i] for i in indices))
-    return merge_relation(projected, levels, mode)
+    return merge_relation(FuzzyRelation._derived(schema, tuple(rows)), levels, mode)
 
 
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
@@ -662,10 +631,8 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     level.  The output carries the union on join attributes, the left
     tuple's other components, and the right tuple's other components
     under a ``_2`` suffix where names collide.  Each join attribute's
-    check holds the values of both columns; one named twice raises
-    ValidationError.  A join attribute whose two columns come from one
-    stored column keeps its domain; otherwise its cell classes are formed
-    over the union of both columns' values.
+    threshold or closure check holds the values of both columns; one
+    named twice raises ValidationError.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -684,21 +651,13 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
 
     on_left = [r1.attribute_index(a) for a in on]
     on_right = [r2.attribute_index(a) for a in on]
-    domains, right_domains = list(r1._column_domains()), r2._column_domains()
-    for i, j in zip(on_left, on_right):
-        if domains[i] is not right_domains[j]:
-            # read now: a lazy read would keep both inputs' tuples alive
-            union = _joined_column(r1.tuples, i, r2.tuples, j)
-            domains[i] = _Domain(r1.schema[i], partial(frozenset, union))
     # a check's index is its attribute's position in ``on``
     on_checks = _build_checks(
         tuple(r1.schema[i] for i in on_left), levels, mode,
-        lambda k, _: _joined_column(r1.tuples, on_left[k], r2.tuples, on_right[k]),
-        [domains[i] for i in on_left])
+        lambda k, _: _column(r1.tuples, on_left[k]) | _column(r2.tuples, on_right[k]))
     schema, right_extra = _joined_schema(r1, r2, on)
     names = tuple(a.name for a in schema)
     right_rest = [r2.attribute_index(original) for original, _ in right_extra]
-    domains.extend(right_domains[j] for j in right_rest)
 
     out_rows = []
     for t1 in r1.tuples:
@@ -713,5 +672,5 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
                 comps[i] = union
             comps.extend(right[i] for i in right_rest)
             out_rows.append(FuzzyTuple._trusted(names, tuple(comps)))
-    joined = FuzzyRelation._derived(schema, tuple(dict.fromkeys(out_rows)), tuple(domains))
+    joined = FuzzyRelation._derived(schema, tuple(dict.fromkeys(out_rows)))
     return merge_relation(joined, levels, mode)

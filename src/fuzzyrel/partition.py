@@ -213,21 +213,31 @@ def _make_resolver(resolve: Resolver):
     return lookup
 
 
+def cell_key(partitioner: Partitioner, resolve: Resolver = None) -> Callable[[Value], object]:
+    """Function mapping a value to the key of the cell it falls in: its
+    ``class_of`` index on a line, ``cell_of``'s ``(column, row)`` on a grid.
+    ``resolve`` is as in ``classes_over``.  The singleton partition has no
+    cells, so it keys every value by itself, unresolved."""
+    if partitioner.singleton:
+        return lambda v: v
+    resolver = _make_resolver(resolve)
+    cell = cell_of if isinstance(partitioner, Partition2D) else class_of
+    return lambda v: cell(resolver(v), partitioner)
+
+
 def classes_over(values, partitioner: Partitioner, resolve: Resolver = None) -> Grouping:
-    """Group a finite value set by the cell each value falls in.
+    """Group a finite value set by the cell ``cell_key`` gives each value.
 
     ``resolve`` maps raw values to reals (1D) or points (2D); labels of an
     ordinal domain resolve to their rank, city names to their coordinates.
-    Only non-empty classes are returned, numbered from 1 in cell order:
-    by ``class_of`` index on a line, by ``cell_of``'s ``(column, row)`` on
-    a grid.  The singleton partition (alpha = 1) has no cells, so each
-    value, unresolved, forms its own class, ordered by ``value_sort_key``.
+    Only non-empty classes are returned, numbered from 1 in cell order.
+    The singleton partition (alpha = 1) has no cells, so each value,
+    unresolved, forms its own class, ordered by ``value_sort_key``.
     """
     if partitioner.singleton:
         return Grouping.from_classes({v} for v in set(values))
-    resolver = _make_resolver(resolve)
-    cell = cell_of if isinstance(partitioner, Partition2D) else class_of
+    key = cell_key(partitioner, resolve)
     buckets: dict = {}
     for v in values:
-        buckets.setdefault(cell(resolver(v), partitioner), set()).add(v)
+        buckets.setdefault(key(v), set()).add(v)
     return Grouping.in_order(buckets[k] for k in sorted(buckets))

@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import pickle
 import types
 
 import pytest
@@ -34,6 +35,7 @@ from fuzzyrel import (
     valid_tuple,
 )
 from fuzzyrel import algebra
+from fuzzyrel.partition import cell_key, partition_line
 
 
 def tup(mapping):
@@ -265,12 +267,35 @@ def groupings_formed(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cells_computed(monkeypatch):
+    """Counts the algebra's cell computations by (partitioner, value)."""
+    calls = collections.Counter()
+
+    def counted(partitioner, resolve=None):
+        key = cell_key(partitioner, resolve)
+
+        def counting(v):
+            calls[partitioner, v] += 1
+            return key(v)
+        return counting
+
+    monkeypatch.setattr(algebra, "cell_key", counted)
+    return calls
+
+
+def cells(alpha, values, mode="standard"):
+    """Each value's cell on [0, 10] at ``alpha``, computed once."""
+    return {(partition_line(10, alpha, mode), v): 1 for v in values}
+
+
 class TestEvaluationCounts:
     """No degree is evaluated: select and merge look up alpha-cut neighbourhoods.
 
-    Cell classes are formed once per stored column, method and level, for
-    every relation derived from it; closure classes and threshold cuts are
-    formed per call, over the values the call sees.
+    A value's cell is computed once per attribute spec, method and level,
+    for every relation with that spec; closure classes and threshold cuts
+    are formed per call, over the values the call sees.  Each test builds
+    its own specs, so no other test's memo changes a count.
     """
 
     def test_select_one_lookup_per_condition(self, effect_matrix):
@@ -301,22 +326,36 @@ class TestEvaluationCounts:
         assert repr(rel) == before
         assert rel == FuzzyRelation(rel.schema, rel.tuples)
 
-    def test_cell_classes_are_formed_once_per_stored_column(self, groupings_formed):
+    def test_cells_are_computed_once_per_spec_method_and_level(self, cells_computed):
         rel = linear_rows(40)
         levels = LevelMap({"X": 0.8})
         first = project(rel, ["X"], levels)
         assert project(rel, ["X"], levels) == first
-        assert groupings_formed == {("X", "interval"): 1}
-        # relations derived from rel share its grouping: a select, a project
+        assert cells_computed == cells(0.8, range(11))
+        # every relation over X's spec keys by its memo: a select, a project
         # of the project, a join of two of its projections
         project(select(rel, [("Y", 3)], LevelMap({"Y": 0.9})), ["X"], levels)
         project(first, ["X"], levels)
         join(project(rel, ["KEY", "X"], levels), first, ["X"], levels)
-        assert groupings_formed == {("X", "interval"): 1}
-        # another method or level forms one more
+        assert cells_computed == cells(0.8, range(11))
+        # another method or level computes each cell once more
         project(rel, ["X"], levels, "equalized")
         project(rel, ["X"], LevelMap({"X": 0.9}))
-        assert groupings_formed == {("X", "interval"): 2, ("X", "equalized"): 1}
+        assert cells_computed == (cells(0.8, range(11)) | cells(0.9, range(11))
+                                  | cells(0.8, range(11), "equalized"))
+
+    def test_two_stored_relations_with_one_spec_compute_each_cell_once(self, cells_computed):
+        x = AttributeSpec("X", Linear(10), "interval")
+        left = FuzzyRelation.from_rows((AttributeSpec("K"), x),
+                                       [(k, k % 11) for k in range(30)])
+        right = FuzzyRelation.from_rows((AttributeSpec("L"), x),
+                                        [(k, k % 7 + 4) for k in range(30)])
+        levels = LevelMap({"X": 0.8, "K": 0.0, "L": 0.0})
+        assert len(join(left, right, ["X"], levels)) > 0
+        assert cells_computed == cells(0.8, range(11))
+        project(left, ["X"], levels)
+        project(right, ["X"], levels)
+        assert cells_computed == cells(0.8, range(11))
 
     def test_closure_and_threshold_checks_are_built_on_every_call(
             self, effect_matrix, groupings_formed):
@@ -330,26 +369,36 @@ class TestEvaluationCounts:
         assert groupings_formed == {("E", "closure"): 2}
         assert spec.calls["compile"] == 4  # each closure walks a new cut
 
-    def test_groupings_kept_per_column_are_bounded(self, groupings_formed):
+    def test_cell_memos_kept_per_spec_are_bounded(self, cells_computed):
         rel = linear_rows(40)
-        levels = [LevelMap({"X": 0.5 + k / 100}) for k in range(40)]
-        first = [project(rel, ["X"], lv) for lv in levels]
-        kept = algebra._MAX_GROUPINGS
-        assert len(rel._column_domains()[1]._groupings) == kept
-        # the newest are kept; the oldest were dropped and are formed again
-        assert [project(rel, ["X"], lv) for lv in levels[-kept:]] == first[-kept:]
-        assert groupings_formed == {("X", "interval"): 40}
-        assert project(rel, ["X"], levels[0]) == first[0]
-        assert groupings_formed == {("X", "interval"): 41}
+        alphas = [0.5 + k / 100 for k in range(40)]
+        first = [project(rel, ["X"], LevelMap({"X": a})) for a in alphas]
+        kept = algebra._MAX_CELL_MEMOS
+        assert list(rel.schema[1]._cells) == [("interval", a) for a in alphas[-kept:]]
+        # the newest are kept; the oldest were dropped and are computed again
+        assert [project(rel, ["X"], LevelMap({"X": a}))
+                for a in alphas[-kept:]] == first[-kept:]
+        assert sum(cells_computed.values()) == 40 * 11
+        assert project(rel, ["X"], LevelMap({"X": alphas[0]})) == first[0]
+        assert sum(cells_computed.values()) == 41 * 11
 
-    def test_no_domain_is_built_for_a_column_no_check_reaches(self, groupings_formed):
+    def test_cell_memos_are_hidden(self):
+        rel = linear_rows(40)
+        project(rel, ["X"], LevelMap({"X": 0.8}))
+        x = rel.schema[1]
+        assert x._cells
+        fresh = AttributeSpec("X", Linear(10), "interval")
+        assert x == fresh and repr(x) == repr(fresh)
+        assert pickle.loads(pickle.dumps(x))._cells == {}
+
+    def test_no_cell_is_computed_for_a_column_no_check_reaches(self, cells_computed):
         rel = linear_rows(40)
         select(rel, [("X", 5)], LevelMap({"X": 0.8}))
-        assert groupings_formed == {}
+        assert cells_computed == {}
         project(rel, ["X", "Y"], LevelMap({"X": 0.8, "Y": 0.0}))
         project(rel, ["X"], LevelMap({"X": 0.8}), "threshold")
-        assert groupings_formed == {("X", "interval"): 1}
-        assert [d._values is None for d in rel._column_domains()] == [True, False, True]
+        assert cells_computed == cells(0.8, range(11))
+        assert [list(a._cells) for a in rel.schema] == [[], [("interval", 0.8)], []]
 
 
 class TestSelect:
@@ -391,21 +440,22 @@ class TestProject:
         with pytest.raises(ValidationError, match="duplicate attribute names"):
             project(survey_db.relation("SURVEY"), ["Pollutant", "Pollutant"])
 
-    def test_cell_check_places_every_value_of_the_stored_column(self):
+    def test_cell_check_places_the_values_of_the_rows_it_keys(self):
         # a relation built without from_rows holds 500, outside [0, 10]
         schema = (AttributeSpec("X", Linear(10), "interval"), AttributeSpec("K"))
         rel = FuzzyRelation(schema, (tup({"X": 1, "K": "a"}), tup({"X": 500, "K": "b"})))
+        levels = LevelMap({"X": 0.8})
         kept = select(rel, [("K", "a")])
         assert kept.tuples == (tup({"X": 1, "K": "a"}),)
-        levels = LevelMap({"X": 0.8})
-        # the interval classes are those of rel's column, which holds 500
-        with pytest.raises(DomainError, match="value 500.0 outside"):
-            project(kept, ["X"], levels)
-        # threshold and closure checks see only the kept values, and so
-        # does a fresh copy, which owns its column
-        assert len(project(kept, ["X"], levels, "threshold")) == 1
-        assert len(project(kept, ["X"], levels, "closure")) == 1
-        assert len(project(FuzzyRelation(kept.schema, kept.tuples), ["X"], levels)) == 1
+        # no check keys the row the select dropped
+        for mode in (None, "threshold", "closure"):
+            assert len(project(kept, ["X"], levels, mode)) == 1
+        # in a kept row, 500 raises when the merge keys it, each time, as it
+        # does in a fresh copy
+        dropped = select(rel, [("K", "b")])
+        for r in (dropped, dropped, FuzzyRelation(dropped.schema, dropped.tuples)):
+            with pytest.raises(DomainError, match="value 500.0 outside"):
+                project(r, ["X"], levels)
 
 
 def _reachable(root) -> set[int]:

@@ -12,9 +12,10 @@ and Hypothesis requires the engine to return the same tuples, classes,
 tokens or query trees in the same order, or to raise the same exception
 with the same message.
 
-A relation an operator derives shares its source's cell classes.  A
-law below requires each operator to treat it exactly as a fresh copy of
-its schema and tuples, which shares nothing.
+Relations over one attribute spec share its memo of each value's cell.
+Laws below require each operator to treat a derived relation exactly as
+a fresh copy of its schema and tuples, and a relation whose specs another
+relation's values warmed exactly as one over fresh specs.
 """
 
 import itertools
@@ -890,8 +891,7 @@ class TestAgainstOracles:
             min_size=1, max_size=6))
         r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
         check, = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
-                                       lambda idx, _: temporal_domain(r, "X"),
-                                       r._column_domains())
+                                       lambda idx, _: temporal_domain(r, "X"))
         old = _MemoCheck(0, "X", level, spec=attr.proximity)
         for a in comps:
             for b in comps:
@@ -1041,6 +1041,47 @@ class TestDerivedRelations:
         levels = data.draw(level_maps(r.names))
         assert outcome(join, left, right, on, levels, mode) == \
             outcome(join, fresh(left), fresh(right), on, levels, mode)
+
+
+def fresh_specs(*relations: FuzzyRelation) -> tuple[FuzzyRelation, ...]:
+    """Each relation over new attribute specs, equal to its own and shared
+    between them, whose cell memos are empty."""
+    specs = {}
+    for r in relations:
+        for a in r.schema:
+            specs.setdefault(id(a), AttributeSpec(a.name, a.proximity, a.default_method))
+    return tuple(FuzzyRelation(tuple(specs[id(a)] for a in r.schema), r.tuples)
+                 for r in relations)
+
+
+class TestWarmCellMemos:
+    """Specs whose cell memos another relation warmed act as fresh ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=modes)
+    def test_operators_on_a_second_relation(self, data, mode):
+        warm, _, attrs = data.draw(relations())
+        r, _, _ = data.draw(relations(max_rows=6, attrs=attrs))
+        levels = data.draw(level_maps(r.names))
+        # warm at the levels and mode asked below, and at others
+        outcome(merge_relation, warm, levels, mode)
+        for _ in range(data.draw(st.integers(0, 2))):
+            outcome(merge_relation, warm, data.draw(level_maps(warm.names)), data.draw(modes))
+        op = data.draw(st.sampled_from(("merge", "project", "join")))
+        if op == "merge":
+            fn, args, operands = merge_relation, (levels, mode), (r,)
+        elif op == "project":
+            names = data.draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True))
+            fn, args, operands = project, (names, levels, mode), (r,)
+        else:
+            right, _, _ = data.draw(relations(max_rows=6, attrs=attrs))
+            on = data.draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True))
+            fn, args, operands = join, (on, levels, mode), (r, right)
+        assert outcome(fn, *operands, *args) == outcome(fn, *fresh_specs(*operands), *args)
+        for attr in r.schema:
+            for (method, level), memo in attr._cells.items():
+                classify = _classifier(attr, method, level, None)
+                assert all(key == classify(value) for value, key in memo.items())
 
 
 # --- the cases the generators must not miss --------------------------------

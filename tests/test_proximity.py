@@ -350,11 +350,11 @@ def test_no_spec_type_test_outside_proximity():
     assert {name: found for name, found in switches.items() if found} == {}
 
 
-CLASS_FORMERS = {"closure_classes": "closure.py", "classes_over": "partition.py"}
+CLASS_FORMERS = {"closure_classes", "classes_over", "cell_key"}
 
 
 def class_former_calls(source: str) -> set:
-    """(enclosing function, callee) of each call that forms classes."""
+    """(enclosing function, callee) of each call that forms classes or cells."""
     found = set()
 
     def visit(node, function):
@@ -373,17 +373,21 @@ def class_former_calls(source: str) -> set:
 def test_class_guard_sees_every_form_of_a_call():
     source = ("x = closure_classes(v)\n"
               "def f():\n    def g():\n        partition.classes_over(v)\n"
-              "    return closure_classes")
-    assert class_former_calls(source) == {(None, "closure_classes"), ("g", "classes_over")}
+              "    return closure_classes, cell_key(p)(v)")
+    assert class_former_calls(source) == {
+        (None, "closure_classes"), ("g", "classes_over"), ("f", "cell_key")}
 
 
 def test_classes_are_formed_only_in_class_grouping():
     calls = {(path.name, function, callee)
              for path in sorted(SRC.glob("*.py"))
-             for function, callee in class_former_calls(path.read_text(encoding="utf-8"))
-             if CLASS_FORMERS[callee] != path.name}
+             for function, callee in class_former_calls(path.read_text(encoding="utf-8"))}
+    # one function keys values by cell: for classes_over, and behind the
+    # memo that cell checks look values up in
     assert calls == {("algebra.py", "class_grouping", "closure_classes"),
-                     ("algebra.py", "class_grouping", "classes_over")}
+                     ("algebra.py", "class_grouping", "classes_over"),
+                     ("algebra.py", "_cell_keys", "cell_key"),
+                     ("partition.py", "classes_over", "cell_key")}
 
 
 def test_algebra_imports_no_spec_kind_but_the_crisp_default():
