@@ -21,7 +21,7 @@ from array import array
 from operator import and_, le
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .closure import closure_classes
+from .closure import _column, closure_classes
 from .errors import (
     DomainError,
     SchemaMismatchError,
@@ -114,6 +114,14 @@ class FuzzyTuple(_Record):
             raise UnknownAttributeError(f"no attribute {name!r} in tuple") from None
 
 
+def _conform(tuples: Iterable[FuzzyTuple], names: tuple[str, ...]) -> None:
+    """Raise SchemaMismatchError unless every tuple is named as ``names``."""
+    for t in tuples:
+        if t.names != names:
+            raise SchemaMismatchError(
+                f"tuple attributes {t.names} do not match schema {names}")
+
+
 class FuzzyRelation(_Record):
     """An ordered schema plus a duplicate-free sequence of conforming tuples.
 
@@ -129,14 +137,9 @@ class FuzzyRelation(_Record):
         names = tuple(a.name for a in schema)
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate attribute names in schema: {names}")
-        seen: dict[FuzzyTuple, None] = {}
-        for t in tuples:
-            if t.names != names:
-                raise SchemaMismatchError(
-                    f"tuple attributes {t.names} do not match schema {names}"
-                )
-            seen.setdefault(t)
-        self._set(schema=schema, tuples=tuple(seen), _indexes={}, _cuts={})
+        tuples = tuple(tuples)
+        _conform(tuples, names)
+        self._set(schema=schema, tuples=tuple(dict.fromkeys(tuples)), _indexes={}, _cuts={})
 
     @classmethod
     def _derived(cls, schema: tuple[AttributeSpec, ...],
@@ -271,15 +274,13 @@ def thres(r: FuzzyRelation, attr: str) -> float:
 
 
 def valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple, levels: LevelMap) -> bool:
-    """True when each component's values are mutually proximate to its level."""
-    specs = {a.name: a.proximity for a in schema}
-    for name, comp in zip(t.names, t.components):
-        level = levels.level(name)
-        if level == 0.0:
-            continue
-        if _min_pairwise(specs[name], comp) < level:
-            return False
-    return True
+    """True when each component's values are mutually proximate to its level.
+
+    A merge's threshold checks decide it; ``t`` must be named as ``schema``.
+    """
+    _conform((t,), tuple(a.name for a in schema))
+    checks = _build_checks(schema, levels, "threshold", lambda idx, _: t.components[idx])
+    return all(c.component_ok(t.components[c.index]) for c in checks)
 
 
 def class_method(attr: AttributeSpec, requested: str) -> str:
@@ -347,6 +348,9 @@ def class_grouping(attr: AttributeSpec, method: str, level: float,
 # (method, level) memos an attribute keeps, the oldest dropped first:
 # levels are free floats.
 _MAX_CELL_MEMOS = 16
+# Values a memo keeps before it starts afresh, since a spec outlives the
+# relations it keyed; the benchmark's query pool keys at most 123.
+_MAX_MEMO_CELLS = 4096
 
 
 class _CellMemo(dict):
@@ -355,6 +359,8 @@ class _CellMemo(dict):
     __slots__ = ("compute",)
 
     def __missing__(self, value):
+        if len(self) >= _MAX_MEMO_CELLS:
+            self.clear()
         cell = self[value] = self.compute(value)
         return cell
 
@@ -423,10 +429,6 @@ class _Check(_Record):
     __hash__ = None
 
 
-def _column(tuples: Iterable[FuzzyTuple], idx: int) -> frozenset:
-    return frozenset().union(*(t.components[idx] for t in tuples))
-
-
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
                   values_of: Callable[[int, str], frozenset]) -> list[_Check]:
     """One check per attribute above level 0, at its position in ``schema``.
@@ -462,11 +464,7 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
     None follows each attribute's configured default.  Closure classes
     are computed from r's current content.
     """
-    for t in (t1, t2):
-        if t.names != r.names:
-            raise SchemaMismatchError(
-                f"tuple attributes {t.names} do not match schema {r.names}"
-            )
+    _conform((t1, t2), r.names)
     # closure classes depend on r's content, cuts only on t1, t2
     checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
         r.tuples if method == "closure" else (t1, t2), idx))
@@ -607,19 +605,25 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
 
 
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
-    out = list(r1.schema)
-    names = {a.name for a in out}
-    right_extra = []
-    for a in r2.schema:
+    """The join's schema and the positions of the right columns it appends.
+
+    A right column keeps its spec, cell memos and all, unless renamed ``X_2``.
+    """
+    schema = list(r1.schema)
+    names = {a.name for a in schema}
+    right_rest = []
+    for j, a in enumerate(r2.schema):
         if a.name in on:
             continue
-        new_name = a.name
-        while new_name in names:
-            new_name += "_2"
-        names.add(new_name)
-        right_extra.append(
-            (a.name, AttributeSpec(new_name, a.proximity, a.default_method)))
-    return tuple(out + [spec for _, spec in right_extra]), right_extra
+        name = a.name
+        while name in names:
+            name += "_2"
+        names.add(name)
+        if name != a.name:
+            a = AttributeSpec(name, a.proximity, a.default_method)
+        schema.append(a)
+        right_rest.append(j)
+    return tuple(schema), right_rest
 
 
 def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
@@ -638,26 +642,24 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     on = tuple(on)
     if not on:
         raise SchemaMismatchError("join needs at least one attribute")
+    on_left, on_right = [], []
     for a in on:
         try:
-            left_spec = r1.attribute(a)
-            right_spec = r2.attribute(a)
+            on_left.append(r1.attribute_index(a))
+            on_right.append(r2.attribute_index(a))
         except UnknownAttributeError as exc:
             raise SchemaMismatchError(str(exc)) from None
-        if left_spec != right_spec:
+        if r1.schema[on_left[-1]] != r2.schema[on_right[-1]]:
             raise SchemaMismatchError(f"join attribute {a!r} differs between schemas")
     if len(set(on)) != len(on):
         raise ValidationError(f"duplicate join attributes: {on}")
 
-    on_left = [r1.attribute_index(a) for a in on]
-    on_right = [r2.attribute_index(a) for a in on]
     # a check's index is its attribute's position in ``on``
     on_checks = _build_checks(
         tuple(r1.schema[i] for i in on_left), levels, mode,
         lambda k, _: _column(r1.tuples, on_left[k]) | _column(r2.tuples, on_right[k]))
-    schema, right_extra = _joined_schema(r1, r2, on)
+    schema, right_rest = _joined_schema(r1, r2, on)
     names = tuple(a.name for a in schema)
-    right_rest = [r2.attribute_index(original) for original, _ in right_extra]
 
     out_rows = []
     for t1 in r1.tuples:

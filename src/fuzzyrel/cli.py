@@ -21,13 +21,14 @@ from .errors import (
     UnknownRelationError,
     ValidationError,
 )
+from .partition import value_sort_key
 from .proximity import relation_properties
 from .query import ParseError
 from .tables import (
     format_grouping,
     format_matrix,
     format_table,
-    grouping_to_csv,
+    groupings_to_csv,
     load_matrix,
     relation_to_csv,
 )
@@ -41,7 +42,7 @@ def cmd_classes(db: Database, attr: str, alpha: float, method: str,
     attribute = db.attribute(attr).spec
     grouping = class_grouping(attribute, method, alpha, db.temporal_domain(attr))
     if emit == "csv":
-        return grouping_to_csv(grouping)
+        return groupings_to_csv([((), grouping)])
     head = (f"attribute {attr}  method {class_method(attribute, method)}  "
             f"alpha {alpha}")
     return head + "\n" + format_grouping(grouping)
@@ -51,19 +52,14 @@ def cmd_compare(db: Database, attr: str, alphas: list[float], emit: str) -> str:
     attribute = db.attribute(attr).spec
     methods = (class_method(attribute, "interval"), "closure")
     domain = db.temporal_domain(attr)
-    runs = [(alpha, method, class_grouping(attribute, method, alpha, domain))
+    runs = [((alpha, method), class_grouping(attribute, method, alpha, domain))
             for alpha in alphas for method in methods]
     if emit == "csv":
-        lines = ["alpha,method,class,members"]
-        for alpha, method, grouping in runs:
-            for i, cls in enumerate(grouping.classes, start=1):
-                members = "|".join(map(str, sorted(cls, key=str)))
-                lines.append(f"{alpha},{method},{i},{members}")
-        return "\n".join(lines) + "\n"
-    labels = [str(v) for v in sorted(domain, key=str)]
+        return groupings_to_csv(runs, ("alpha", "method"))
+    labels = [str(v) for v in sorted(domain, key=value_sort_key)]
     lines = [f"attribute {attr}: proximity matrix",
              format_matrix(labels, attribute.proximity.degree, decimals=3)]
-    for alpha, method, grouping in runs:
+    for (alpha, method), grouping in runs:
         if method == methods[0]:
             lines += ["", f"alpha {alpha}"]
         count = len(grouping.classes)

@@ -20,11 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def temporal_domain(relation: "FuzzyRelation", attr: str) -> frozenset:
     """Values currently present in one column: the union of its component sets."""
-    idx = relation.attribute_index(attr)
-    out: set = set()
-    for t in relation.tuples:
-        out |= t.components[idx]
-    return frozenset(out)
+    return _column(relation.tuples, relation.attribute_index(attr))
+
+
+def _column(tuples, idx: int) -> frozenset:
+    return frozenset().union(*(t.components[idx] for t in tuples))
 
 
 def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:

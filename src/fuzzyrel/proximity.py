@@ -25,7 +25,8 @@ Each kind has the same members:
   bisection, planar ones in a strip of x, matrix ones in the row of x;
   membership is decided by the float expression ``degree`` evaluates, so
   the set is exactly the one a scan of ``degree`` gives.  The compiled
-  form does not depend on the level,
+  form does not depend on the level, and ``near`` is the only place the
+  package decides ``degree >= level``,
 * ``embedding()``     -- the cells that interval, equalized and grid
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
@@ -56,9 +57,9 @@ Point = tuple[float, float]
 
 _SQRT2 = math.sqrt(2.0)
 _INT_RE = re.compile(r"[+-]?\d+")
-# Widens a cut's candidate band or strip past (1 - level) * scale, so the
-# rounding in a degree never leaves a member out; ``degree``'s own float
-# expression then decides each candidate.
+# Widens a cut's candidate band or strip past (1 - level) * scale, so no
+# rounding leaves a member out; ``degree``'s float expression then decides
+# each candidate in ``near``, the one place ``degree >= level`` is decided.
 _REACH_SLACK = 1e-9
 
 

@@ -175,14 +175,14 @@ def format_grouping(g: Grouping) -> str:
     return "\n".join(lines)
 
 
-def grouping_to_csv(g: Grouping) -> str:
+def groupings_to_csv(runs: Sequence[tuple[tuple, Grouping]], keys: Sequence[str] = ()) -> str:
+    """A row per class of each ``(key values, grouping)`` run: keys, number, members."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["class", "members"])
-    for i, cls in enumerate(g.classes, start=1):
-        writer.writerow(
-            [i, SET_SEPARATOR.join(map(str, _sorted_values(cls)))]
-        )
+    writer.writerow([*keys, "class", "members"])
+    for key, g in runs:
+        for i, cls in enumerate(g.classes, start=1):
+            writer.writerow([*key, i, SET_SEPARATOR.join(map(str, _sorted_values(cls)))])
     return out.getvalue()
 
 

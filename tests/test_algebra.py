@@ -4,6 +4,7 @@ import collections
 import gc
 import itertools
 import pickle
+import random
 import types
 
 import pytest
@@ -125,6 +126,11 @@ class TestValidTuple:
         schema = (AttributeSpec("Hair", ExplicitMatrix(hair_matrix)),)
         t = tup({"Hair": {"Blond", "Bleached"}})
         assert valid_tuple(schema, t, LevelMap({"Hair": 0.7}))
+
+    def test_tuple_named_otherwise_is_a_schema_mismatch(self, effect_matrix):
+        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        with pytest.raises(SchemaMismatchError):
+            valid_tuple(schema, tup({"Smell": "Severe"}), LevelMap({"Smell": 0.5}))
 
 
 class TestRedundant:
@@ -382,6 +388,33 @@ class TestEvaluationCounts:
         assert project(rel, ["X"], LevelMap({"X": alphas[0]})) == first[0]
         assert sum(cells_computed.values()) == 41 * 11
 
+    def test_cell_memo_starts_afresh_at_its_bound(self):
+        # fresh values through one spec, as from relation after relation
+        x = AttributeSpec("X", Linear(100), "interval")
+        rng = random.Random(1)
+        bound = algebra._MAX_MEMO_CELLS
+        for _ in range(3):
+            rel = FuzzyRelation.from_rows(
+                (x,), [(rng.uniform(0, 100),) for _ in range(bound // 2 + 1)])
+            merge_relation(rel, LevelMap({"X": 0.9}))
+            memo = x._cells["interval", 0.9]
+            assert 0 < len(memo) <= bound
+        key = cell_key(partition_line(100, 0.9), x.proximity.embedding()[2])
+        assert all(cell == key(v) for v, cell in memo.items())
+
+    def test_repeated_join_computes_no_cell(self, cells_computed):
+        k = AttributeSpec("K")
+        left = FuzzyRelation.from_rows((k, AttributeSpec("X", Linear(10), "interval")),
+                                       [(i, i % 11) for i in range(30)])
+        right = FuzzyRelation.from_rows((k, AttributeSpec("Y", Linear(10), "interval")),
+                                        [(i, i % 7) for i in range(30)])
+        levels = LevelMap({"X": 0.8, "Y": 0.8})
+        first = join(left, right, ["K"], levels)
+        computed = dict(cells_computed)
+        assert computed
+        assert join(left, right, ["K"], levels) == first
+        assert cells_computed == computed
+
     def test_cell_memos_are_hidden(self):
         rel = linear_rows(40)
         project(rel, ["X"], LevelMap({"X": 0.8}))
@@ -472,9 +505,9 @@ def _reachable(root) -> set[int]:
 
 class TestJoin:
     def test_output_keeps_no_input_row_alive(self):
-        # a join attribute whose two columns come from two stored columns
-        # reads both at the join: whichever checks ran, its domain holds
-        # their values, not the projected rows
+        # the join attribute's two columns come from two stored relations:
+        # whichever checks ran, neither a spec's cell memos nor a closure
+        # check's grouping holds the projected rows
         schema = (AttributeSpec("X", Linear(10), "interval"), AttributeSpec("K"))
         stored = [FuzzyRelation.from_rows(schema, rows)
                   for rows in ([(1, "a"), (2, "b")], [(2, "c"), (9, "d")])]
@@ -483,6 +516,16 @@ class TestJoin:
         for mode, level in (("threshold", 0.8), ("closure", 0.8), (None, 0.0), (None, 0.8)):
             got = join(left, right, ["X"], LevelMap({"X": level}), mode)
             assert got.tuples and not rows & _reachable(got)
+
+    def test_right_columns_keep_their_specs_unless_renamed(self):
+        x, y = AttributeSpec("X", Linear(10), "interval"), AttributeSpec("Y", Linear(10))
+        left = FuzzyRelation.from_rows((AttributeSpec("K"), x), [("a", 1)])
+        right = FuzzyRelation.from_rows((AttributeSpec("K"), x, y), [("a", 2, 3)])
+        got = join(left, right, ["K"])
+        assert got.names == ("K", "X", "X_2", "Y")
+        assert got.attribute("X") is x and got.attribute("Y") is y
+        assert got.attribute("X_2") is not x
+        assert got.attribute("X_2") == AttributeSpec("X_2", Linear(10), "interval")
 
     def test_crisp_key_is_natural_join(self):
         left = FuzzyRelation.from_rows(

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line surface."""
 
+import csv
+import io
 import os
 import shutil
 import subprocess
@@ -34,6 +36,25 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(text):
+    return [row for row in csv.reader(io.StringIO(text)) if row]
+
+
+@pytest.fixture
+def odd_db(tmp_path):
+    """Planar labels holding a comma and quotes; numbers whose text order is
+    not their value order."""
+    (tmp_path / "schema.cfg").write_text(
+        "[attribute PLACE]\nkind = planar\nlength = 10\nlocations = places.csv\n\n"
+        "[attribute SIZE]\nkind = numeric\nlength = 100\n\n"
+        "[relation SITES]\nfile = sites.csv\nattributes = PLACE, SIZE\n")
+    (tmp_path / "places.csv").write_text(
+        'label,x,y\n"Bath, Somerset",1,1\n"""Quoted"" Place",1.2,1.1\nWells,9,9\n')
+    (tmp_path / "sites.csv").write_text(
+        'PLACE,SIZE\n"Bath, Somerset",5\n"""Quoted"" Place",9.5\nWells,10\nWells,100\n')
+    return tmp_path
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
@@ -136,6 +157,32 @@ class TestCompare:
         assert code == 0
         assert out.splitlines()[0] == "alpha,method,class,members"
         assert "closure" in out and "grid" in out
+
+    @pytest.mark.parametrize("attr, members", [
+        ("PLACE", ['"Quoted" Place|Bath, Somerset', "Wells"]),
+        ("SIZE", ["5|9.5|10", "100"]),
+    ])
+    def test_csv_rows_are_the_classes_csv_rows(self, capsys, odd_db, attr, members):
+        code, out, _ = run(capsys, "compare", "--db", odd_db, "--attr", attr,
+                           "--alpha", "0.8", "--emit", "csv")
+        assert code == 0
+        rows = csv_rows(out)
+        assert all(len(row) == 4 for row in rows)
+        cell_method = "grid" if attr == "PLACE" else "interval"
+        assert [row[3] for row in rows if row[1] == cell_method] == members
+        for method in (cell_method, "closure"):
+            code, classes, _ = run(capsys, "classes", "--db", odd_db, "--attr", attr,
+                                   "--alpha", "0.8", "--method", method, "--emit", "csv")
+            assert code == 0
+            assert [row[3] for row in rows if row[1] == method] == [
+                row[1] for row in csv_rows(classes)[1:]]
+
+    def test_matrix_labels_in_value_order(self, capsys, odd_db):
+        code, out, _ = run(capsys, "compare", "--db", odd_db, "--attr", "SIZE",
+                           "--alpha", "0.8")
+        assert code == 0
+        assert out.splitlines()[1].split() == ["5", "9.5", "10", "100"]
+        assert "    1: {5, 9.5, 10}" in out
 
 
 class TestQuery:

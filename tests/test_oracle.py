@@ -44,6 +44,7 @@ from fuzzyrel import (
     merge_tuples,
     project,
     select,
+    valid_tuple,
 )
 from fuzzyrel import algebra, query
 from fuzzyrel.algebra import (
@@ -243,11 +244,10 @@ def oracle_join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
         FuzzyRelation(tuple(r1.attribute(a) for a in on), ()),
         levels, mode, domains=domains,
     )
-    schema, right_extra = _joined_schema(r1, r2, on)
+    schema, right_rest = _joined_schema(r1, r2, on)
     names = tuple(a.name for a in schema)
     on_left = {a: r1.attribute_index(a) for a in on}
     on_right = {a: r2.attribute_index(a) for a in on}
-    right_rest = [r2.attribute_index(original) for original, _ in right_extra]
 
     out_rows = []
     for t1 in r1.tuples:
@@ -263,6 +263,19 @@ def oracle_join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
             comps.extend(t2.components[i] for i in right_rest)
             out_rows.append(FuzzyTuple(names, tuple(comps)))
     return oracle_merge_relation(FuzzyRelation(schema, tuple(out_rows)), levels, mode)
+
+
+def oracle_valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple,
+                       levels: LevelMap) -> bool:
+    """True when each component's values are mutually proximate to its level."""
+    specs = {a.name: a.proximity for a in schema}
+    for name, comp in zip(t.names, t.components):
+        level = levels.level(name)
+        if level == 0.0:
+            continue
+        if _min_pairwise(specs[name], comp) < level:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -880,6 +893,14 @@ class TestAgainstOracles:
         on = data.draw(st.lists(st.sampled_from(left.names), min_size=1, unique=True))
         levels = data.draw(level_maps(left.names))
         assert_same(join, oracle_join, left, right, on, levels, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_tuple(self, data):
+        r, _, _ = data.draw(relations())
+        levels = data.draw(level_maps(r.names))
+        for t in r.tuples:
+            assert valid_tuple(r.schema, t, levels) == oracle_valid_tuple(r.schema, t, levels)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
