@@ -577,7 +577,7 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         level = levels.level(attr)
         if level == 0.0:
             continue  # degree >= 0 always holds
-        prepared.append((idx, r.schema[idx].proximity.constant(constant), level))
+        prepared.append((idx, constant, level))
     tuples = r.tuples
     kept = range(len(tuples))
     for idx, constant, level in prepared:
@@ -607,7 +607,8 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
     """The join's schema and the positions of the right columns it appends.
 
-    A right column keeps its spec, cell memos and all, unless renamed ``X_2``.
+    A right column keeps its spec; one renamed ``X_2`` shares its cell
+    memos, since a cell depends only on proximity, method and level.
     """
     schema = list(r1.schema)
     names = {a.name for a in schema}
@@ -620,7 +621,8 @@ def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
             name += "_2"
         names.add(name)
         if name != a.name:
-            a = AttributeSpec(name, a.proximity, a.default_method)
+            a, source = AttributeSpec(name, a.proximity, a.default_method), a
+            a._set(_cells=source._cells)
         schema.append(a)
         right_rest.append(j)
     return tuple(schema), right_rest

@@ -6,7 +6,7 @@ A database lives in one directory with a ``schema.cfg`` in INI form:
     kind = numeric          ; ordinal | numeric | planar | crisp
     length = 100
     method = interval       ; default class-formation method
-    alpha = 0.6             ; optional fixed merge level
+    alpha = 0.6             ; optional fixed merge level in [0, 1]
 
     [attribute CITY]
     kind = planar
@@ -157,7 +157,12 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
             raise ValidationError(f"{where}: {exc}") from None
     method = section.get("method", _DEFAULT_METHOD[kind]).strip()
     alpha = _number(section, "alpha", where) if "alpha" in section else None
-    spec = AttributeSpec(name, proximity, method)
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise FormatError(f"{where}: alpha = {section['alpha']!r} is not in [0, 1]")
+    try:
+        spec = AttributeSpec(name, proximity, method)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return AttributeConfig(spec, alpha)
 
 

@@ -59,18 +59,6 @@ class Partition1D(_Record):
         self._set(length=length, alpha=alpha, mode=mode, width=width,
                   cell_count=cell_count, singleton=singleton)
 
-    @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        """Cell bounds as (lo, hi) pairs; all half-open but the last, which
-        ends at ``length`` even where ``cell_count * width`` falls short."""
-        if self.singleton:
-            return ()
-        last = self.cell_count - 1
-        return tuple(
-            (k * self.width, self.length if k == last else min((k + 1) * self.width, self.length))
-            for k in range(self.cell_count)
-        )
-
 
 def partition_line(length, alpha, mode: str = "standard") -> Partition1D:
     """Partition [0, length] for the given threshold.
@@ -145,9 +133,7 @@ def cell_of(pt: Point, g: Partition2D) -> tuple[int, int]:
 
 def value_sort_key(v: Value):
     """Total order across mixed value types: numbers first, then strings."""
-    if isinstance(v, bool):
-        return (1, str(v), 0.0)
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return (0, "", float(v))
     return (1, str(v), 0.0)
 

@@ -31,8 +31,6 @@ Each kind has the same members:
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
   cells.  A matrix has cells only with an ``order``: its label ranks,
-* ``constant(value)`` -- the value a select constant stands for; a linear
-  domain reads text as a number,
 * ``threshold_only``  -- true for crisp domains only: merges keep their
   threshold check whatever method is asked.
 
@@ -159,16 +157,13 @@ class ProximityMatrix(_Record):
 
 
 class _Kind(_Record):
-    """Defaults of a spec kind: no cells, and select constants as given."""
+    """Defaults of a spec kind: no cells, and not ``threshold_only``."""
 
     __slots__ = ()
     threshold_only = False
 
     def embedding(self):
         return None
-
-    def constant(self, value: Value) -> Value:
-        return value
 
 
 class Linear(_Kind):
@@ -191,15 +186,6 @@ class Linear(_Kind):
 
     def embedding(self):
         return 1, self.length, self._position
-
-    def constant(self, value: Value) -> Value:
-        """Text that spells a number stands for the number."""
-        if not isinstance(value, str):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise UnknownValueError(f"cannot interpret {value!r} as a number") from None
 
     def _position(self, v: Value) -> float:
         if isinstance(v, bool):

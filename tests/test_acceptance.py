@@ -406,7 +406,7 @@ def test_same_interval_class_implies_degree(length, alpha, mode, u, v):
     part = partition_line(length, alpha, mode)
     x = u * length
     j = class_of(x, part)
-    lo, hi = part.intervals[j - 1]
+    lo, hi = (j - 1) * part.width, min(j * part.width, length)
     y = lo + v * (hi - lo)
     if class_of(y, part) == j:
         assert Linear(length).degree(x, y) >= alpha - 1e-9
@@ -422,8 +422,8 @@ def test_same_grid_cell_implies_degree(length, alpha, us):
     grid = partition_plane(length, alpha)
     p = (us[0] * length, us[1] * length)
     cell = cell_of(p, grid)
-    (lo_x, hi_x) = grid.axis.intervals[cell[0] - 1]
-    (lo_y, hi_y) = grid.axis.intervals[cell[1] - 1]
+    width = grid.axis.width
+    (lo_x, hi_x), (lo_y, hi_y) = (((k - 1) * width, min(k * width, length)) for k in cell)
     q = (lo_x + us[2] * (hi_x - lo_x), lo_y + us[3] * (hi_y - lo_y))
     if cell_of(q, grid) == cell:
         assert Planar(length, {}).degree(p, q) >= alpha - 1e-9

@@ -363,6 +363,22 @@ class TestEvaluationCounts:
         project(right, ["X"], levels)
         assert cells_computed == cells(0.8, range(11))
 
+    def test_renamed_join_column_shares_its_source_cells(self, cells_computed):
+        x = AttributeSpec("X", Linear(10), "interval")
+        left = FuzzyRelation.from_rows((AttributeSpec("K"), x),
+                                       [(k % 5, k % 11) for k in range(30)])
+        right = FuzzyRelation.from_rows((AttributeSpec("K"), x),
+                                        [(k % 5, k % 7 + 4) for k in range(30)])
+        levels = LevelMap({"X": 0.8})
+        first = join(left, right, ["K"], levels)
+        assert first.names == ("K", "X", "X_2")
+        assert cells_computed == cells(0.8, range(11))
+        # a repeated join's X_2 keys by X's memo: no cell is computed again
+        cells_computed.clear()
+        for _ in range(2):
+            assert join(left, right, ["K"], levels) == first
+        assert sum(cells_computed.values()) == 0
+
     def test_closure_and_threshold_checks_are_built_on_every_call(
             self, effect_matrix, groupings_formed):
         rel, spec = keyed_rows(effect_matrix, 30)
@@ -452,6 +468,14 @@ class TestSelect:
         rel = survey_db.relation("SURVEY")
         got = select(rel, [("Type", "Expert")], LevelMap({"Type": 0.0}))
         assert len(got) == len(rel)
+
+    def test_linear_text_constant_reads_as_its_number(self):
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(100)),),
+                                      [(v,) for v in (60, 64.4, 70, 90)])
+        levels = LevelMap({"X": 0.95})
+        got = select(rel, [("X", "64.4")], levels)
+        assert got == select(rel, [("X", 64.4)], levels)
+        assert [t.get("X") for t in got.tuples] == [{60}, {64.4}]
 
 
 class TestProject:

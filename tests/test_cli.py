@@ -319,6 +319,15 @@ ERROR_PATHS = {
     "alpha-not-a-number": (
         "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = zero"),
         _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'zero'"]),
+    "alpha-above-one": (
+        "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = 1.5"),
+        _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'1.5'", "[0, 1]"]),
+    "alpha-negative": (
+        "suppliers", _replace("schema.cfg", "alpha = 0", "alpha = -0.1"),
+        _classes("STATUS"), 2, ["schema.cfg", "'SNAME'", "alpha", "'-0.1'", "[0, 1]"]),
+    "method-unknown": (
+        "suppliers", _replace("schema.cfg", "method = interval", "method = bogus"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "method", "'bogus'"]),
     "schema-not-utf8": (
         "suppliers", _not_utf8("schema.cfg"), _classes("STATUS"), 2, ["schema.cfg"]),
     "relation-not-utf8": (

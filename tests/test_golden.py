@@ -103,6 +103,9 @@ CASES.update({
         "compare", "--db", "data/arson", "--attr", "BUILD", "--emit", "csv"),
     "select-linear-not-a-number": _query(
         "suppliers", "select (SUPPLIERS) where STATUS = abc"),
+    "select-linear-numeric-text": _query(
+        "suppliers",
+        'select (SUPPLIERS) where STATUS = "20" with level(STATUS) = 0.9'),
     "select-linear-out-of-range": _query(
         "suppliers", "select (SUPPLIERS) where STATUS = 500"),
     "select-planar-unknown": _query(

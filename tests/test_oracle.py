@@ -200,7 +200,7 @@ def oracle_select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         level = levels.level(attr)
         if level == 0.0:
             continue  # degree >= 0 always holds
-        prepared.append((idx, spec, spec.constant(constant), level))
+        prepared.append((idx, spec, constant, level))
     kept = tuple(
         t for t in r.tuples
         if all(
@@ -1200,3 +1200,17 @@ class TestNamedCases:
         assert len(select(r, conds)) == 0
         with pytest.raises(DomainError):
             select(r, [("Y", "a"), ("X", 500)])
+
+    def test_bad_text_constant_after_an_emptying_condition(self):
+        # a text constant is read when some tuple reaches its condition
+        r = linear_crisp([(1, "a"), (2, "b")])
+        conds = [("Y", "zz"), ("X", "abc")]
+        assert_same(select, oracle_select, r, conds, None)
+        assert len(select(r, conds)) == 0
+        with pytest.raises(UnknownValueError, match="cannot interpret 'abc'"):
+            select(r, [("Y", "a"), ("X", "abc")])
+
+    def test_bad_text_constant_on_an_empty_relation(self):
+        r = linear_crisp([])
+        assert_same(select, oracle_select, r, [("X", "abc")], None)
+        assert len(select(r, [("X", "abc")])) == 0

@@ -11,7 +11,7 @@ from fuzzyrel import (
     partition_line,
     partition_plane,
 )
-from fuzzyrel.partition import _MAX_CELLS
+from fuzzyrel.partition import _EPS, _MAX_CELLS
 
 HAIR = ("Bk", "DB", "A", "R", "LB", "Bd", "Bc")
 HAIR_POS = {label: i for i, label in enumerate(HAIR)}
@@ -37,20 +37,27 @@ class TestPartitionLine:
     def test_standard_uneven_tail(self):
         p = partition_line(100, 0.6)
         assert p.cell_count == 3
-        assert p.intervals == ((0.0, 40.0), (40.0, 80.0), (80.0, 100.0))
+        assert p.width == pytest.approx(40.0)
+        # cells [0, 40), [40, 80) and the short tail [80, 100]
+        xs = (0, 39.99, 40, 79.99, 80, 100)
+        assert [class_of(x, p) for x in xs] == [1, 1, 2, 2, 3, 3]
 
     def test_standard_exact_division(self):
         p = partition_line(100, 0.8)
         assert p.cell_count == 5
         assert p.width == pytest.approx(20.0)
         # 5 * width is 99.99999999999999; the last cell still closes at 100
-        assert p.intervals[-1] == (4 * p.width, 100.0)
+        assert 5 * p.width < 100.0
+        for x in (4 * p.width, 5 * p.width, 100.0):
+            assert class_of(x, p) == 5
+        assert class_of(4 * p.width - 1e-6, p) == 4
 
     def test_alpha_zero_collapses(self):
         for mode in ("standard", "equalized"):
             p = partition_line(7.5, 0.0, mode)
             assert p.cell_count == 1
-            assert p.intervals == ((0.0, 7.5),)
+            assert p.width == 7.5
+            assert class_of(0.0, p) == class_of(7.5, p) == 1
 
     def test_alpha_one_is_singleton(self):
         p = partition_line(10, 1.0)
@@ -69,8 +76,11 @@ class TestPartitionLine:
     def test_equalized_widths_are_equal(self):
         p = partition_line(100, 0.55, "equalized")
         assert p.width == pytest.approx(100 / 3)
-        widths = [hi - lo for lo, hi in p.intervals]
-        assert all(w == pytest.approx(100 / 3) for w in widths)
+        assert p.cell_count * p.width == pytest.approx(100.0)
+        # each cell starts at a multiple of the width
+        for k in range(p.cell_count):
+            assert class_of(k * p.width, p) == k + 1
+            assert class_of((k + 1) * p.width - 1e-6, p) == k + 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -89,8 +99,9 @@ class TestPartitionLine:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 100.0),
            st.sampled_from(["standard", "equalized"]))
     def test_disjoint_cover(self, alpha, x, mode):
-        # every in-range value lands in exactly one cell, and a partition
-        # finer than the cell bound is refused
+        # the cells cover [0, 100], every in-range value lands in the one
+        # whose bounds, multiples of the width, hold it up to the boundary
+        # slack, and a partition finer than the cell bound is refused
         if alpha < 1.0 and 1.0 / (1.0 - alpha) > _MAX_CELLS:
             with pytest.raises(DomainError):
                 partition_line(100.0, alpha, mode)
@@ -98,13 +109,11 @@ class TestPartitionLine:
         p = partition_line(100.0, alpha, mode)
         if p.singleton:
             return
+        assert (p.cell_count - 1) * p.width < 100.0 <= p.cell_count * p.width * (1 + 2 * _EPS)
         j = class_of(x, p)
         assert 1 <= j <= p.cell_count
-        hits = [
-            k for k, (lo, hi) in enumerate(p.intervals, start=1)
-            if (lo <= x < hi) or (k == p.cell_count and lo <= x <= hi)
-        ]
-        assert len(hits) == 1
+        assert (j - 1 - 2 * _EPS) * p.width <= x
+        assert j == p.cell_count or x < j * p.width
 
 
 class TestClassOf:
@@ -137,7 +146,9 @@ class TestPartitionPlane:
     def test_small_square(self):
         g = partition_plane(2, 0.4)
         assert g.cell_count == 4
-        assert g.axis.intervals[0] == (0.0, pytest.approx(1.2))
+        assert g.axis.width == pytest.approx(1.2)
+        assert cell_of((1.19, 0.0), g) == (1, 1)
+        assert cell_of((1.2, 2.0), g) == (2, 2)
 
     def test_cell_of_cities(self):
         g = partition_plane(100, 0.8)
