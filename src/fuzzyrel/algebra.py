@@ -45,14 +45,12 @@ class AttributeSpec(_Record):
     """Binds an attribute name to its proximity and class-formation method.
 
     The proximity spec owns the domain's cells: an ordinal domain's label
-    order lives on its ``ExplicitMatrix``, and ``embedding()`` gives the
-    cells that interval, equalized and grid partitions cut.  A hidden
-    cache, out of ``==``, ``repr`` and pickle, memoises each value's cell
-    per method and level (see ``_cell_keys``).
+    order lives on its ``ExplicitMatrix``, ``embedding()`` gives the cells
+    that interval, equalized and grid partitions cut, and the spec keeps
+    the memo of each value's cell (see ``_cell_keys``).
     """
 
-    _fields = ("name", "proximity", "default_method")
-    __slots__ = _fields + ("_cells",)
+    __slots__ = _fields = ("name", "proximity", "default_method")
 
     def __init__(self, name: str, proximity: ProximitySpec = CrispIdentity(),
                  default_method: str = "threshold"):
@@ -62,7 +60,7 @@ class AttributeSpec(_Record):
             raise ValidationError(
                 f"method must be one of {METHODS}, got {default_method!r}"
             )
-        self._set(name=name, proximity=proximity, default_method=default_method, _cells={})
+        self._set(name=name, proximity=proximity, default_method=default_method)
         # Fail early on impossible method/proximity pairings.
         _resolve_method(self, default_method)
 
@@ -125,12 +123,13 @@ def _conform(tuples: Iterable[FuzzyTuple], names: tuple[str, ...]) -> None:
 class FuzzyRelation(_Record):
     """An ordered schema plus a duplicate-free sequence of conforming tuples.
 
-    Hidden caches, out of ``==``, ``repr`` and pickle, hold each column's
-    value index and compiled cut over this relation's own values.
+    A hidden cache, out of ``==``, ``repr`` and pickle, holds each
+    column's value index and compiled cut over this relation's own values
+    (see ``_column_cut``), which ``select`` reads.
     """
 
     _fields = ("schema", "tuples")
-    __slots__ = _fields + ("_indexes", "_cuts")
+    __slots__ = _fields + ("_columns",)
 
     def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
         schema = tuple(schema)
@@ -139,14 +138,14 @@ class FuzzyRelation(_Record):
             raise ValidationError(f"duplicate attribute names in schema: {names}")
         tuples = tuple(tuples)
         _conform(tuples, names)
-        self._set(schema=schema, tuples=tuple(dict.fromkeys(tuples)), _indexes={}, _cuts={})
+        self._set(schema=schema, tuples=tuple(dict.fromkeys(tuples)), _columns={})
 
     @classmethod
     def _derived(cls, schema: tuple[AttributeSpec, ...],
                  tuples: tuple[FuzzyTuple, ...]) -> "FuzzyRelation":
         """An operator's output: distinct tuples named as ``schema``."""
         r = object.__new__(cls)
-        r._set(schema=schema, tuples=tuples, _indexes={}, _cuts={})
+        r._set(schema=schema, tuples=tuples, _columns={})
         return r
 
     @classmethod
@@ -161,9 +160,7 @@ class FuzzyRelation(_Record):
         names = tuple(a.name for a in specs)
         tuples = []
         for row in rows:
-            if isinstance(row, FuzzyTuple):
-                tuples.append(row)
-            elif isinstance(row, Mapping):
+            if isinstance(row, Mapping):
                 tuples.append(FuzzyTuple.of({n: row[n] for n in names}))
             else:
                 tuples.append(FuzzyTuple.of(dict(zip(names, row))))
@@ -190,34 +187,21 @@ class FuzzyRelation(_Record):
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def _column_index(self, idx: int) -> dict:
-        """Map from each value of column ``idx`` to the positions holding it.
-
-        Built on first use and kept: the tuples never change.  Positions
-        ascend, in machine-word arrays, and values are keyed by Python
-        equality.
+    def _column_cut(self, idx: int) -> tuple[dict, object]:
+        """(index, cut) of column ``idx``, built on first use and kept: the
+        tuples never change.  ``index`` maps each value, by Python equality,
+        to its ascending positions in a machine-word array; ``cut`` is those
+        values compiled by the column's spec, whatever the levels asked.
         """
-        indexes = self._indexes
-        index = indexes.get(idx)
-        if index is None:
+        columns = self._columns
+        column = columns.get(idx)
+        if column is None:
             index = {}
             for pos, t in enumerate(self.tuples):
                 for v in t.components[idx]:
                     index.setdefault(v, array("l")).append(pos)
-            indexes[idx] = index
-        return index
-
-    def _cut(self, idx: int):
-        """Column ``idx``'s values compiled by its spec for alpha cuts.
-
-        Built on first use and kept, like ``_column_index``; one per
-        column, whatever the levels asked of it.
-        """
-        cuts = self._cuts
-        cut = cuts.get(idx)
-        if cut is None:
-            cut = cuts[idx] = self.schema[idx].proximity.compile(self._column_index(idx))
-        return cut
+            column = columns[idx] = index, self.schema[idx].proximity.compile(index)
+        return column
 
     __hash__ = None
 
@@ -345,7 +329,7 @@ def class_grouping(attr: AttributeSpec, method: str, level: float,
     return classes_over(values, *_partitioner(attr, method, level))
 
 
-# (method, level) memos an attribute keeps, the oldest dropped first:
+# (method, level) memos a proximity spec keeps, the oldest dropped first:
 # levels are free floats.
 _MAX_CELL_MEMOS = 16
 # Values a memo keeps before it starts afresh, since a spec outlives the
@@ -367,8 +351,9 @@ class _CellMemo(dict):
 
 def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[Value], object]:
     """``cell_key`` of the cells ``method`` cuts at ``level``, memoised on
-    ``attr``: a value's cell depends only on the attribute's domain."""
-    memos = attr._cells
+    ``attr.proximity``: a value's cell depends only on the attribute's
+    domain, so every attribute over one proximity spec shares the memo."""
+    memos = attr.proximity._cells
     memo = memos.get((method, level))
     if memo is None:
         memo = _CellMemo()
@@ -560,8 +545,9 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
 
     Each condition is one lookup, ``near(constant, level)``, on the
     column's values compiled by its spec, which the relation builds on
-    first use and keeps beside its value-to-positions index.  The first
-    condition finds its candidate tuples through that index; a tuple
+    first use and keeps with its value-to-positions index
+    (``FuzzyRelation._column_cut``).  The first condition finds its
+    candidate tuples through that index; a tuple
     passes when its component is a subset of the neighbourhood.  Once no
     tuple is kept, later conditions are not evaluated, so a constant no
     value can be compared with raises only when some tuple reaches its
@@ -583,9 +569,9 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     for idx, constant, level in prepared:
         if not kept:
             break
-        passing = r._cut(idx).near(constant, level)
+        index, cut = r._column_cut(idx)
+        passing = cut.near(constant, level)
         if len(kept) == len(tuples):
-            index = r._column_index(idx)
             kept = sorted({pos for v in passing for pos in index[v]})
         kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
     return FuzzyRelation._derived(r.schema, tuple(tuples[pos] for pos in kept))
@@ -607,8 +593,8 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
     """The join's schema and the positions of the right columns it appends.
 
-    A right column keeps its spec; one renamed ``X_2`` shares its cell
-    memos, since a cell depends only on proximity, method and level.
+    A right column keeps its spec; one renamed ``X_2`` gets a new spec
+    over the same proximity spec, and so shares its cell memos.
     """
     schema = list(r1.schema)
     names = {a.name for a in schema}
@@ -621,8 +607,7 @@ def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
             name += "_2"
         names.add(name)
         if name != a.name:
-            a, source = AttributeSpec(name, a.proximity, a.default_method), a
-            a._set(_cells=source._cells)
+            a = AttributeSpec(name, a.proximity, a.default_method)
         schema.append(a)
         right_rest.append(j)
     return tuple(schema), right_rest

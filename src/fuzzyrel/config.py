@@ -31,7 +31,8 @@ from typing import Mapping
 
 from .algebra import AttributeSpec, FuzzyRelation, LevelMap
 from .closure import temporal_domain
-from .errors import FormatError, UnknownAttributeError, UnknownRelationError, ValidationError
+from .errors import (DomainError, FormatError, UnknownAttributeError, UnknownRelationError,
+                     ValidationError)
 from .proximity import (CrispIdentity, ExplicitMatrix, Linear, Planar, _Record,
                         build_ordinal_matrix)
 from .tables import load_locations, load_matrix, load_relation
@@ -147,13 +148,12 @@ def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> Attri
         if "labels" not in section:
             raise FormatError(f"{where}: ordinal kind needs labels")
         labels = _split_list(section["labels"])
-        if "matrix" in section:
-            matrix = load_matrix(base / section["matrix"])
-        else:
-            matrix = build_ordinal_matrix(labels)
+        matrix = load_matrix(base / section["matrix"]) if "matrix" in section else None
         try:
+            if matrix is None:
+                matrix = build_ordinal_matrix(labels)
             proximity = ExplicitMatrix(matrix, labels)
-        except ValidationError as exc:
+        except (DomainError, ValidationError) as exc:
             raise ValidationError(f"{where}: {exc}") from None
     method = section.get("method", _DEFAULT_METHOD[kind]).strip()
     alpha = _number(section, "alpha", where) if "alpha" in section else None
@@ -190,8 +190,7 @@ def load_database(path) -> Database:
             body = parser[section]
             if "file" not in body or "attributes" not in body:
                 raise FormatError(
-                    f"relation {name!r}: needs file and attributes keys"
-                )
+                    f"{cfg_path}: relation {name!r}: needs file and attributes keys")
             pending_relations.append((name, body["file"], _split_list(body["attributes"])))
         else:
             raise FormatError(f"{cfg_path}: unknown section {section!r}")
@@ -201,9 +200,8 @@ def load_database(path) -> Database:
         schema = []
         for attr in attr_names:
             if attr not in attributes:
-                raise FormatError(
-                    f"relation {name!r} references unconfigured attribute {attr!r}"
-                )
+                raise FormatError(f"{cfg_path}: relation {name!r} references "
+                                  f"unconfigured attribute {attr!r}")
             schema.append(attributes[attr].spec)
         relations[name] = load_relation(base / filename, schema)
     return Database(base, relations, attributes)

@@ -175,9 +175,6 @@ class Grouping(_Record):
         except (KeyError, TypeError):
             raise UnknownValueError(f"value {v!r} is in no class") from None
 
-    def as_sets(self) -> frozenset:
-        return frozenset(self.classes)
-
 
 Partitioner = Union[Partition1D, Partition2D]
 Resolver = Union[Mapping, Callable, None]

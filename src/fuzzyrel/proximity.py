@@ -35,9 +35,11 @@ Each kind has the same members:
   threshold check whatever method is asked.
 
 Each kind checks a value on one path, which ``degree``, ``compile`` and
-``near`` share.
+``near`` share.  Every spec is built with an empty hidden ``_cells`` memo,
+out of ``==``, ``repr`` and pickle, where ``algebra._cell_keys`` keeps each
+value's cell per method and level: a cell depends only on the domain.
 
-All objects are immutable and every function here is pure.
+Apart from that memo all objects are immutable; every function is pure.
 """
 
 from __future__ import annotations
@@ -157,10 +159,13 @@ class ProximityMatrix(_Record):
 
 
 class _Kind(_Record):
-    """Defaults of a spec kind: no cells, and not ``threshold_only``."""
+    """Defaults of a spec kind: no cells, not ``threshold_only``, an empty cell memo."""
 
-    __slots__ = ()
+    __slots__ = ("_cells",)
     threshold_only = False
+
+    def __init__(self):
+        self._set(_cells={})
 
     def embedding(self):
         return None
@@ -175,7 +180,7 @@ class Linear(_Kind):
         length = _as_number(length, "length")
         if not 0 < length < math.inf:
             raise DomainError(f"length must be positive and finite, got {length}")
-        self._set(length=length)
+        self._set(length=length, _cells={})
 
     def degree(self, x: Value, y: Value) -> float:
         p, q = self._position(x), self._position(y)
@@ -218,7 +223,7 @@ class Planar(_Kind):
         side = _as_number(side, "side")
         if not 0 < side < math.inf:
             raise DomainError(f"side must be positive and finite, got {side}")
-        self._set(side=side)
+        self._set(side=side, _cells={})
         self._set(locations={
             label: self._in_square(point, f"location {label!r}")
             for label, point in dict(locations).items()})
@@ -271,7 +276,7 @@ class ExplicitMatrix(_Kind):
     __slots__ = _fields + ("_ranks",)
 
     def __init__(self, matrix: ProximityMatrix, order: tuple[str, ...] | None = None):
-        self._set(matrix=matrix, order=None, _ranks=None)
+        self._set(matrix=matrix, order=None, _ranks=None, _cells={})
         if order is None:
             return
         order = tuple(order)

@@ -298,7 +298,7 @@ def cells(alpha, values, mode="standard"):
 class TestEvaluationCounts:
     """No degree is evaluated: select and merge look up alpha-cut neighbourhoods.
 
-    A value's cell is computed once per attribute spec, method and level,
+    A value's cell is computed once per proximity spec, method and level,
     for every relation with that spec; closure classes and threshold cuts
     are formed per call, over the values the call sees.  Each test builds
     its own specs, so no other test's memo changes a count.
@@ -325,10 +325,10 @@ class TestEvaluationCounts:
 
     def test_index_is_built_on_first_use_and_hidden(self, suppliers_db):
         rel = suppliers_db.relation("SUPPLIERS")
-        assert rel._indexes == {}
+        assert rel._columns == {}
         before = repr(rel)
         select(rel, [("STATUS", 20)], LevelMap({"STATUS": 0.9}))
-        assert rel._indexes
+        assert rel._columns
         assert repr(rel) == before
         assert rel == FuzzyRelation(rel.schema, rel.tuples)
 
@@ -396,7 +396,7 @@ class TestEvaluationCounts:
         alphas = [0.5 + k / 100 for k in range(40)]
         first = [project(rel, ["X"], LevelMap({"X": a})) for a in alphas]
         kept = algebra._MAX_CELL_MEMOS
-        assert list(rel.schema[1]._cells) == [("interval", a) for a in alphas[-kept:]]
+        assert list(rel.schema[1].proximity._cells) == [("interval", a) for a in alphas[-kept:]]
         # the newest are kept; the oldest were dropped and are computed again
         assert [project(rel, ["X"], LevelMap({"X": a}))
                 for a in alphas[-kept:]] == first[-kept:]
@@ -413,7 +413,7 @@ class TestEvaluationCounts:
             rel = FuzzyRelation.from_rows(
                 (x,), [(rng.uniform(0, 100),) for _ in range(bound // 2 + 1)])
             merge_relation(rel, LevelMap({"X": 0.9}))
-            memo = x._cells["interval", 0.9]
+            memo = x.proximity._cells["interval", 0.9]
             assert 0 < len(memo) <= bound
         key = cell_key(partition_line(100, 0.9), x.proximity.embedding()[2])
         assert all(cell == key(v) for v, cell in memo.items())
@@ -435,10 +435,10 @@ class TestEvaluationCounts:
         rel = linear_rows(40)
         project(rel, ["X"], LevelMap({"X": 0.8}))
         x = rel.schema[1]
-        assert x._cells
+        assert x.proximity._cells
         fresh = AttributeSpec("X", Linear(10), "interval")
         assert x == fresh and repr(x) == repr(fresh)
-        assert pickle.loads(pickle.dumps(x))._cells == {}
+        assert pickle.loads(pickle.dumps(x)).proximity._cells == {}
 
     def test_no_cell_is_computed_for_a_column_no_check_reaches(self, cells_computed):
         rel = linear_rows(40)
@@ -447,7 +447,7 @@ class TestEvaluationCounts:
         project(rel, ["X", "Y"], LevelMap({"X": 0.8, "Y": 0.0}))
         project(rel, ["X"], LevelMap({"X": 0.8}), "threshold")
         assert cells_computed == cells(0.8, range(11))
-        assert [list(a._cells) for a in rel.schema] == [[], [("interval", 0.8)], []]
+        assert [list(a.proximity._cells) for a in rel.schema] == [[], [("interval", 0.8)], []]
 
 
 class TestSelect:

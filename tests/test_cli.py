@@ -281,6 +281,18 @@ def _not_utf8(name):
     return edit
 
 
+def _empty(name):
+    def edit(db):
+        (db / name).write_text("", encoding="utf-8")
+    return edit
+
+
+BUILD_LINES = ("labels = Very large, Large, Average, Small, Very small\n"
+               "matrix = build_matrix.csv\n")
+EFFECT_LABELS = ("labels = Minimal, Limited, Tolerable, Moderate, Severe, Major, Extreme, "
+                 "Irreversible\n")
+
+
 def _classes(attr, alpha="0.8", method="interval"):
     return ("classes", "--db", "{db}", "--attr", attr, "--alpha", alpha,
             "--method", method)
@@ -328,6 +340,67 @@ ERROR_PATHS = {
     "method-unknown": (
         "suppliers", _replace("schema.cfg", "method = interval", "method = bogus"),
         _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "method", "'bogus'"]),
+    "kind-unknown": (
+        "suppliers", _replace("schema.cfg", "kind = numeric", "kind = bogus"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "kind", "'bogus'"]),
+    "numeric-without-length": (
+        "suppliers", _replace("schema.cfg", "kind = numeric\nlength = 100\n",
+                              "kind = numeric\n"),
+        _classes("STATUS"), 2, ["schema.cfg", "'STATUS'", "numeric", "length"]),
+    "planar-without-locations": (
+        "gb", _replace("schema.cfg", "locations = gb_locations.csv\n", ""),
+        _classes("CITY"), 2, ["schema.cfg", "'CITY'", "planar", "locations"]),
+    "ordinal-without-labels": (
+        "survey", _replace("schema.cfg", EFFECT_LABELS, ""),
+        _classes("Effect"), 2, ["schema.cfg", "'Effect'", "ordinal", "labels"]),
+    "ordinal-duplicate-label": (
+        "arson", _replace("schema.cfg", BUILD_LINES, "labels = Large, Large, Small\n"),
+        _classes("BUILD"), 2, ["schema.cfg", "'BUILD'", "distinct"]),
+    "ordinal-one-label": (
+        "arson", _replace("schema.cfg", BUILD_LINES, "labels = Large\n"),
+        _classes("BUILD"), 2, ["schema.cfg", "'BUILD'", "at least 2 labels"]),
+    "unknown-section": (
+        "suppliers", _replace("schema.cfg", "[relation SUPPLIERS]",
+                              "[table EXTRA]\n\n[relation SUPPLIERS]"),
+        _classes("STATUS"), 2, ["schema.cfg", "unknown section", "'table EXTRA'"]),
+    "relation-without-file": (
+        "suppliers", _replace("schema.cfg", "file = suppliers.csv\n", ""),
+        _classes("STATUS"), 2, ["schema.cfg", "'SUPPLIERS'", "file"]),
+    "relation-unconfigured-attribute": (
+        "suppliers", _replace("schema.cfg", "attributes = SNAME, STATUS, CITY",
+                              "attributes = SNAME, STATUS, TOWN"),
+        _classes("STATUS"), 2, ["schema.cfg", "'SUPPLIERS'", "'TOWN'"]),
+    "relation-missing-header": (
+        "suppliers", _empty("suppliers.csv"), _classes("STATUS"), 2,
+        ["suppliers.csv", "missing header"]),
+    "matrix-header-body-count": (
+        "survey", _replace("effect_matrix.csv",
+                           "Irreversible,0.00,0.00,0.00,0.00,0.00,0.00,0.00,1.00", ""),
+        _classes("Effect"), 2, ["effect_matrix.csv", "8 header labels", "7 body rows"]),
+    "matrix-cells-per-row": (
+        "survey", _replace("effect_matrix.csv", "Minimal,1.00,0.90,", "Minimal,1.00,"),
+        _classes("Effect"), 2, ["effect_matrix.csv:2", "expected 9 cells"]),
+    "matrix-row-label": (
+        "survey", _replace("effect_matrix.csv", "\nLimited,", "\nLimitd,"),
+        _classes("Effect"), 2, ["effect_matrix.csv:3", "'Limitd'", "'Limited'"]),
+    "matrix-not-a-number": (
+        "survey", _replace("effect_matrix.csv", "Minimal,1.00,", "Minimal,one,"),
+        _classes("Effect"), 2, ["effect_matrix.csv:2", "'one'"]),
+    "locations-empty": (
+        "suppliers", _empty("city_locations.csv"), _classes("STATUS"), 2,
+        ["city_locations.csv", "empty locations file"]),
+    "locations-header": (
+        "suppliers", _replace("city_locations.csv", "label,x,y", "name,x,y"),
+        _classes("STATUS"), 2, ["city_locations.csv", "label,x,y", "'name'"]),
+    "locations-cells-per-row": (
+        "suppliers", _replace("city_locations.csv", "Shire,12,7", "Shire,12"),
+        _classes("STATUS"), 2, ["city_locations.csv:2", "expected 3 cells"]),
+    "locations-not-a-number": (
+        "suppliers", _replace("city_locations.csv", "Shire,12,7", "Shire,twelve,7"),
+        _classes("STATUS"), 2, ["city_locations.csv:2", "'twelve'"]),
+    "locations-duplicate-label": (
+        "suppliers", _replace("city_locations.csv", "Bree,14,23", "Shire,14,23"),
+        _classes("STATUS"), 2, ["city_locations.csv:3", "duplicate label", "'Shire'"]),
     "schema-not-utf8": (
         "suppliers", _not_utf8("schema.cfg"), _classes("STATUS"), 2, ["schema.cfg"]),
     "relation-not-utf8": (

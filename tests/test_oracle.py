@@ -12,12 +12,13 @@ and Hypothesis requires the engine to return the same tuples, classes,
 tokens or query trees in the same order, or to raise the same exception
 with the same message.
 
-Relations over one attribute spec share its memo of each value's cell.
+Relations over one proximity spec share its memo of each value's cell.
 Laws below require each operator to treat a derived relation exactly as
 a fresh copy of its schema and tuples, and a relation whose specs another
 relation's values warmed exactly as one over fresh specs.
 """
 
+import copy
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -1066,11 +1067,13 @@ class TestDerivedRelations:
 
 def fresh_specs(*relations: FuzzyRelation) -> tuple[FuzzyRelation, ...]:
     """Each relation over new attribute specs, equal to its own and shared
-    between them, whose cell memos are empty."""
+    between them, each over a copy of its proximity spec, whose cell memos
+    are empty."""
     specs = {}
     for r in relations:
         for a in r.schema:
-            specs.setdefault(id(a), AttributeSpec(a.name, a.proximity, a.default_method))
+            if id(a) not in specs:
+                specs[id(a)] = AttributeSpec(a.name, copy.copy(a.proximity), a.default_method)
     return tuple(FuzzyRelation(tuple(specs[id(a)] for a in r.schema), r.tuples)
                  for r in relations)
 
@@ -1100,7 +1103,7 @@ class TestWarmCellMemos:
             fn, args, operands = join, (on, levels, mode), (r, right)
         assert outcome(fn, *operands, *args) == outcome(fn, *fresh_specs(*operands), *args)
         for attr in r.schema:
-            for (method, level), memo in attr._cells.items():
+            for (method, level), memo in attr.proximity._cells.items():
                 classify = _classifier(attr, method, level, None)
                 assert all(key == classify(value) for value, key in memo.items())
 

@@ -216,5 +216,5 @@ class TestHairIntervalClasses:
         low = classes_over(HAIR, partition_line(6, 0.6), HAIR_POS)
         high = classes_over(HAIR, partition_line(6, 2 / 3), HAIR_POS)
         straddler = frozenset({"A", "R"})
-        assert straddler in high.as_sets()
+        assert straddler in high.classes
         assert not any(straddler <= c for c in low.classes)

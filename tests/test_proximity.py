@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzyrel import (
+    AttributeSpec,
     CrispIdentity,
     DomainError,
     ExplicitMatrix,
@@ -395,3 +396,50 @@ def test_algebra_imports_no_spec_kind_but_the_crisp_default():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported & SPEC_KINDS == {"CrispIdentity"}
+
+
+CELL_MEMO = "_cells"
+
+
+def cell_memo_mentions(source: str) -> set:
+    """Qualified name of the class or function around each mention of
+    ``_cells`` (None at module level): as an attribute, a name, an
+    argument, a keyword or a string."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = {getattr(child, key, None) for key in ("attr", "id", "arg", "name")}
+            if isinstance(child, ast.Constant):
+                names.add(child.value)
+            if CELL_MEMO in names:
+                found.add(scope)
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_memo_guard_sees_every_form_of_a_mention():
+    source = ("class K:\n    __slots__ = ('_cells',)\n"
+              "    def __init__(self):\n        self._set(_cells={})\n"
+              "def f(a):\n    return a.proximity._cells\n"
+              "def g(_cells):\n    pass\n"
+              "_cells = getattr(a, 'x')\n")
+    assert cell_memo_mentions(source) == {"K", "K.__init__", "f", "g", None}
+    assert cell_memo_mentions('"""a _cells memo"""\nx._cellsx = y') == set()
+
+
+def test_cell_memos_live_on_the_proximity_spec():
+    mentions = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+                for scope in cell_memo_mentions(path.read_text(encoding="utf-8"))}
+    # the slot, the constructors that start it empty, and its one reader
+    assert mentions == {("proximity.py", "_Kind"), ("proximity.py", "_Kind.__init__"),
+                        ("proximity.py", "Linear.__init__"),
+                        ("proximity.py", "Planar.__init__"),
+                        ("proximity.py", "ExplicitMatrix.__init__"),
+                        ("algebra.py", "_cell_keys")}
+    assert AttributeSpec.__slots__ == AttributeSpec._fields
