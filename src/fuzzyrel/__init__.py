@@ -26,7 +26,7 @@ from .algebra import (
     valid_tuple,
 )
 from .closure import closure_classes, temporal_domain
-from .config import AttributeConfig, Database, load_database
+from .config import Database, load_database
 from .errors import (
     DomainError,
     FormatError,
@@ -51,7 +51,6 @@ from .proximity import (
     ExplicitMatrix,
     Linear,
     Planar,
-    ProximityMatrix,
     build_ordinal_matrix,
     degree_of,
     relation_properties,
@@ -70,7 +69,6 @@ from .tables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeConfig",
     "AttributeSpec",
     "CrispIdentity",
     "Database",
@@ -86,7 +84,6 @@ __all__ = [
     "ParseError",
     "Partition1D",
     "Planar",
-    "ProximityMatrix",
     "Query",
     "SchemaMismatchError",
     "UnknownAttributeError",

@@ -39,7 +39,7 @@ ALL_METHODS = CLASS_METHODS + ("threshold",)
 
 def cmd_classes(db: Database, attr: str, alpha: float, method: str,
                 emit: str) -> str:
-    attribute = db.attribute(attr).spec
+    attribute = db.attribute(attr)
     grouping = class_grouping(attribute, method, alpha, db.temporal_domain(attr))
     if emit == "csv":
         return groupings_to_csv([((), grouping)])
@@ -49,7 +49,7 @@ def cmd_classes(db: Database, attr: str, alpha: float, method: str,
 
 
 def cmd_compare(db: Database, attr: str, alphas: list[float], emit: str) -> str:
-    attribute = db.attribute(attr).spec
+    attribute = db.attribute(attr)
     methods = (class_method(attribute, "interval"), "closure")
     domain = db.temporal_domain(attr)
     runs = [((alpha, method), class_grouping(attribute, method, alpha, domain))

@@ -46,25 +46,19 @@ _DEFAULT_METHOD = {
 }
 
 
-class AttributeConfig(_Record):
-    """One configured attribute: its spec plus an optional fixed level."""
-
-    __slots__ = _fields = ("spec", "alpha")
-
-    def __init__(self, spec: AttributeSpec, alpha: float | None = None):
-        self._set(spec=spec, alpha=alpha)
-
-    __hash__ = None
-
-
 class Database(_Record):
-    """Named relations plus the attribute configuration they share."""
+    """Named relations plus the attributes they share.
 
-    __slots__ = _fields = ("path", "relations", "attributes")
+    ``attributes`` maps each configured name to its AttributeSpec, and
+    ``alphas`` maps the names configured with an ``alpha`` to that fixed
+    merge level.
+    """
+
+    __slots__ = _fields = ("path", "relations", "attributes", "alphas")
 
     def __init__(self, path: Path, relations: Mapping[str, FuzzyRelation],
-                 attributes: Mapping[str, AttributeConfig]):
-        self._set(path=path, relations=relations, attributes=attributes)
+                 attributes: Mapping[str, AttributeSpec], alphas: Mapping[str, float]):
+        self._set(path=path, relations=relations, attributes=attributes, alphas=alphas)
 
     __hash__ = None
 
@@ -76,7 +70,7 @@ class Database(_Record):
                 f"no relation named {name!r} (have {sorted(self.relations)})"
             ) from None
 
-    def attribute(self, name: str) -> AttributeConfig:
+    def attribute(self, name: str) -> AttributeSpec:
         try:
             return self.attributes[name]
         except KeyError:
@@ -95,13 +89,8 @@ class Database(_Record):
 
     def levels(self, alpha: float | None = None) -> LevelMap:
         """Merge levels: configured alphas win, ``alpha`` fills the rest."""
-        levels = {}
-        for name, cfg in self.attributes.items():
-            if cfg.alpha is not None:
-                levels[name] = cfg.alpha
-            elif alpha is not None:
-                levels[name] = alpha
-        return LevelMap(levels)
+        fill = dict.fromkeys(self.attributes, alpha) if alpha is not None else {}
+        return LevelMap({**fill, **self.alphas})
 
 
 def _split_list(raw: str) -> list[str]:
@@ -127,43 +116,43 @@ def _length(section: Mapping[str, str], where: str) -> float:
     return length
 
 
-def _parse_attribute(name: str, section: Mapping[str, str], base: Path) -> AttributeConfig:
+def _parse_attribute(name: str, section: Mapping[str, str],
+                     base: Path) -> tuple[AttributeSpec, float | None]:
+    """The attribute's spec and its fixed merge level, None when not configured."""
     where = f"{base / 'schema.cfg'}: attribute {name!r}"
     kind = section.get("kind", "").strip().lower()
     if kind not in _KINDS:
         raise FormatError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
-    if kind == "crisp":
-        proximity = CrispIdentity()
-    elif kind == "numeric":
-        if "length" not in section:
-            raise FormatError(f"{where}: numeric kind needs length")
-        proximity = Linear(_length(section, where))
-    elif kind == "planar":
-        for key in ("length", "locations"):
-            if key not in section:
-                raise FormatError(f"{where}: planar kind needs {key}")
-        locations = load_locations(base / section["locations"])
-        proximity = Planar(_length(section, where), locations)
-    else:
-        if "labels" not in section:
-            raise FormatError(f"{where}: ordinal kind needs labels")
-        labels = _split_list(section["labels"])
-        matrix = load_matrix(base / section["matrix"]) if "matrix" in section else None
-        try:
-            if matrix is None:
-                matrix = build_ordinal_matrix(labels)
-            proximity = ExplicitMatrix(matrix, labels)
-        except (DomainError, ValidationError) as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-    method = section.get("method", _DEFAULT_METHOD[kind]).strip()
-    alpha = _number(section, "alpha", where) if "alpha" in section else None
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise FormatError(f"{where}: alpha = {section['alpha']!r} is not in [0, 1]")
     try:
+        if kind == "crisp":
+            proximity = CrispIdentity()
+        elif kind == "numeric":
+            if "length" not in section:
+                raise FormatError(f"{where}: numeric kind needs length")
+            proximity = Linear(_length(section, where))
+        elif kind == "planar":
+            for key in ("length", "locations"):
+                if key not in section:
+                    raise FormatError(f"{where}: planar kind needs {key}")
+            locations = load_locations(base / section["locations"])
+            proximity = Planar(_length(section, where), locations)
+        else:
+            if "labels" not in section:
+                raise FormatError(f"{where}: ordinal kind needs labels")
+            labels = _split_list(section["labels"])
+            if "matrix" in section:
+                table = load_matrix(base / section["matrix"])
+                proximity = ExplicitMatrix(table.labels, table.entries, labels)
+            else:
+                proximity = build_ordinal_matrix(labels)
+        method = section.get("method", _DEFAULT_METHOD[kind]).strip()
+        alpha = _number(section, "alpha", where) if "alpha" in section else None
+        if alpha is not None and not 0.0 <= alpha <= 1.0:
+            raise FormatError(f"{where}: alpha = {section['alpha']!r} is not in [0, 1]")
         spec = AttributeSpec(name, proximity, method)
-    except ValidationError as exc:
+    except (DomainError, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    return AttributeConfig(spec, alpha)
+    return spec, alpha
 
 
 def load_database(path) -> Database:
@@ -179,12 +168,15 @@ def load_database(path) -> Database:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{cfg_path}: {exc}") from None
 
-    attributes: dict[str, AttributeConfig] = {}
+    attributes: dict[str, AttributeSpec] = {}
+    alphas: dict[str, float] = {}
     pending_relations: list[tuple[str, str, list[str]]] = []
     for section in parser.sections():
         if section.startswith("attribute "):
             name = section[len("attribute "):].strip()
-            attributes[name] = _parse_attribute(name, parser[section], base)
+            attributes[name], alpha = _parse_attribute(name, parser[section], base)
+            if alpha is not None:
+                alphas[name] = alpha
         elif section.startswith("relation "):
             name = section[len("relation "):].strip()
             body = parser[section]
@@ -202,6 +194,6 @@ def load_database(path) -> Database:
             if attr not in attributes:
                 raise FormatError(f"{cfg_path}: relation {name!r} references "
                                   f"unconfigured attribute {attr!r}")
-            schema.append(attributes[attr].spec)
+            schema.append(attributes[attr])
         relations[name] = load_relation(base / filename, schema)
-    return Database(base, relations, attributes)
+    return Database(base, relations, attributes, alphas)

@@ -177,42 +177,29 @@ class Grouping(_Record):
 
 
 Partitioner = Union[Partition1D, Partition2D]
-Resolver = Union[Mapping, Callable, None]
-
-
-def _make_resolver(resolve: Resolver):
-    if resolve is None:
-        return lambda v: v
-    if callable(resolve):
-        return resolve
-    mapping = resolve
-
-    def lookup(v):
-        try:
-            return mapping[v]
-        except (KeyError, TypeError):
-            raise UnknownValueError(f"value {v!r} cannot be resolved") from None
-
-    return lookup
+Resolver = Union[Callable, None]
 
 
 def cell_key(partitioner: Partitioner, resolve: Resolver = None) -> Callable[[Value], object]:
     """Function mapping a value to the key of the cell it falls in: its
     ``class_of`` index on a line, ``cell_of``'s ``(column, row)`` on a grid.
-    ``resolve`` is as in ``classes_over``.  The singleton partition has no
-    cells, so it keys every value by itself, unresolved."""
+    ``resolve``, a function or None, is as in ``classes_over``.  The
+    singleton partition has no cells, so it keys every value by itself,
+    unresolved."""
     if partitioner.singleton:
         return lambda v: v
-    resolver = _make_resolver(resolve)
     cell = cell_of if isinstance(partitioner, Partition2D) else class_of
-    return lambda v: cell(resolver(v), partitioner)
+    if resolve is None:
+        return lambda v: cell(v, partitioner)
+    return lambda v: cell(resolve(v), partitioner)
 
 
 def classes_over(values, partitioner: Partitioner, resolve: Resolver = None) -> Grouping:
     """Group a finite value set by the cell ``cell_key`` gives each value.
 
-    ``resolve`` maps raw values to reals (1D) or points (2D); labels of an
-    ordinal domain resolve to their rank, city names to their coordinates.
+    ``resolve`` is a function mapping raw values to reals (1D) or points
+    (2D), such as the rank of an ordinal label or the coordinates of a city
+    name; None takes each value as it is.
     Only non-empty classes are returned, numbered from 1 in cell order.
     The singleton partition (alpha = 1) has no cells, so each value,
     unresolved, forms its own class, ordered by ``value_sort_key``.

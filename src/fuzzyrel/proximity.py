@@ -5,6 +5,7 @@ reflexive and symmetric.  A similarity relation additionally satisfies
 max-min transitivity.  Four kinds of specification are supported:
 
 * ``ExplicitMatrix`` -- a degree table over a finite label domain,
+  optionally ranked by an ``order`` of its labels,
 * ``Linear``         -- distance-based degrees on a real interval [0, L],
 * ``Planar``         -- distance-based degrees on the square [0, L]^2,
 * ``CrispIdentity``  -- classical equality (degree 1 or 0).
@@ -117,47 +118,6 @@ def _as_number(value, what: str) -> float:
     return float(value)
 
 
-class ProximityMatrix(_Record):
-    """Reflexive, symmetric degree table over a finite label domain."""
-
-    _fields = ("labels", "entries")
-    __slots__ = _fields + ("_pos",)
-
-    def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[float, ...], ...]):
-        labels = tuple(labels)
-        entries = tuple(tuple(float(v) for v in row) for row in entries)
-        n = len(labels)
-        if n == 0:
-            raise ValidationError("matrix needs at least one label")
-        if len(set(labels)) != n:
-            raise ValidationError("matrix labels must be distinct")
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValidationError(f"matrix must be {n}x{n}")
-        for i, x in enumerate(labels):
-            if entries[i][i] != 1.0:
-                raise ValidationError(
-                    f"diagonal entry for ({x}, {x}) is {entries[i][i]}, expected 1"
-                )
-            for j, y in enumerate(labels):
-                v = entries[i][j]
-                if not 0.0 <= v <= 1.0:
-                    raise ValidationError(f"degree {v} for ({x}, {y}) outside [0, 1]")
-                if v != entries[j][i]:
-                    raise ValidationError(f"asymmetric entries for ({x}, {y})")
-        self._set(labels=labels, entries=entries,
-                  _pos={lab: i for i, lab in enumerate(labels)})
-
-    def position(self, label: Value) -> int:
-        """Row of ``label``; UnknownValueError for a label not in the domain."""
-        try:
-            return self._pos[label]
-        except (KeyError, TypeError):
-            raise UnknownValueError(f"label {label!r} not in matrix domain") from None
-
-    def degree(self, x: Value, y: Value) -> float:
-        return self.entries[self.position(x)][self.position(y)]
-
-
 class _Kind(_Record):
     """Defaults of a spec kind: no cells, not ``threshold_only``, an empty cell memo."""
 
@@ -264,43 +224,74 @@ class Planar(_Kind):
 
 
 class ExplicitMatrix(_Kind):
-    """Wraps a ProximityMatrix as a proximity specification.
+    """A reflexive, symmetric degree table over a finite label domain.
 
-    ``order`` lists the matrix labels of a linearly ordered domain.  It
-    gives the domain its cells: label i sits at rank i on
-    [0, len(order) - 1], where interval and equalized partitions apply.
-    Without an order a matrix domain has no cells.
+    ``entries[i][j]`` is the degree of ``labels[i]`` and ``labels[j]``; the
+    table must be square, with distinct labels, a diagonal of 1 and every
+    degree in [0, 1].  ``order`` lists the labels of a linearly ordered
+    domain.  It gives the domain its cells: label i of the order sits at
+    rank i on [0, len(order) - 1], where interval and equalized partitions
+    apply.  Without an order a matrix domain has no cells.
     """
 
-    _fields = ("matrix", "order")
-    __slots__ = _fields + ("_ranks",)
+    _fields = ("labels", "entries", "order")
+    __slots__ = _fields + ("_pos", "_ranks")
 
-    def __init__(self, matrix: ProximityMatrix, order: tuple[str, ...] | None = None):
-        self._set(matrix=matrix, order=None, _ranks=None, _cells={})
+    def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[float, ...], ...],
+                 order: tuple[str, ...] | None = None):
+        labels = tuple(labels)
+        entries = tuple(tuple(float(v) for v in row) for row in entries)
+        n = len(labels)
+        if n == 0:
+            raise ValidationError("matrix needs at least one label")
+        if len(set(labels)) != n:
+            raise ValidationError("matrix labels must be distinct")
+        if len(entries) != n or any(len(row) != n for row in entries):
+            raise ValidationError(f"matrix must be {n}x{n}")
+        for i, x in enumerate(labels):
+            if entries[i][i] != 1.0:
+                raise ValidationError(
+                    f"diagonal entry for ({x}, {x}) is {entries[i][i]}, expected 1"
+                )
+            for j, y in enumerate(labels):
+                v = entries[i][j]
+                if not 0.0 <= v <= 1.0:
+                    raise ValidationError(f"degree {v} for ({x}, {y}) outside [0, 1]")
+                if v != entries[j][i]:
+                    raise ValidationError(f"asymmetric entries for ({x}, {y})")
+        self._set(labels=labels, entries=entries, order=None, _ranks=None, _cells={},
+                  _pos={lab: i for i, lab in enumerate(labels)})
         if order is None:
             return
         order = tuple(order)
         if len(set(order)) != len(order) or len(order) < 2:
             raise ValidationError("order must list at least 2 distinct labels")
-        if set(order) != set(matrix.labels):
+        if set(order) != set(labels):
             raise ValidationError("order does not match the matrix labels")
         rank = {label: i for i, label in enumerate(order)}
-        self._set(order=order, _ranks=tuple(rank[lab] for lab in matrix.labels))
+        self._set(order=order, _ranks=tuple(rank[lab] for lab in labels))
+
+    def position(self, label: Value) -> int:
+        """Row of ``label``; UnknownValueError for a label not in the domain."""
+        try:
+            return self._pos[label]
+        except (KeyError, TypeError):
+            raise UnknownValueError(f"label {label!r} not in matrix domain") from None
 
     def degree(self, x: Value, y: Value) -> float:
-        return self.matrix.degree(x, y)
+        return self.entries[self.position(x)][self.position(y)]
 
     def compile(self, values) -> "_MatrixCut":
-        return _MatrixCut(self.matrix, values)
+        return _MatrixCut(self, values)
 
     def embedding(self):
         if self.order is None:
             return None
         ranks = self._ranks
-        return 1, float(len(ranks) - 1), lambda v: ranks[self.matrix.position(v)]
+        return 1, float(len(ranks) - 1), lambda v: ranks[self.position(v)]
 
     def parse(self, text: str) -> Value:
-        if text not in self.matrix.labels:
+        if text not in self._pos:
             raise DomainError(f"unknown label {text!r}")
         return text
 
@@ -382,12 +373,12 @@ class _PlaneCut:
 class _MatrixCut:
     """Matrix labels with their rows; a cut reads the row of its centre."""
 
-    def __init__(self, matrix: ProximityMatrix, values):
-        self._matrix = matrix
-        self._members = [(v, matrix.position(v)) for v in values]
+    def __init__(self, spec: ExplicitMatrix, values):
+        self._spec = spec
+        self._members = [(v, spec.position(v)) for v in values]
 
     def near(self, x: Value, level: float) -> frozenset:
-        row = self._matrix.entries[self._matrix.position(x)]
+        row = self._spec.entries[self._spec.position(x)]
         return frozenset(v for v, j in self._members if row[j] >= level)
 
 
@@ -408,8 +399,8 @@ class _CrispCut:
         return frozenset((y,)) if level <= 1.0 else frozenset()
 
 
-def build_ordinal_matrix(labels) -> ProximityMatrix:
-    """Degree table for a linearly ordered label domain.
+def build_ordinal_matrix(labels) -> ExplicitMatrix:
+    """Degree table for a linearly ordered label domain, ordered by ``labels``.
 
     Label i sits at integer position i, so the degree of two labels
     depends only on their rank distance: 1 - |i - j| / (count - 1).
@@ -424,7 +415,7 @@ def build_ordinal_matrix(labels) -> ProximityMatrix:
         tuple(1.0 - abs(i - j) / span for j in range(len(labs)))
         for i in range(len(labs))
     )
-    return ProximityMatrix(labs, entries)
+    return ExplicitMatrix(labs, entries, labs)
 
 
 class PropertyReport(_Record):
@@ -439,7 +430,7 @@ class PropertyReport(_Record):
                   max_min_transitive=max_min_transitive, first_violation=first_violation)
 
 
-def relation_properties(m: ProximityMatrix) -> PropertyReport:
+def relation_properties(m: ExplicitMatrix) -> PropertyReport:
     """Check reflexivity, symmetry and max-min transitivity.
 
     If transitivity fails, reports the first triple (x, y, z) in label

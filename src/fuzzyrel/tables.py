@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .algebra import AttributeSpec, FuzzyRelation, FuzzyTuple
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, ValidationError
 from .partition import Grouping, value_sort_key
-from .proximity import Point, ProximityMatrix, Value
+from .proximity import ExplicitMatrix, Point, Value
 
 SET_SEPARATOR = "|"
 
@@ -29,8 +29,9 @@ def _read_rows(path: Path) -> list[list[str]]:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
-def load_matrix(path) -> ProximityMatrix:
-    """Read a degree table; header labels must match the row labels in order."""
+def load_matrix(path) -> ExplicitMatrix:
+    """Read an unordered degree table; header labels must match the row labels
+    in order.  An invalid table raises ValidationError naming the file."""
     path = Path(path)
     rows = [r for r in _read_rows(path) if r]
     if len(rows) < 2:
@@ -54,7 +55,10 @@ def load_matrix(path) -> ProximityMatrix:
             entries.append(tuple(float(cell) for cell in row[1:]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return ProximityMatrix(labels, tuple(entries))
+    try:
+        return ExplicitMatrix(labels, entries)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_locations(path) -> dict[str, Point]:

@@ -19,7 +19,6 @@ from fuzzyrel import (
     Linear,
     ParseError,
     Planar,
-    ProximityMatrix,
     build_ordinal_matrix,
     cell_of,
     class_of,
@@ -134,7 +133,7 @@ HAIR_CLASSES = {
 
 @pytest.mark.parametrize("alpha", sorted(HAIR_CLASSES, reverse=True))
 def test_hair_interval_classes(alpha):
-    grouping = classes_over(HAIR_LABELS, partition_line(6, alpha), HAIR_POS)
+    grouping = classes_over(HAIR_LABELS, partition_line(6, alpha), HAIR_POS.__getitem__)
     assert [set(c) for c in grouping.classes] == HAIR_CLASSES[alpha]
 
 
@@ -143,7 +142,7 @@ def test_hair_interval_classes(alpha):
 
 
 def test_city_grid_at_080(suppliers_db):
-    spec = suppliers_db.attribute("CITY").spec.proximity
+    spec = suppliers_db.attribute("CITY").proximity
     cities = suppliers_db.temporal_domain("CITY")
     grouping = classes_over(cities, partition_plane(100, 0.8), spec.resolve)
     assert class_sets(grouping) == nested(
@@ -153,7 +152,7 @@ def test_city_grid_at_080(suppliers_db):
 
 
 def test_city_grid_at_060(suppliers_db):
-    spec = suppliers_db.attribute("CITY").spec.proximity
+    spec = suppliers_db.attribute("CITY").proximity
     cities = suppliers_db.temporal_domain("CITY")
     grouping = classes_over(cities, partition_plane(100, 0.6), spec.resolve)
     assert class_sets(grouping) == nested(
@@ -280,7 +279,7 @@ PROJECTION_EXPECTED = {
 
 def _oracle_cells(suppliers_db):
     """Cell keys recomputed with plain arithmetic, independent of the engine."""
-    locations = suppliers_db.attribute("CITY").spec.proximity.locations
+    locations = suppliers_db.attribute("CITY").proximity.locations
 
     def key(t):
         status = next(iter(t.get("STATUS")))
@@ -350,20 +349,20 @@ GB_GRID_08 = [
 
 
 def test_gb_planar_spot_degrees(gb_db):
-    spec = gb_db.attribute("CITY").spec.proximity
+    spec = gb_db.attribute("CITY").proximity
     for a, b, expected in GB_SPOTS:
         assert degree_of(spec, a, b) == pytest.approx(expected, abs=0.001)
 
 
 def test_gb_grid_classes_at_04(gb_db):
-    spec = gb_db.attribute("CITY").spec.proximity
+    spec = gb_db.attribute("CITY").proximity
     cities = gb_db.temporal_domain("CITY")
     grouping = classes_over(cities, partition_plane(2, 0.4), spec.resolve)
     assert class_sets(grouping) == nested(GB_GRID_04)
 
 
 def test_gb_grid_classes_at_08(gb_db):
-    spec = gb_db.attribute("CITY").spec.proximity
+    spec = gb_db.attribute("CITY").proximity
     cities = gb_db.temporal_domain("CITY")
     grouping = classes_over(cities, partition_plane(2, 0.8), spec.resolve)
     assert class_sets(grouping) == nested(GB_GRID_08)
@@ -371,13 +370,13 @@ def test_gb_grid_classes_at_08(gb_db):
 
 @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
 def test_gb_closure_is_one_class(gb_db, alpha):
-    spec = gb_db.attribute("CITY").spec.proximity
+    spec = gb_db.attribute("CITY").proximity
     cities = gb_db.temporal_domain("CITY")
     assert len(closure_classes(cities, spec, alpha).classes) == 1
 
 
 def test_gb_closure_pairs_at_095(gb_db):
-    spec = gb_db.attribute("CITY").spec.proximity
+    spec = gb_db.attribute("CITY").proximity
     cities = gb_db.temporal_domain("CITY")
     grouping = closure_classes(cities, spec, 0.95)
     non_singletons = {c for c in class_sets(grouping) if len(c) > 1}
@@ -456,7 +455,7 @@ def similarity_matrices(draw):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw(degrees)
     labels = tuple(f"v{i}" for i in range(n))
-    return ProximityMatrix(labels, _maxmin_closure(entries))
+    return ExplicitMatrix(labels, _maxmin_closure(entries))
 
 
 @st.composite
@@ -465,10 +464,10 @@ def similarity_relations(draw):
     matrix = draw(similarity_matrices())
     schema = (
         AttributeSpec("K"),
-        AttributeSpec("V", ExplicitMatrix(matrix)),
+        AttributeSpec("V", matrix),
     )
     alpha = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
-    classes = closure_classes(matrix.labels, ExplicitMatrix(matrix), alpha)
+    classes = closure_classes(matrix.labels, matrix, alpha)
     rows = []
     for _ in range(draw(st.integers(1, 5))):
         key = draw(st.sampled_from(["k1", "k2"]))
@@ -527,7 +526,7 @@ def proximity_matrices(draw):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw(degrees)
     labels = tuple(f"v{i}" for i in range(n))
-    return ProximityMatrix(labels, tuple(tuple(row) for row in entries))
+    return ExplicitMatrix(labels, tuple(tuple(row) for row in entries))
 
 
 @LAWS
@@ -537,7 +536,7 @@ def proximity_matrices(draw):
 )
 def test_closure_classes_coarsen_monotonically(matrix, alphas):
     low, high = sorted(alphas)
-    spec = ExplicitMatrix(matrix)
+    spec = matrix
     coarse = closure_classes(matrix.labels, spec, low)
     fine = closure_classes(matrix.labels, spec, high)
     for cls in fine.classes:
@@ -547,7 +546,7 @@ def test_closure_classes_coarsen_monotonically(matrix, alphas):
 @LAWS
 @given(matrix=similarity_matrices(), alpha=st.floats(0, 1))
 def test_direct_cut_equals_closure_for_similarity(matrix, alpha):
-    spec = ExplicitMatrix(matrix)
+    spec = matrix
     direct = {
         frozenset(y for y in matrix.labels if matrix.degree(x, y) >= alpha)
         for x in matrix.labels

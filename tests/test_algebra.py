@@ -71,7 +71,7 @@ class TestFromRows:
         planar = (AttributeSpec("P", Planar(10, {"A": (1, 1)})),)
         with pytest.raises(UnknownValueError, match="no location known for 'B'"):
             FuzzyRelation.from_rows(planar, [("A",), ("B",)])
-        matrix = (AttributeSpec("E", ExplicitMatrix(effect_matrix)),)
+        matrix = (AttributeSpec("E", effect_matrix),)
         with pytest.raises(UnknownValueError, match="'Mild' not in matrix domain"):
             FuzzyRelation.from_rows(matrix, [("Severe",), ("Mild",)])
 
@@ -95,12 +95,12 @@ class TestInterpretations:
 
 class TestThres:
     def test_singleton_components_score_one(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         rel = FuzzyRelation.from_rows(schema, [{"Effect": "Severe"}])
         assert thres(rel, "Effect") == 1.0
 
     def test_empty_relation_scores_one(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         assert thres(FuzzyRelation(schema, ()), "Effect") == 1.0
 
     def test_merged_experts(self, experts_projected):
@@ -113,22 +113,22 @@ class TestThres:
 
 class TestValidTuple:
     def test_singletons_always_valid(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         t = tup({"Effect": "Severe"})
         assert valid_tuple(schema, t, LevelMap({"Effect": 1.0}))
 
     def test_spread_component_fails(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         t = tup({"Effect": {"Minimal", "Irreversible"}})
         assert not valid_tuple(schema, t, LevelMap({"Effect": 0.5}))
 
     def test_close_component_passes(self, hair_matrix):
-        schema = (AttributeSpec("Hair", ExplicitMatrix(hair_matrix)),)
+        schema = (AttributeSpec("Hair", hair_matrix),)
         t = tup({"Hair": {"Blond", "Bleached"}})
         assert valid_tuple(schema, t, LevelMap({"Hair": 0.7}))
 
     def test_tuple_named_otherwise_is_a_schema_mismatch(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         with pytest.raises(SchemaMismatchError):
             valid_tuple(schema, tup({"Smell": "Severe"}), LevelMap({"Smell": 0.5}))
 
@@ -137,7 +137,7 @@ class TestRedundant:
     def test_identical_singleton_tuples(self, effect_matrix):
         schema = (
             AttributeSpec("Name"),
-            AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),
+            AttributeSpec("Effect", effect_matrix),
         )
         rel = FuzzyRelation(schema, ())
         t = tup({"Name": "A", "Effect": "Severe"})
@@ -146,8 +146,8 @@ class TestRedundant:
     def test_arson_suspects_merge(self, hair_matrix, build_matrix):
         schema = (
             AttributeSpec("NAME"),
-            AttributeSpec("HAIR", ExplicitMatrix(hair_matrix)),
-            AttributeSpec("BUILD", ExplicitMatrix(build_matrix)),
+            AttributeSpec("HAIR", hair_matrix),
+            AttributeSpec("BUILD", build_matrix),
         )
         rel = FuzzyRelation(schema, ())
         gary = tup({"NAME": "Gary", "HAIR": "Bleached", "BUILD": "Very large"})
@@ -162,7 +162,7 @@ class TestRedundant:
         assert redundant(rel, bagins, proudfoot, suppliers_db.levels(0.6))
 
     def test_schema_mismatch(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         rel = FuzzyRelation(schema, ())
         with pytest.raises(SchemaMismatchError):
             redundant(rel, tup({"Other": "x"}), tup({"Other": "y"}), LevelMap())
@@ -193,7 +193,7 @@ class TestMergeTuples:
 
 class TestMergeRelation:
     def test_fixpoint_already(self, effect_matrix):
-        schema = (AttributeSpec("Effect", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("Effect", effect_matrix),)
         rel = FuzzyRelation.from_rows(
             schema, [{"Effect": "Severe"}, {"Effect": "Minimal"}]
         )
@@ -222,7 +222,7 @@ class CountingMatrix(ExplicitMatrix):
     """A matrix spec that counts degree evaluations, compilations and cuts."""
 
     def __init__(self, matrix):
-        super().__init__(matrix)
+        super().__init__(matrix.labels, matrix.entries)
         object.__setattr__(self, "calls", collections.Counter())
 
     def degree(self, x, y):
@@ -583,7 +583,7 @@ class TestJoin:
     def test_incompatible_join_attribute(self, effect_matrix):
         left = FuzzyRelation((AttributeSpec("K"),), ())
         right = FuzzyRelation(
-            (AttributeSpec("K", ExplicitMatrix(effect_matrix)),), ()
+            (AttributeSpec("K", effect_matrix),), ()
         )
         with pytest.raises(SchemaMismatchError):
             join(left, right, ["K"])
@@ -638,7 +638,7 @@ class TestRedundancyIsEquivalence:
         min_size=3, max_size=5),
         alpha=st.sampled_from([0.75, 0.85, 0.9]))
     def test_threshold_mode_with_similarity_matrix(self, effect_matrix, effects, alpha):
-        schema = (AttributeSpec("E", ExplicitMatrix(effect_matrix)),)
+        schema = (AttributeSpec("E", effect_matrix),)
         rel = FuzzyRelation.from_rows(schema, [(e,) for e in effects])
         levels = LevelMap({"E": alpha})
         ts = rel.tuples
@@ -656,7 +656,7 @@ SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
 CLASS_PATH_DOMAINS = {
     "linear": (AttributeSpec("X", Linear(10)),
                st.one_of(st.integers(0, 10), st.floats(0, 10))),
-    "ordinal": (AttributeSpec("X", ExplicitMatrix(build_ordinal_matrix(RANKS), RANKS)),
+    "ordinal": (AttributeSpec("X", build_ordinal_matrix(RANKS)),
                 st.sampled_from(RANKS)),
     "planar": (AttributeSpec("X", Planar(10, SITES)), st.sampled_from(sorted(SITES))),
 }

@@ -247,6 +247,13 @@ class TestCheckMatrix:
         assert code == 2
         assert "asymmetric" in err
 
+    def test_duplicate_labels_name_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "twice.csv"
+        bad.write_text("s,a,a\na,1,1\na,1,1\n")
+        code, _, err = run(capsys, "check-matrix", bad)
+        assert code == 2
+        assert f"{bad}: matrix labels must be distinct" in err
+
 
 class TestMerge:
     def test_suppliers_class_merge(self, capsys):
@@ -293,6 +300,9 @@ EFFECT_LABELS = ("labels = Minimal, Limited, Tolerable, Moderate, Severe, Major,
                  "Irreversible\n")
 
 
+ASYMMETRIC_EFFECT = _replace("effect_matrix.csv", "Minimal,1.00,0.90", "Minimal,1.00,0.80")
+
+
 def _classes(attr, alpha="0.8", method="interval"):
     return ("classes", "--db", "{db}", "--attr", attr, "--alpha", alpha,
             "--method", method)
@@ -321,7 +331,8 @@ ERROR_PATHS = {
         _classes("CITY"), 2, ["schema.cfg", "'CITY'", "length", "'0'", "positive"]),
     "location-outside-square": (
         "gb", _replace("schema.cfg", "length = 2", "length = 1"),
-        _classes("CITY"), 3, ["location 'Peterborough'", "outside the square"]),
+        _classes("CITY"), 2,
+        ["schema.cfg", "'CITY'", "location 'Peterborough'", "outside the square"]),
     "side-infinite": (
         "gb", _replace("schema.cfg", "length = 2", "length = Infinity"),
         _classes("CITY"), 2, ["schema.cfg", "'CITY'", "length", "'Infinity'"]),
@@ -386,6 +397,22 @@ ERROR_PATHS = {
     "matrix-not-a-number": (
         "survey", _replace("effect_matrix.csv", "Minimal,1.00,", "Minimal,one,"),
         _classes("Effect"), 2, ["effect_matrix.csv:2", "'one'"]),
+    "matrix-asymmetric": (
+        "survey", ASYMMETRIC_EFFECT, _classes("Effect"), 2,
+        ["schema.cfg", "'Effect'", "effect_matrix.csv",
+         "asymmetric entries for (Minimal, Limited)"]),
+    "matrix-diagonal": (
+        "survey", _replace("effect_matrix.csv", "Minimal,1.00,", "Minimal,0.90,"),
+        _classes("Effect"), 2,
+        ["schema.cfg", "'Effect'", "effect_matrix.csv",
+         "diagonal entry for (Minimal, Minimal)"]),
+    "matrix-degree-out-of-range": (
+        "survey", _replace("effect_matrix.csv", "Minimal,1.00,0.90", "Minimal,1.00,1.90"),
+        _classes("Effect"), 2,
+        ["schema.cfg", "'Effect'", "effect_matrix.csv", "degree 1.9 for (Minimal, Limited)"]),
+    "check-matrix-asymmetric": (
+        "survey", ASYMMETRIC_EFFECT, ("check-matrix", "{db}/effect_matrix.csv"), 2,
+        ["effect_matrix.csv", "asymmetric entries for (Minimal, Limited)"]),
     "locations-empty": (
         "suppliers", _empty("city_locations.csv"), _classes("STATUS"), 2,
         ["city_locations.csv", "empty locations file"]),

@@ -4,7 +4,6 @@ import pytest
 
 from fuzzyrel import (
     AttributeSpec,
-    ExplicitMatrix,
     FuzzyRelation,
     closure_classes,
     temporal_domain,
@@ -22,7 +21,7 @@ def class_sets(grouping):
 
 class TestClosureClasses:
     def test_effect_components_at_085(self, effect_matrix):
-        g = closure_classes(EFFECT_LABELS, ExplicitMatrix(effect_matrix), 0.85)
+        g = closure_classes(EFFECT_LABELS, effect_matrix, 0.85)
         assert class_sets(g) == {
             frozenset({"Minimal", "Limited", "Tolerable", "Moderate"}),
             frozenset({"Severe"}),
@@ -31,27 +30,27 @@ class TestClosureClasses:
         }
 
     def test_single_value(self, effect_matrix):
-        g = closure_classes({"Severe"}, ExplicitMatrix(effect_matrix), 0.99)
+        g = closure_classes({"Severe"}, effect_matrix, 0.99)
         assert class_sets(g) == {frozenset({"Severe"})}
 
     def test_alpha_zero_is_one_class(self, hair_matrix):
-        g = closure_classes(hair_matrix.labels, ExplicitMatrix(hair_matrix), 0.0)
+        g = closure_classes(hair_matrix.labels, hair_matrix, 0.0)
         assert len(g.classes) == 1
 
     def test_chaining_beats_direct_similarity(self, hair_matrix):
         # Black-Auburn is only 0.6 but Dark brown links them at 0.7.
-        spec = ExplicitMatrix(hair_matrix)
+        spec = hair_matrix
         g = closure_classes(("Black", "Dark brown", "Auburn"), spec, 0.7)
         assert class_sets(g) == {frozenset({"Black", "Dark brown", "Auburn"})}
 
     def test_gb_cities_fuse_at_080(self, gb_db):
-        spec = gb_db.attribute("CITY").spec.proximity
+        spec = gb_db.attribute("CITY").proximity
         cities = gb_db.temporal_domain("CITY")
         for alpha in (0.4, 0.6, 0.8):
             assert len(closure_classes(cities, spec, alpha).classes) == 1
 
     def test_gb_pairs_at_095(self, gb_db):
-        spec = gb_db.attribute("CITY").spec.proximity
+        spec = gb_db.attribute("CITY").proximity
         cities = gb_db.temporal_domain("CITY")
         g = closure_classes(cities, spec, 0.95)
         pairs = {c for c in class_sets(g) if len(c) > 1}
@@ -63,13 +62,13 @@ class TestClosureClasses:
         assert len(g.classes) == 20
 
     def test_removing_a_link_splits_a_class(self, gb_db):
-        spec = gb_db.attribute("CITY").spec.proximity
+        spec = gb_db.attribute("CITY").proximity
         cities = gb_db.temporal_domain("CITY") - {"Frankton"}
         g = closure_classes(cities, spec, 0.95)
         assert frozenset({"Rugby"}) in class_sets(g)
 
     def test_monotone_coarsening(self, hair_matrix):
-        spec = ExplicitMatrix(hair_matrix)
+        spec = hair_matrix
         coarse = closure_classes(hair_matrix.labels, spec, 0.5)
         fine = closure_classes(hair_matrix.labels, spec, 0.7)
         for cls in fine.classes:
@@ -77,7 +76,7 @@ class TestClosureClasses:
 
     def test_agreement_with_direct_cut_for_similarity(self, effect_matrix):
         # a max-min transitive relation makes the direct cut an equivalence
-        spec = ExplicitMatrix(effect_matrix)
+        spec = effect_matrix
         for alpha in (0.75, 0.8, 0.85, 0.9, 0.95):
             direct = {
                 frozenset(
@@ -93,7 +92,7 @@ class TestClosureClasses:
 
 class TestAlphaCut:
     def test_edges_are_non_strict(self, effect_matrix):
-        spec = ExplicitMatrix(effect_matrix)
+        spec = effect_matrix
         assert spec.degree("Major", "Extreme") == 0.85
         assert spec.degree("Major", "Severe") == 0.80
         assert spec.degree("Severe", "Extreme") == 0.80

@@ -5,6 +5,7 @@ import pytest
 from fuzzyrel import (
     AttributeSpec,
     DomainError,
+    ExplicitMatrix,
     FormatError,
     LevelMap,
     Linear,
@@ -29,9 +30,7 @@ class TestLoadRelation:
     def test_set_valued_cell(self, tmp_path, hair_matrix):
         path = tmp_path / "r.csv"
         path.write_text("Hair\nBlond|Bleached\n")
-        from fuzzyrel import ExplicitMatrix
-
-        rel = load_relation(path, [AttributeSpec("Hair", ExplicitMatrix(hair_matrix))])
+        rel = load_relation(path, [AttributeSpec("Hair", hair_matrix)])
         assert rel.tuples[0].get("Hair") == frozenset({"Blond", "Bleached"})
 
     def test_numeric_cells_become_numbers(self, suppliers_db):
@@ -60,12 +59,10 @@ class TestLoadRelation:
             load_relation(path, [AttributeSpec("S", Linear(100))])
 
     def test_unknown_label_rejected(self, tmp_path, effect_matrix):
-        from fuzzyrel import ExplicitMatrix
-
         path = tmp_path / "r.csv"
         path.write_text("E\nMild\n")
         with pytest.raises(DomainError):
-            load_relation(path, [AttributeSpec("E", ExplicitMatrix(effect_matrix))])
+            load_relation(path, [AttributeSpec("E", effect_matrix)])
 
     def test_empty_set_member_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -78,6 +75,17 @@ class TestLoadMatrix:
     def test_effect_matrix(self, effect_matrix):
         assert len(effect_matrix.labels) == 8
         assert effect_matrix.degree("Minimal", "Irreversible") == 0.0
+
+    def test_a_loaded_table_is_an_unordered_spec(self, effect_matrix):
+        assert type(effect_matrix) is ExplicitMatrix
+        assert effect_matrix.order is None and effect_matrix.embedding() is None
+
+    def test_an_invalid_table_names_its_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("s,a,b\na,1.0,2.0\nb,2.0,1.0\n")
+        with pytest.raises(ValidationError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: degree 2.0 for (a, b) outside [0, 1]"
 
     def test_asymmetric_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -96,6 +104,21 @@ class TestLoadMatrix:
         path.write_text("s,a,b\nb,1.0,0.5\na,0.5,1.0\n")
         with pytest.raises(FormatError):
             load_matrix(path)
+
+
+class TestLoadDatabase:
+    def test_an_ordinal_matrix_attribute_is_ordered_by_its_labels(self, arson_db,
+                                                                  build_matrix):
+        spec = arson_db.attribute("BUILD")
+        assert type(spec) is AttributeSpec
+        assert spec.proximity == ExplicitMatrix(build_matrix.labels, build_matrix.entries,
+                                                build_matrix.labels)
+
+    def test_configured_alphas_win(self, suppliers_db):
+        assert suppliers_db.alphas == {"SNAME": 0.0}
+        assert suppliers_db.levels() == LevelMap({"SNAME": 0.0})
+        assert suppliers_db.levels(0.6) == LevelMap({"SNAME": 0.0, "STATUS": 0.6,
+                                                     "CITY": 0.6})
 
 
 class TestLoadLocations:

@@ -37,7 +37,6 @@ from fuzzyrel import (
     LevelMap,
     Linear,
     Planar,
-    ProximityMatrix,
     UnknownValueError,
     closure_classes,
     join,
@@ -60,7 +59,6 @@ from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
 from fuzzyrel.partition import (
     Grouping,
     Partition2D,
-    _make_resolver,
     _unit_interval,
     cell_of,
     class_of,
@@ -87,6 +85,12 @@ from fuzzyrel.query import (
 
 
 # --- oracles ---------------------------------------------------------------
+
+
+def _make_resolver(resolve):
+    """The partition helper the oracles were written against: a spec's
+    resolve function, or the identity for None."""
+    return (lambda v: v) if resolve is None else resolve
 
 
 def _classifier(attr: AttributeSpec, method: str, level: float,
@@ -721,14 +725,15 @@ BAD_CONSTANTS = {
 
 
 @st.composite
-def matrices(draw):
-    """Reflexive, symmetric degree tables; most are not max-min transitive."""
+def matrices(draw, order=None):
+    """Reflexive, symmetric degree tables over LABELS, ranked by ``order``;
+    most are not max-min transitive."""
     n = len(LABELS)
     entries = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw(st.sampled_from(LEVELS))
-    return ProximityMatrix(LABELS, tuple(map(tuple, entries)))
+    return ExplicitMatrix(LABELS, tuple(map(tuple, entries)), order)
 
 
 @st.composite
@@ -746,8 +751,7 @@ def attributes(draw, name):
         return AttributeSpec(name, Planar(10, SITES), method), tuple(SITES), kind
     ordered = draw(st.booleans())
     method = draw(st.sampled_from(METHODS if ordered else ("threshold", "closure")))
-    spec = AttributeSpec(name, ExplicitMatrix(draw(matrices()),
-                                              LABELS if ordered else None), method)
+    spec = AttributeSpec(name, draw(matrices(LABELS if ordered else None)), method)
     return spec, LABELS, kind
 
 
@@ -1120,7 +1124,7 @@ class TestNamedCases:
     def test_merge_order_on_a_non_transitive_matrix(self, hair_matrix):
         # Blond~Light brown and Light brown~Red at 0.7, Blond~Red only 0.5:
         # which pair merges first decides the result
-        schema = (AttributeSpec("H", ExplicitMatrix(hair_matrix)),)
+        schema = (AttributeSpec("H", hair_matrix),)
         r = FuzzyRelation.from_rows(schema, [("Blond",), ("Light brown",), ("Red",)])
         levels = LevelMap({"H": 0.7})
         assert_same(merge_relation, oracle_merge_relation, r, levels, None)
@@ -1168,7 +1172,7 @@ class TestNamedCases:
         (Linear(10), "abc", UnknownValueError),
         (Linear(10), 500, DomainError),
         (Planar(10, SITES), "Nowhere", UnknownValueError),
-        (ExplicitMatrix(ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))), "r",
+        (ExplicitMatrix(("p", "q"), ((1, 0.5), (0.5, 1))), "r",
          UnknownValueError),
     ])
     def test_bad_constant(self, spec, constant, error):

@@ -178,12 +178,12 @@ class TestClassesOver:
     def test_grid_classes_in_column_row_order(self):
         # width 50: names run against the (column, row) order of their cells
         points = {"z": (10, 10), "y": (10, 60), "x": (60, 10), "w": (60, 60)}
-        g = classes_over(points, partition_plane(100, 0.5), points)
+        g = classes_over(points, partition_plane(100, 0.5), points.__getitem__)
         assert sets(g) == [{"z"}, {"y"}, {"x"}, {"w"}]
         assert g.class_index("y") == 2
 
     def test_city_grid(self):
-        g = classes_over(FANTASY, partition_plane(100, 0.6), FANTASY)
+        g = classes_over(FANTASY, partition_plane(100, 0.6), FANTASY.__getitem__)
         assert set(map(frozenset, g.classes)) == {
             frozenset({"Shire", "Bree", "Rivendell"}),
             frozenset({"Isengard", "Moria"}),
@@ -207,14 +207,14 @@ class TestHairIntervalClasses:
         ],
     )
     def test_standard_mode(self, alpha, expected):
-        g = classes_over(HAIR, partition_line(6, alpha), HAIR_POS)
+        g = classes_over(HAIR, partition_line(6, alpha), HAIR_POS.__getitem__)
         assert sets(g) == expected
 
     def test_classes_need_not_nest_when_alpha_grows(self):
         # {A, R} at the larger threshold straddles two classes of the
         # smaller one, so refinement fails in that direction.
-        low = classes_over(HAIR, partition_line(6, 0.6), HAIR_POS)
-        high = classes_over(HAIR, partition_line(6, 2 / 3), HAIR_POS)
+        low = classes_over(HAIR, partition_line(6, 0.6), HAIR_POS.__getitem__)
+        high = classes_over(HAIR, partition_line(6, 2 / 3), HAIR_POS.__getitem__)
         straddler = frozenset({"A", "R"})
         assert straddler in high.classes
         assert not any(straddler <= c for c in low.classes)

@@ -15,7 +15,6 @@ from fuzzyrel import (
     FuzzyRelError,
     Linear,
     Planar,
-    ProximityMatrix,
     UnknownValueError,
     ValidationError,
     build_ordinal_matrix,
@@ -100,6 +99,12 @@ class TestOrdinalMatrix:
         m = build_ordinal_matrix(["x", "y", "z"])
         assert all(m.degree(lab, lab) == 1.0 for lab in m.labels)
 
+    def test_ordered_by_its_labels(self):
+        m = build_ordinal_matrix(["x", "y", "z"])
+        assert m.order == m.labels == ("x", "y", "z")
+        dims, length, rank = m.embedding()
+        assert (dims, length, [rank(v) for v in "xyz"]) == (1, 2.0, [0, 1, 2])
+
     def test_rejects_bad_domains(self):
         with pytest.raises(DomainError):
             build_ordinal_matrix(["only"])
@@ -116,20 +121,34 @@ class TestOrdinalMatrix:
 class TestMatrixValidation:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValidationError):
-            ProximityMatrix(("a", "b"), ((1.0, 0.5), (0.4, 1.0)))
+            ExplicitMatrix(("a", "b"), ((1.0, 0.5), (0.4, 1.0)))
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValidationError):
-            ProximityMatrix(("a", "b"), ((0.9, 0.5), (0.5, 1.0)))
+            ExplicitMatrix(("a", "b"), ((0.9, 0.5), (0.5, 1.0)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
-            ProximityMatrix(("a", "b"), ((1.0, 1.5), (1.5, 1.0)))
+            ExplicitMatrix(("a", "b"), ((1.0, 1.5), (1.5, 1.0)))
+
+    def test_rejects_no_labels(self):
+        with pytest.raises(ValidationError, match="at least one label"):
+            ExplicitMatrix((), ())
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValidationError, match="labels must be distinct"):
+            ExplicitMatrix(("a", "a"), ((1.0, 1.0), (1.0, 1.0)))
+
+    def test_rejects_a_table_that_is_not_square(self):
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            ExplicitMatrix(("a", "b"), ((1.0, 0.5),))
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            ExplicitMatrix(("a", "b"), ((1.0, 0.5), (0.5,)))
 
 
 class TestProperties:
     def test_identity_matrix_is_similarity(self):
-        m = ProximityMatrix(
+        m = ExplicitMatrix(
             ("a", "b", "c"),
             ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         )
@@ -169,17 +188,18 @@ class TestMatrixOrder:
     ])
     def test_rejects_an_order_that_is_not_the_labels(self, order, message):
         with pytest.raises(ValidationError, match=message):
-            ExplicitMatrix(self.MATRIX, order)
+            ExplicitMatrix(self.MATRIX.labels, self.MATRIX.entries, order)
 
     def test_cells_are_ranks_in_the_order(self):
-        dims, length, rank = ExplicitMatrix(self.MATRIX, ("c", "a", "b")).embedding()
+        spec = ExplicitMatrix(self.MATRIX.labels, self.MATRIX.entries, ("c", "a", "b"))
+        dims, length, rank = spec.embedding()
         assert (dims, length) == (1, 2.0)
         assert [rank(v) for v in "abc"] == [1, 2, 0]
         with pytest.raises(UnknownValueError):
             rank("d")
 
     def test_no_order_no_cells(self):
-        assert ExplicitMatrix(self.MATRIX).embedding() is None
+        assert ExplicitMatrix(self.MATRIX.labels, self.MATRIX.entries).embedding() is None
         assert CrispIdentity().embedding() is None
 
 
@@ -193,11 +213,11 @@ class TestDegreeOf:
             degree_of(CrispIdentity(), math.nan, math.nan)
 
     def test_matrix_lookup(self, effect_matrix):
-        assert degree_of(ExplicitMatrix(effect_matrix), "Severe", "Major") == 0.80
+        assert degree_of(effect_matrix, "Severe", "Major") == 0.80
 
     def test_matrix_unknown_label(self, effect_matrix):
         with pytest.raises(UnknownValueError):
-            degree_of(ExplicitMatrix(effect_matrix), "Severe", "Mild")
+            degree_of(effect_matrix, "Severe", "Mild")
 
     def test_linear_dispatch(self):
         assert degree_of(Linear(100), 20, 30) == pytest.approx(0.9)
@@ -210,7 +230,7 @@ class TestDegreeOf:
 
     @given(i=st.integers(0, 7), j=st.integers(0, 7))
     def test_symmetry_and_reflexivity(self, i, j, effect_matrix):
-        spec = ExplicitMatrix(effect_matrix)
+        spec = effect_matrix
         x, y = effect_matrix.labels[i], effect_matrix.labels[j]
         assert degree_of(spec, x, y) == degree_of(spec, y, x)
         assert degree_of(spec, x, x) == 1.0
@@ -268,6 +288,18 @@ class TestNear:
         assert cut.near(4, 0.7) == {3, 3.5, 4, 7}
         assert cut.near(0, 0.7) == {0, 3}
 
+    @pytest.mark.parametrize("x, values, dropped", [
+        (64.4, (64.1, 64.4, 64.7), 64.1),
+        (65.1, (64.8, 65.1, 65.4), 65.4),
+    ])
+    def test_linear_band_ends_are_trimmed_to_the_degree(self, x, values, dropped):
+        # Both ends are 0.3 away, inside the band's slack, but on one side
+        # degree rounds to 0.9969999999999999: that end is trimmed.
+        spec = Linear(100)
+        got = spec.compile(values).near(x, 0.997)
+        assert dropped not in got and spec.degree(x, dropped) < 0.997
+        assert got == {y for y in values if spec.degree(x, y) >= 0.997}
+
     def test_planar(self):
         spec = Planar(10, SITES)
         assert_near_law(spec, PLANAR_POINTS, PLANAR_POINTS + ((7.0, 7.0),))
@@ -282,7 +314,7 @@ class TestNear:
     def test_matrix(self, hair_matrix, effect_matrix):
         for matrix in (hair_matrix, effect_matrix):
             labels = matrix.labels
-            assert_near_law(ExplicitMatrix(matrix), labels[1:], labels)
+            assert_near_law(matrix, labels[1:], labels)
 
     def test_crisp(self):
         assert_near_law(CrispIdentity(), CRISP_POINTS, CRISP_POINTS + ("z", 1.0))
@@ -302,7 +334,7 @@ class TestNear:
         (Linear(10), 5, ["abc", True, None, 500, -1, math.nan]),
         (Planar(10, SITES), "C", ["Nowhere", 5, (1, 2, 3), (11, 0), (True, 1),
                                   ("a", 1)]),
-        (ExplicitMatrix(ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))), "p",
+        (ExplicitMatrix(("p", "q"), ((1, 0.5), (0.5, 1))), "p",
          ["r", 3, ["p"]]),
         (CrispIdentity(), "a", [math.nan]),
     ])

@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from fuzzyrel import (
-    AttributeConfig,
     AttributeSpec,
     CrispIdentity,
     Database,
@@ -24,7 +23,6 @@ from fuzzyrel import (
     LevelMap,
     Linear,
     Planar,
-    ProximityMatrix,
     SchemaMismatchError,
 )
 from fuzzyrel.algebra import _Check
@@ -32,7 +30,6 @@ from fuzzyrel.partition import Grouping, Partition1D, Partition2D
 from fuzzyrel.proximity import PropertyReport
 from fuzzyrel.query import Cond, Join, LevelClause, Project, Query, RelationRef, Select
 
-M = ProximityMatrix(("p", "q"), ((1, 0.5), (0.5, 1)))
 AXIS = Partition1D(10.0, 0.5, "standard", 5.0, 2)
 R, S = RelationRef("R"), RelationRef("S")
 CONDS = (Cond("A", 1),)
@@ -41,17 +38,15 @@ LEVELS = (LevelClause("A", 0.5),)
 # class: (keyword arguments in parameter order, the defaults of those
 #         left out, a different object, hashable, repr)
 RECORDS = {
-    ProximityMatrix: (
-        {"labels": ("p", "q"), "entries": ((1, 0.5), (0.5, 1))}, {},
-        ProximityMatrix(("p", "q"), ((1, 0.4), (0.4, 1))), True,
-        "ProximityMatrix(labels=('p', 'q'), entries=((1.0, 0.5), (0.5, 1.0)))"),
     Linear: ({"length": 10}, {}, Linear(20), True, "Linear(length=10.0)"),
     Planar: (
         {"side": 10, "locations": {"A": (1, 2)}}, {}, Planar(10, {"A": (1, 3)}), False,
         "Planar(side=10.0, locations={'A': (1.0, 2.0)})"),
     ExplicitMatrix: (
-        {"matrix": M, "order": ("q", "p")}, {"order": None}, ExplicitMatrix(M), True,
-        f"ExplicitMatrix(matrix={M!r}, order=('q', 'p'))"),
+        {"labels": ("p", "q"), "entries": ((1, 0.5), (0.5, 1)), "order": ("q", "p")},
+        {"order": None}, ExplicitMatrix(("p", "q"), ((1, 0.4), (0.4, 1)), ("q", "p")), True,
+        "ExplicitMatrix(labels=('p', 'q'), entries=((1.0, 0.5), (0.5, 1.0)), "
+        "order=('q', 'p'))"),
     CrispIdentity: ({}, {}, Linear(1), True, "CrispIdentity()"),
     PropertyReport: (
         {"reflexive": True, "symmetric": True, "max_min_transitive": False,
@@ -93,15 +88,12 @@ RECORDS = {
         {"classes": (frozenset({1}), frozenset({2})), "index": {1: 1, 2: 2}}, {},
         Grouping((frozenset({1, 2}),), {1: 1, 2: 1}), False,
         "Grouping(classes=(frozenset({1}), frozenset({2})), index={1: 1, 2: 2})"),
-    AttributeConfig: (
-        {"spec": AttributeSpec("A"), "alpha": 0.5}, {"alpha": None},
-        AttributeConfig(AttributeSpec("A")), False,
-        "AttributeConfig(spec=AttributeSpec(name='A', proximity=CrispIdentity(), "
-        "default_method='threshold'), alpha=0.5)"),
     Database: (
-        {"path": "db", "relations": {}, "attributes": {}}, {},
-        Database("other", {}, {}), False,
-        "Database(path='db', relations={}, attributes={})"),
+        {"path": "db", "relations": {}, "attributes": {"A": AttributeSpec("A")},
+         "alphas": {"A": 0.5}}, {},
+        Database("db", {}, {"A": AttributeSpec("A")}, {}), False,
+        "Database(path='db', relations={}, attributes={'A': AttributeSpec(name='A', "
+        "proximity=CrispIdentity(), default_method='threshold')}, alphas={'A': 0.5})"),
     Cond: ({"attr": "A", "value": 3}, {}, Cond("A", 4), True, "Cond(attr='A', value=3)"),
     LevelClause: (
         {"attr": "A", "value": 0.5}, {}, Cond("A", 0.5), True,
