@@ -290,13 +290,14 @@ def class_method(attr: AttributeSpec, requested: str) -> str:
 def _resolve_method(attr: AttributeSpec, requested: str) -> str:
     """Map a requested merge method to one the attribute supports.
 
-    A ``threshold_only`` spec (crisp) keeps the threshold check under
-    every method: it has no cells, and above level 0 its closure classes
-    are its single values, which the threshold check already decides.
+    A spec with keys but no cells (crisp, an unordered transitive matrix)
+    resolves every method to threshold, which ``_build_checks`` tests by
+    its keys: above level 0 they decide its closure classes too.
     """
     if requested not in METHODS:
         raise ValidationError(f"unknown method {requested!r}")
-    if requested == "threshold" or attr.proximity.threshold_only:
+    if requested == "threshold" or (attr.proximity.embedding() is None
+                                    and attr.proximity.keys(1.0) is not None):
         return "threshold"
     return class_method(attr, requested)
 
@@ -370,12 +371,12 @@ _MIXED = object()  # class key of a component that spans two classes
 class _Check(_Record):
     """Redundancy test for one attribute position, built for one call.
 
-    A cell test keys values by their cell (see ``_cell_keys``), a closure
-    test by the ``class_index`` of a ``class_grouping`` that holds every
-    value the call will test.  A threshold test holds those values
-    compiled by the attribute's spec, and caches each value's
-    neighbourhood: the values within the level of it.  A component is
-    mutually close exactly when it lies inside the intersection of its
+    A cell test keys values by their cell (see ``_cell_keys``), a keyed
+    test by its spec's ``keys``, a closure test by the ``class_index`` of
+    a ``class_grouping`` holding every value the call will test.  A
+    threshold test holds those values compiled by the spec and caches each
+    value's neighbourhood: the values within the level of it.  A component
+    is mutually close exactly when it lies inside the intersection of its
     members' neighbourhoods.  Values are keyed by Python equality.
     """
 
@@ -421,8 +422,8 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
     ``values_of(idx, method)`` is the value set the check of position
     ``idx`` will see, given its resolved method.  A threshold check
     compiles it and a closure check groups it with ``class_grouping``: a
-    neighbourhood or a closure class over more values would differ.  A
-    cell check needs no values: it keys each value it tests by its cell.
+    neighbourhood or a closure class over more values would differ.  Cell
+    and keyed checks key each value alone.
     """
     checks = []
     for idx, attr in enumerate(schema):
@@ -430,14 +431,16 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
         if level == 0.0:
             continue
         method = _resolve_method(attr, mode or attr.default_method)
-        if method == "threshold":
-            cut = attr.proximity.compile(values_of(idx, method))
-            checks.append(_Check(idx, level, cut=cut))
-        elif method == "closure":
-            grouping = class_grouping(attr, method, level, values_of(idx, method))
-            checks.append(_Check(idx, level, classify=grouping.class_index))
+        if method in CELL_METHODS:
+            check = _Check(idx, level, classify=_cell_keys(attr, method, level))
+        elif (keys := attr.proximity.keys(level)) is not None:
+            check = _Check(idx, level, classify=keys)
+        elif method == "threshold":
+            check = _Check(idx, level, cut=attr.proximity.compile(values_of(idx, method)))
         else:
-            checks.append(_Check(idx, level, classify=_cell_keys(attr, method, level)))
+            grouping = class_grouping(attr, method, level, values_of(idx, method))
+            check = _Check(idx, level, classify=grouping.class_index)
+        checks.append(check)
     return checks
 
 
@@ -447,7 +450,7 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
 
     ``mode`` forces one class-formation method for every attribute;
     None follows each attribute's configured default.  Closure classes
-    are computed from r's current content.
+    are computed from r's current content, unless the spec has keys.
     """
     _conform((t1, t2), r.names)
     # closure classes depend on r's content, cuts only on t1, t2
@@ -474,23 +477,22 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     and restarting.  One forward pass reaches it: a union only adds class
     keys and can only lower the minimum pairwise degree, so a pair found
     non-redundant stays so as either side grows.  Tuples are bucketed by
-    the class keys of their class-checked components; a tuple with one
-    spanning two classes never merges.  In a bucket, tuple i absorbs each
-    later tuple that passes the threshold checks against it, and
-    survivors keep the position of their first member: at most O(n^2)
-    pair checks, O(n) with class checks only.  A later tuple equal to the
-    growing one is absorbed when the scan reaches it.
+    the keys of their class-checked components, crisp and transitive
+    matrix ones included; a tuple with one spanning two classes never
+    merges.  In a bucket, tuple i absorbs each later tuple that passes the
+    threshold checks against it, and survivors keep the position of their
+    first member: at most O(n^2) pair checks, O(n) with class checks only.
+    A later tuple equal to the growing one is absorbed when reached.
 
     Threshold and closure checks are built over r's own column values
-    and cell checks key each value by its cell (see ``_Check``); each
-    value's neighbourhood is found once.  The growing tuple carries the
-    intersection of its members' neighbourhoods, so a later tuple whose
-    own components are mutually close is redundant with it exactly when
-    each of those components lies inside that intersection: one subset
-    test per attribute.  Keys are by Python equality, exact for every
-    value a spec accepts.  Building the checks, or keying the tuples,
-    tests every value of a checked column, so a value its spec rejects
-    raises here.
+    (see ``_build_checks``); each value's neighbourhood is found once.  The
+    growing tuple carries the intersection of its members' neighbourhoods,
+    so a later tuple whose own components are mutually close is redundant
+    with it exactly when each of those components lies inside that
+    intersection: one subset test per attribute.  Keys are by Python
+    equality, exact for every value a spec accepts.  Building the checks,
+    or keying the tuples, tests every value of a checked column, so a
+    value its spec rejects raises here.
     """
     levels = levels or LevelMap()
     checks = _build_checks(r.schema, levels, mode, lambda idx, _: _column(r.tuples, idx))

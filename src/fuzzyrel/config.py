@@ -156,7 +156,7 @@ def _parse_attribute(name: str, section: Mapping[str, str],
 
 
 def load_database(path) -> Database:
-    """Load the schema config and every relation file it names."""
+    """Load the schema config, which must define a relation, and its files."""
     base = Path(path)
     cfg_path = base / "schema.cfg"
     if not cfg_path.is_file():
@@ -166,7 +166,8 @@ def load_database(path) -> Database:
     try:
         parser.read(cfg_path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{cfg_path}: {exc}") from None
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise FormatError(f"{cfg_path}: {message}") from None
 
     attributes: dict[str, AttributeSpec] = {}
     alphas: dict[str, float] = {}
@@ -186,6 +187,8 @@ def load_database(path) -> Database:
             pending_relations.append((name, body["file"], _split_list(body["attributes"])))
         else:
             raise FormatError(f"{cfg_path}: unknown section {section!r}")
+    if not pending_relations:
+        raise ValidationError(f"{cfg_path}: defines no relation")
 
     relations: dict[str, FuzzyRelation] = {}
     for name, filename, attr_names in pending_relations:

@@ -1,7 +1,9 @@
 """Content-independent equivalence classes from interval and grid partitions.
 
-For a threshold alpha, the interval [0, L] is cut into cells whose members
-are pairwise proximate to degree >= alpha.  Two modes exist:
+For a threshold alpha, [0, L] is cut into cells no wider than
+(1 - alpha) * L, so two members' distance degree reaches alpha; for an
+ordered matrix that is the degree of their ranks, not the table's (survey
+Extreme and Irreversible, of degree 0, share a cell at 0.8).  Two modes exist:
 
 * standard  -- cell width m = (1 - alpha) * L; when 1 / (1 - alpha) is not
   an integer the last cell is shorter,

@@ -32,15 +32,18 @@ Each kind has the same members:
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
   cells.  A matrix has cells only with an ``order``: its label ranks,
-* ``threshold_only``  -- true for crisp domains only: merges keep their
-  threshold check whatever method is asked.
+* ``keys(level)``     -- for a level in (0, 1], a function from a value to
+  its class key in the cut at ``level``, or None at every level.  Crisp
+  equality and a max-min transitive matrix have keys: their cuts are
+  equivalences, so values share a key exactly when each is ``near`` the other.
 
-Each kind checks a value on one path, which ``degree``, ``compile`` and
-``near`` share.  Every spec is built with an empty hidden ``_cells`` memo,
-out of ``==``, ``repr`` and pickle, where ``algebra._cell_keys`` keeps each
-value's cell per method and level: a cell depends only on the domain.
+Each kind checks a value on one path, which ``degree``, ``compile``,
+``near`` and ``keys`` share.  Hidden caches, out of ``==``, ``repr`` and
+pickle, hold what depends only on the domain: every spec's ``_cells``,
+where ``algebra._cell_keys`` keeps each value's cell per method and level,
+and a matrix's ``_violation``, its transitivity decided on first need.
 
-Apart from that memo all objects are immutable; every function is pure.
+Apart from these caches all objects are immutable; every function is pure.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ _INT_RE = re.compile(r"[+-]?\d+")
 # rounding leaves a member out; ``degree``'s float expression then decides
 # each candidate in ``near``, the one place ``degree >= level`` is decided.
 _REACH_SLACK = 1e-9
+_UNDECIDED = object()  # a matrix's transitivity before its first need
 
 
 class _Record:
@@ -119,15 +123,17 @@ def _as_number(value, what: str) -> float:
 
 
 class _Kind(_Record):
-    """Defaults of a spec kind: no cells, not ``threshold_only``, an empty cell memo."""
+    """Defaults of a spec kind: no cells, no keys, an empty cell memo."""
 
     __slots__ = ("_cells",)
-    threshold_only = False
 
     def __init__(self):
         self._set(_cells={})
 
     def embedding(self):
+        return None
+
+    def keys(self, level: float):
         return None
 
 
@@ -231,11 +237,12 @@ class ExplicitMatrix(_Kind):
     degree in [0, 1].  ``order`` lists the labels of a linearly ordered
     domain.  It gives the domain its cells: label i of the order sits at
     rank i on [0, len(order) - 1], where interval and equalized partitions
-    apply.  Without an order a matrix domain has no cells.
+    apply.  Without an order a matrix domain has no cells.  A table found
+    max-min transitive, on first need, has keys.
     """
 
     _fields = ("labels", "entries", "order")
-    __slots__ = _fields + ("_pos", "_ranks")
+    __slots__ = _fields + ("_pos", "_ranks", "_violation")
 
     def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[float, ...], ...],
                  order: tuple[str, ...] | None = None):
@@ -260,7 +267,7 @@ class ExplicitMatrix(_Kind):
                 if v != entries[j][i]:
                     raise ValidationError(f"asymmetric entries for ({x}, {y})")
         self._set(labels=labels, entries=entries, order=None, _ranks=None, _cells={},
-                  _pos={lab: i for i, lab in enumerate(labels)})
+                  _pos={lab: i for i, lab in enumerate(labels)}, _violation=_UNDECIDED)
         if order is None:
             return
         order = tuple(order)
@@ -295,20 +302,38 @@ class ExplicitMatrix(_Kind):
             raise DomainError(f"unknown label {text!r}")
         return text
 
+    def keys(self, level: float):
+        if self._first_violation() is not None:
+            return None
+        # its row's first column that reaches the level, by ``near``'s predicate
+        entries, position = self.entries, self.position
+        return lambda v: next(j for j, d in enumerate(entries[position(v)]) if d >= level)
+
+    def _first_violation(self) -> tuple[str, str, str] | None:
+        """``relation_properties``' first violation, found on the first call and kept."""
+        if self._violation is _UNDECIDED:
+            e, labels, n = self.entries, self.labels, range(len(self.labels))
+            self._set(_violation=next(((labels[i], labels[j], labels[k])
+                                       for i in n for j in n for k in n
+                                       if e[i][k] < min(e[i][j], e[j][k])), None))
+        return self._violation
+
 
 class CrispIdentity(_Kind):
     """Classical equality: degree 1 for equal values, 0 otherwise.
 
     A value unequal to itself, such as a float NaN, is rejected with
-    UnknownValueError, so the relation stays reflexive.  It has no cells,
-    and merges keep its threshold check under every method.
+    UnknownValueError, so the relation stays reflexive.  It has no cells;
+    its keys are its values, so merges bucket by them under every method.
     """
 
     __slots__ = ()
-    threshold_only = True
 
     def degree(self, x: Value, y: Value) -> float:
         return 1.0 if _crisp_value(x) == _crisp_value(y) else 0.0
+
+    def keys(self, level: float):
+        return _crisp_value
 
     def compile(self, values) -> "_CrispCut":
         return _CrispCut(values)
@@ -419,39 +444,20 @@ def build_ordinal_matrix(labels) -> ExplicitMatrix:
 
 
 class PropertyReport(_Record):
-    """Which of the three similarity-relation properties a matrix satisfies."""
+    """Whether a matrix is max-min transitive, and its first violation if not."""
 
-    __slots__ = _fields = ("reflexive", "symmetric", "max_min_transitive",
-                           "first_violation")
+    __slots__ = _fields = ("max_min_transitive", "first_violation")
 
-    def __init__(self, reflexive: bool, symmetric: bool, max_min_transitive: bool,
+    def __init__(self, max_min_transitive: bool,
                  first_violation: tuple[str, str, str] | None = None):
-        self._set(reflexive=reflexive, symmetric=symmetric,
-                  max_min_transitive=max_min_transitive, first_violation=first_violation)
+        self._set(max_min_transitive=max_min_transitive, first_violation=first_violation)
 
 
 def relation_properties(m: ExplicitMatrix) -> PropertyReport:
-    """Check reflexivity, symmetry and max-min transitivity.
-
-    If transitivity fails, reports the first triple (x, y, z) in label
-    order with degree(x, z) < min(degree(x, y), degree(y, z)).
-    """
-    n = len(m.labels)
-    e = m.entries
-    reflexive = all(e[i][i] == 1.0 for i in range(n))
-    symmetric = all(e[i][j] == e[j][i] for i in range(n) for j in range(i + 1, n))
-    violation = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if e[i][k] < min(e[i][j], e[j][k]):
-                    violation = (m.labels[i], m.labels[j], m.labels[k])
-                    break
-            if violation:
-                break
-        if violation:
-            break
-    return PropertyReport(reflexive, symmetric, violation is None, violation)
+    """Whether ``m`` is max-min transitive, as ``m`` keeps it, else the first
+    (x, y, z) in label order with degree(x, z) < min(degree(x, y), degree(y, z))."""
+    violation = m._first_violation()
+    return PropertyReport(violation is None, violation)
 
 
 def degree_of(spec: ProximitySpec, x: Value, y: Value) -> float:

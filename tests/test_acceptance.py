@@ -33,6 +33,7 @@ from fuzzyrel import (
     partition_line,
     partition_plane,
     project,
+    relation_properties,
     select,
 )
 from fuzzyrel.partition import _MAX_CELLS
@@ -552,6 +553,22 @@ def test_direct_cut_equals_closure_for_similarity(matrix, alpha):
         for x in matrix.labels
     }
     assert direct == class_sets(closure_classes(matrix.labels, spec, alpha))
+
+
+@LAWS
+@given(matrix=st.one_of(similarity_matrices(), proximity_matrices()),
+       alpha=st.floats(0, 1, exclude_min=True))
+def test_keys_are_the_cut_of_a_similarity(matrix, alpha):
+    # keys at every level or at none; at each degree as a level, and
+    # between them, two labels share a key exactly when their degree reaches it
+    transitive = relation_properties(matrix).max_min_transitive
+    for level in {alpha} | {d for row in matrix.entries for d in row if d > 0}:
+        key = matrix.keys(level)
+        assert (key is not None) == transitive
+        if key is not None:
+            for x in matrix.labels:
+                for y in matrix.labels:
+                    assert (key(x) == key(y)) == (matrix.degree(x, y) >= level)
 
 
 @LAWS

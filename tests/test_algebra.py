@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyrel import (
     AttributeSpec,
+    CrispIdentity,
     DomainError,
     ExplicitMatrix,
     FuzzyRelation,
@@ -217,13 +218,26 @@ class TestMergeRelation:
         twice = merge_relation(once, levels)
         assert set(once.tuples) == set(twice.tuples)
 
+    def test_cell_method_on_an_unordered_matrix(self, effect_matrix, hair_matrix):
+        # a max-min transitive table serves a merge's cell method by its
+        # keys; a table without an order has no classes to list
+        rel = FuzzyRelation.from_rows((AttributeSpec("E", effect_matrix, "grid"),),
+                                      [(e,) for e in EFFECTS])
+        levels = LevelMap({"E": 0.8})
+        for mode in (None, "interval", "equalized"):
+            assert merge_relation(rel, levels, mode) == merge_relation(rel, levels, "threshold")
+        with pytest.raises(ValidationError, match="'E' does not support 'grid' classes"):
+            class_grouping(rel.schema[0], "grid", 0.8, EFFECTS)
+        # a non-transitive one has neither
+        hair = FuzzyRelation.from_rows((AttributeSpec("H", hair_matrix),), [(h,) for h in HAIRS])
+        with pytest.raises(ValidationError, match="'H' does not support 'interval' classes"):
+            merge_relation(hair, LevelMap({"H": 0.8}), "interval")
+        with pytest.raises(ValidationError, match="'H' does not support 'grid' classes"):
+            AttributeSpec("H", hair_matrix, "grid")
 
-class CountingMatrix(ExplicitMatrix):
-    """A matrix spec that counts degree evaluations, compilations and cuts."""
 
-    def __init__(self, matrix):
-        super().__init__(matrix.labels, matrix.entries)
-        object.__setattr__(self, "calls", collections.Counter())
+class Counting:
+    """Counts a spec's degree evaluations, compilations and cuts."""
 
     def degree(self, x, y):
         self.calls["degree"] += 1
@@ -232,6 +246,18 @@ class CountingMatrix(ExplicitMatrix):
     def compile(self, values):
         self.calls["compile"] += 1
         return CountingCut(super().compile(values), self.calls)
+
+
+class CountingMatrix(Counting, ExplicitMatrix):
+    def __init__(self, matrix):
+        super().__init__(matrix.labels, matrix.entries)
+        object.__setattr__(self, "calls", collections.Counter())
+
+
+class CountingCrisp(Counting, CrispIdentity):
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "calls", collections.Counter())
 
 
 class CountingCut:
@@ -243,12 +269,14 @@ class CountingCut:
         return self.cut.near(x, level)
 
 
-def keyed_rows(effect_matrix, count):
-    """``count`` distinct rows over three Effect labels, told apart by KEY."""
-    spec = CountingMatrix(effect_matrix)
+EFFECTS = ("Minimal", "Tolerable", "Irreversible")
+HAIRS = ("Black", "Dark brown", "Bleached")
+
+
+def keyed_rows(spec, values, count):
+    """``count`` distinct rows over three values of ``spec``, told apart by KEY."""
     schema = (AttributeSpec("KEY"), AttributeSpec("E", spec))
-    labels = ("Minimal", "Tolerable", "Irreversible")
-    rel = FuzzyRelation.from_rows(schema, [(k, labels[k % 3]) for k in range(count)])
+    rel = FuzzyRelation.from_rows(schema, [(k, values[k % 3]) for k in range(count)])
     spec.calls.clear()  # from_rows compiles each column once to check it
     return rel, spec
 
@@ -305,7 +333,7 @@ class TestEvaluationCounts:
     """
 
     def test_select_one_lookup_per_condition(self, effect_matrix):
-        rel, spec = keyed_rows(effect_matrix, 60)
+        rel, spec = keyed_rows(CountingMatrix(effect_matrix), EFFECTS, 60)
         got = select(rel, [("E", "Tolerable")], LevelMap({"E": 0.8}))
         assert spec.calls == {"compile": 1, "near": 1}
         assert [t.get("KEY") for t in got.tuples] == [
@@ -314,14 +342,32 @@ class TestEvaluationCounts:
         select(rel, [("E", "Minimal"), ("E", "Tolerable")], LevelMap({"E": 0.8}))
         assert spec.calls == {"compile": 1, "near": 3}
 
-    def test_merge_one_neighbourhood_per_value(self, effect_matrix):
-        rel, spec = keyed_rows(effect_matrix, 60)
+    def test_merge_one_neighbourhood_per_value(self, hair_matrix):
+        # the hair table is not max-min transitive, so its check is pairwise
+        rel, spec = keyed_rows(CountingMatrix(hair_matrix), HAIRS, 60)
         merged = merge_relation(rel, LevelMap({"KEY": 0.0, "E": 0.8}))
         assert spec.calls["degree"] == 0
         assert spec.calls["compile"] == 1
         assert spec.calls["near"] <= 3
         assert [t.get("E") for t in merged.tuples] == [
-            frozenset({"Minimal", "Tolerable"}), frozenset({"Irreversible"})]
+            frozenset({"Black", "Dark brown"}), frozenset({"Bleached"})]
+
+    @pytest.mark.parametrize("kind", ["transitive matrix", "crisp"])
+    def test_keyed_column_is_never_compiled(self, effect_matrix, kind):
+        # a max-min transitive table and crisp equality key their values
+        if kind == "crisp":
+            rel, spec = keyed_rows(CountingCrisp(), ("a", "b", "c"), 60)
+            classes = [{"a"}, {"b"}, {"c"}]
+        else:
+            rel, spec = keyed_rows(CountingMatrix(effect_matrix), EFFECTS, 60)
+            classes = [{"Minimal", "Tolerable"}, {"Irreversible"}]
+        levels = LevelMap({"KEY": 0.0, "E": 0.8})
+        for mode in (None, "threshold", "closure", "interval"):
+            merged = merge_relation(rel, levels, mode)
+            assert [t.get("E") for t in merged.tuples] == classes
+            assert project(rel, ["E"], levels, mode) == project(merged, ["E"], levels, mode)
+            assert len(join(rel, merged, ["E"], levels, mode)) == len(classes)
+        assert spec.calls == {}
 
     def test_index_is_built_on_first_use_and_hidden(self, suppliers_db):
         rel = suppliers_db.relation("SUPPLIERS")
@@ -380,8 +426,8 @@ class TestEvaluationCounts:
         assert sum(cells_computed.values()) == 0
 
     def test_closure_and_threshold_checks_are_built_on_every_call(
-            self, effect_matrix, groupings_formed):
-        rel, spec = keyed_rows(effect_matrix, 30)
+            self, hair_matrix, groupings_formed):
+        rel, spec = keyed_rows(CountingMatrix(hair_matrix), HAIRS, 30)
         levels = LevelMap({"E": 0.8})
         for _ in range(2):
             project(rel, ["E"], levels)

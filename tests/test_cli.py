@@ -370,6 +370,8 @@ ERROR_PATHS = {
     "ordinal-one-label": (
         "arson", _replace("schema.cfg", BUILD_LINES, "labels = Large\n"),
         _classes("BUILD"), 2, ["schema.cfg", "'BUILD'", "at least 2 labels"]),
+    "schema-empty": (
+        "gb", _empty("schema.cfg"), _classes("CITY"), 2, ["schema.cfg", "no relation"]),
     "unknown-section": (
         "suppliers", _replace("schema.cfg", "[relation SUPPLIERS]",
                               "[table EXTRA]\n\n[relation SUPPLIERS]"),

@@ -82,6 +82,7 @@ from fuzzyrel.query import (
     _Token,
     _tokenize,
 )
+from test_acceptance import _maxmin_closure
 
 
 # --- oracles ---------------------------------------------------------------
@@ -713,6 +714,7 @@ LABELS = ("L0", "L1", "L2", "L3", "L4")
 SITES = {"A": (0.0, 0.0), "B": (1.5, 2.0), "C": (5.0, 5.0), "D": (9.9, 0.2),
          "E": (10.0, 10.0), "F": (4.9, 5.1), "G": (2.5, 7.5), "H": (3.3, 3.4)}
 CRISP_VALUES = ("a", "b", "c", "d")
+KEY_VALUES = tuple(f"k{i}" for i in range(12))
 LINEAR_VALUES = (0, 1, 2, 2.5, 3, 4, 5, 6, 7.5, 8, 9, 10)
 # Constants no value of the kind can be compared with, each raising in
 # select: at coercion, or at the first degree evaluated.
@@ -721,18 +723,21 @@ BAD_CONSTANTS = {
     "matrix": ("Awful", 3),
     "planar": ("Nowhere",),
     "crisp": (),
+    "key": (),
 }
 
 
 @st.composite
 def matrices(draw, order=None):
     """Reflexive, symmetric degree tables over LABELS, ranked by ``order``;
-    most are not max-min transitive."""
+    about a third are closed to max-min transitive ones, which have keys."""
     n = len(LABELS)
     entries = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw(st.sampled_from(LEVELS))
+    if draw(st.integers(0, 2)) == 0:
+        entries = _maxmin_closure(entries)
     return ExplicitMatrix(LABELS, tuple(map(tuple, entries)), order)
 
 
@@ -741,7 +746,7 @@ def attributes(draw, name):
     """(spec, the values its domain holds, its kind) of one attribute."""
     kind = draw(st.sampled_from(("crisp", "linear", "matrix", "planar")))
     if kind == "crisp":
-        method = draw(st.sampled_from(METHODS))  # every method resolves to threshold
+        method = draw(st.sampled_from(METHODS))  # its keys serve every method
         return AttributeSpec(name, CrispIdentity(), method), CRISP_VALUES, kind
     if kind == "linear":
         method = draw(st.sampled_from(METHODS))
@@ -750,9 +755,11 @@ def attributes(draw, name):
         method = draw(st.sampled_from(METHODS))
         return AttributeSpec(name, Planar(10, SITES), method), tuple(SITES), kind
     ordered = draw(st.booleans())
-    method = draw(st.sampled_from(METHODS if ordered else ("threshold", "closure")))
-    spec = AttributeSpec(name, draw(matrices(LABELS if ordered else None)), method)
-    return spec, LABELS, kind
+    matrix = draw(matrices(LABELS if ordered else None))
+    # without an order, only a table with keys serves a cell method
+    keyed = matrix.keys(1.0) is not None
+    method = draw(st.sampled_from(METHODS if ordered or keyed else ("threshold", "closure")))
+    return AttributeSpec(name, matrix, method), LABELS, kind
 
 
 @st.composite
@@ -760,16 +767,23 @@ def relations(draw, max_rows=10, attrs=None):
     """A relation with set-valued components and repeated rows.
 
     Returns (relation, {name: (values, kind)}).  ``attrs`` reuses the
-    attributes of an earlier draw.
+    attributes of an earlier draw.  Some draws add a crisp key column K:
+    row i holds KEY_VALUES[i], at times with another row's key too.
     """
     if attrs is None:
         count = draw(st.integers(1, 3))
         attrs = [draw(attributes(f"A{i}")) for i in range(count)]
+        if draw(st.integers(0, 2)) == 0:
+            key = AttributeSpec("K", CrispIdentity(), draw(st.sampled_from(METHODS)))
+            attrs.append((key, KEY_VALUES, "key"))
     rows = []
-    for _ in range(draw(st.integers(0, max_rows))):
+    for i in range(draw(st.integers(0, max_rows))):
         rows.append(tuple(
+            frozenset({values[i], *draw(st.lists(st.sampled_from(values[:max_rows]),
+                                                 max_size=1))})
+            if kind == "key" else
             frozenset(draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)))
-            for _, values, _ in attrs
+            for _, values, kind in attrs
         ))
     if rows:  # duplicates, which the relation drops
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from fuzzyrel import (
     degree_of,
     relation_properties,
 )
+from fuzzyrel import proximity
+from fuzzyrel.proximity import PropertyReport
 
 
 class TestLinear:
@@ -114,8 +117,10 @@ class TestOrdinalMatrix:
     @given(st.integers(2, 8))
     def test_always_reflexive_and_symmetric(self, n):
         m = build_ordinal_matrix([f"v{i}" for i in range(n)])
-        report = relation_properties(m)
-        assert report.reflexive and report.symmetric
+        e = m.entries
+        assert all(e[i][i] == 1.0 and e[i][j] == e[j][i] for i in range(n) for j in range(n))
+        # rank distances chain: d(v0, v2) < min(d(v0, v1), d(v1, v2)) from 3 labels on
+        assert relation_properties(m).max_min_transitive == (n == 2)
 
 
 class TestMatrixValidation:
@@ -153,8 +158,7 @@ class TestProperties:
             ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         )
         report = relation_properties(m)
-        assert report.reflexive and report.symmetric and report.max_min_transitive
-        assert report.first_violation is None
+        assert report == PropertyReport(True, None)
 
     def test_effect_matrix_transitivity_matches_exhaustive_oracle(self, effect_matrix):
         n = len(effect_matrix.labels)
@@ -175,6 +179,39 @@ class TestProperties:
         assert hair_matrix.degree(x, z) < min(
             hair_matrix.degree(x, y), hair_matrix.degree(y, z)
         )
+
+
+class TestKeys:
+    """``keys(level)``: a key per class of the cut, where the cut is an equivalence."""
+
+    def test_key_is_the_first_column_that_reaches_the_level(self, effect_matrix):
+        # test_acceptance's law checks keys against the cut on random tables
+        key = effect_matrix.keys(0.85)
+        assert [key(v) for v in effect_matrix.labels] == [0, 0, 0, 0, 4, 5, 5, 7]
+
+    def test_crisp_keys_are_the_values(self):
+        key = CrispIdentity().keys(0.5)
+        assert (key("a"), key(2)) == ("a", 2)
+        with pytest.raises(UnknownValueError, match="not equal to itself"):
+            key(math.nan)
+
+    def test_keys_check_a_value_as_degree_does(self, effect_matrix):
+        with pytest.raises(UnknownValueError, match="'Mild' not in matrix domain"):
+            effect_matrix.keys(0.8)("Mild")
+
+    @pytest.mark.parametrize("level", [0.01, 0.5, 1.0])
+    def test_kinds_without_keys(self, hair_matrix, level):
+        for spec in (Linear(10), Planar(10, {}), hair_matrix, build_ordinal_matrix("abc")):
+            assert spec.keys(level) is None
+
+    def test_transitivity_is_decided_on_first_need_and_hidden(self, effect_matrix):
+        m = ExplicitMatrix(effect_matrix.labels, effect_matrix.entries)
+        assert m._violation is proximity._UNDECIDED
+        before = repr(m)
+        assert m.keys(0.8) is not None
+        assert m._violation is None
+        assert repr(m) == before and m == effect_matrix and hash(m) == hash(effect_matrix)
+        assert pickle.loads(pickle.dumps(m))._violation is proximity._UNDECIDED
 
 
 class TestMatrixOrder:

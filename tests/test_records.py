@@ -49,11 +49,9 @@ RECORDS = {
         "order=('q', 'p'))"),
     CrispIdentity: ({}, {}, Linear(1), True, "CrispIdentity()"),
     PropertyReport: (
-        {"reflexive": True, "symmetric": True, "max_min_transitive": False,
-         "first_violation": ("a", "b", "c")}, {"first_violation": None},
-        PropertyReport(True, True, True), True,
-        "PropertyReport(reflexive=True, symmetric=True, max_min_transitive=False, "
-        "first_violation=('a', 'b', 'c'))"),
+        {"max_min_transitive": False, "first_violation": ("a", "b", "c")},
+        {"first_violation": None}, PropertyReport(True), True,
+        "PropertyReport(max_min_transitive=False, first_violation=('a', 'b', 'c'))"),
     AttributeSpec: (
         {"name": "X", "proximity": Linear(10), "default_method": "interval"},
         {"proximity": CrispIdentity(), "default_method": "threshold"},
