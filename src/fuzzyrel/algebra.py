@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from operator import and_, le
+from operator import and_, itemgetter, le, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closure import _column, closure_classes
@@ -373,11 +373,12 @@ class _Check(_Record):
 
     A cell test keys values by their cell (see ``_cell_keys``), a keyed
     test by its spec's ``keys``, a closure test by the ``class_index`` of
-    a ``class_grouping`` holding every value the call will test.  A
-    threshold test holds those values compiled by the spec and caches each
-    value's neighbourhood: the values within the level of it.  A component
-    is mutually close exactly when it lies inside the intersection of its
-    members' neighbourhoods.  Values are keyed by Python equality.
+    a ``class_grouping`` holding every value the call will test; each
+    memoises the key of every component it meets.  A threshold test holds
+    those values compiled by the spec and memoises each value's
+    neighbourhood: the values within the level of it.  A component is
+    mutually close exactly when it lies inside the intersection of its
+    members' neighbourhoods.  Memos key by Python equality; they last one call.
     """
 
     _fields = ("index", "level", "cut", "classify")
@@ -390,11 +391,11 @@ class _Check(_Record):
 
     def class_key(self, values: frozenset):
         """The one class key all ``values`` share, or ``_MIXED``."""
-        if len(values) == 1:
-            value, = values
-            return self.classify(value)
-        keys = set(map(self.classify, values))
-        return keys.pop() if len(keys) == 1 else _MIXED
+        key = self.memo.get(values)
+        if key is None:
+            keys = set(map(self.classify, values))
+            key = self.memo[values] = keys.pop() if len(keys) == 1 else _MIXED
+        return key
 
     def common(self, values: frozenset) -> frozenset:
         """The values within the level of each of ``values``."""
@@ -455,7 +456,7 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
     _conform((t1, t2), r.names)
     # closure classes depend on r's content, cuts only on t1, t2
     checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
-        r.tuples if method == "closure" else (t1, t2), idx))
+        (t.components for t in (r.tuples if method == "closure" else (t1, t2))), idx))
     return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
                for c in checks)
 
@@ -482,7 +483,9 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     merges.  In a bucket, tuple i absorbs each later tuple that passes the
     threshold checks against it, and survivors keep the position of their
     first member: at most O(n^2) pair checks, O(n) with class checks only.
-    A later tuple equal to the growing one is absorbed when reached.
+    A later tuple equal to the growing one is absorbed when reached.  Each
+    distinct component is keyed once per call, and each survivor built
+    once, as the union of its members' columns.
 
     Threshold and closure checks are built over r's own column values
     (see ``_build_checks``); each value's neighbourhood is found once.  The
@@ -494,47 +497,64 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     or keying the tuples, tests every value of a checked column, so a
     value its spec rejects raises here.
     """
-    levels = levels or LevelMap()
-    checks = _build_checks(r.schema, levels, mode, lambda idx, _: _column(r.tuples, idx))
-    class_checks = [c for c in checks if c.classify is not None]
+    rows = [t.components for t in r.tuples]
+    return FuzzyRelation._derived(
+        r.schema, _merge(r.schema, rows, levels or LevelMap(), mode, r.tuples))
+
+
+def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: LevelMap,
+           mode: str | None, tuples: Sequence[FuzzyTuple] = ()) -> tuple[FuzzyTuple, ...]:
+    """The survivors of merging the distinct component tuples ``rows``, in
+    order; one that absorbed nothing is ``tuples[pos]``, if given."""
+    checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
+    keyed = [(c.index, c.class_key) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
-    survivors: dict[int, FuzzyTuple] = {}
+    survivors: dict[int, tuple] = {}
     buckets: dict[tuple, list[int]] = {}
-    for pos, t in enumerate(r.tuples):
-        keys = tuple(c.class_key(t.components[c.index]) for c in class_checks)
+    for pos, keys in enumerate(_key_vectors(rows, keyed)):
         if _MIXED in keys:
-            survivors[pos] = t
+            survivors[pos] = rows[pos]
         else:
             buckets.setdefault(keys, []).append(pos)
     for members in buckets.values():
-        survivors.update(_absorb(r.tuples, members, threshold_checks))
+        survivors.update(_absorb(rows, members, threshold_checks))
+    names, make = tuple(a.name for a in schema), FuzzyTuple._trusted
     # distinct: of two equal survivors, the first would have absorbed the other
-    return FuzzyRelation._derived(r.schema, tuple(survivors[p] for p in sorted(survivors)))
+    return tuple(tuples[p] if tuples and c is rows[p] else make(names, c)
+                 for p, c in sorted(survivors.items()))
 
 
-def _absorb(tuples: Sequence[FuzzyTuple], members: list[int],
-            checks: Sequence[_Check]):
-    """(position, merged tuple) of each survivor of one class-key bucket."""
+def _key_vectors(rows: Sequence[tuple], keyed: Sequence[tuple[int, Callable]]):
+    """Each row's class keys, one per ``(column, class_key)`` of ``keyed``."""
+    return (zip(*[map(key, map(itemgetter(i), rows)) for i, key in keyed]) if keyed
+            else [()] * len(rows))
+
+
+def _absorb(rows: Sequence[tuple], members: list[int], checks: Sequence[_Check]):
+    """(position, components) of each survivor of one class-key bucket."""
     if len(members) == 1:  # nothing to absorb
-        yield members[0], tuples[members[0]]
+        yield members[0], rows[members[0]]
         return
-    alive = [tuples[p] for p in members]
-    parts = [[t.components[c.index] for c in checks] for t in alive]
+    if not checks:  # the first member absorbs the bucket
+        yield members[0], tuple(map(frozenset.union, *map(rows.__getitem__, members)))
+        return
+    alive = [rows[p] for p in members]
+    parts = [[row[c.index] for c in checks] for row in alive]
     commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]
     # A tuple with a component that is not mutually close merges with none.
     mergeable = [all(map(le, p, common)) for p, common in zip(parts, commons)]
-    for i, t in enumerate(alive):
-        if t is None:
+    for i, row in enumerate(alive):
+        if row is None:
             continue
-        common = commons[i]
+        group, common = [row], commons[i]
         for j in range(i + 1, len(alive)):
             if alive[j] is None or not (
                     mergeable[i] and mergeable[j] and all(map(le, parts[j], common))):
                 continue
-            t = merge_tuples(t, alive[j])
+            group.append(alive[j])
             common = list(map(and_, common, commons[j]))
             alive[j] = None
-        yield members[i], t
+        yield members[i], row if len(group) == 1 else tuple(map(frozenset.union, *group))
 
 
 def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
@@ -625,7 +645,9 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     tuple's other components, and the right tuple's other components
     under a ``_2`` suffix where names collide.  Each join attribute's
     threshold or closure check holds the values of both columns; one
-    named twice raises ValidationError.
+    named twice raises ValidationError.  Tuples are hashed by the class
+    keys of their class-checked join values, which this tests; threshold
+    checks test only pairs with equal keys, all n*m with no class check.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -643,25 +665,26 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     if len(set(on)) != len(on):
         raise ValidationError(f"duplicate join attributes: {on}")
 
-    # a check's index is its attribute's position in ``on``
-    on_checks = _build_checks(
-        tuple(r1.schema[i] for i in on_left), levels, mode,
-        lambda k, _: _column(r1.tuples, on_left[k]) | _column(r2.tuples, on_right[k]))
+    # each side's join components, in ``on`` order: a check's index
+    left_on = [[t.components[i] for i in on_left] for t in r1.tuples]
+    right_on = [[t.components[j] for j in on_right] for t in r2.tuples]
+    on_checks = _build_checks(tuple(r1.schema[i] for i in on_left), levels, mode,
+                              lambda k, _: _column(left_on, k) | _column(right_on, k))
+    keyed = [(c.index, c.class_key) for c in on_checks if c.classify is not None]
+    threshold_checks = [c for c in on_checks if c.classify is None]
     schema, right_rest = _joined_schema(r1, r2, on)
-    names = tuple(a.name for a in schema)
-
-    out_rows = []
-    for t1 in r1.tuples:
-        left = t1.components
-        for t2 in r2.tuples:
-            right = t2.components
-            unions = [left[i] | right[j] for i, j in zip(on_left, on_right)]
-            if not all(c.component_ok(unions[c.index]) for c in on_checks):
-                continue
-            comps = list(left)
-            for i, union in zip(on_left, unions):
-                comps[i] = union
-            comps.extend(right[i] for i in right_rest)
-            out_rows.append(FuzzyTuple._trusted(names, tuple(comps)))
-    joined = FuzzyRelation._derived(schema, tuple(dict.fromkeys(out_rows)))
-    return merge_relation(joined, levels, mode)
+    buckets: dict[tuple, list] = {}  # none for a vector holding _MIXED
+    for t, on_values, key in zip(r2.tuples, right_on, _key_vectors(right_on, keyed)):
+        if _MIXED not in key:
+            buckets.setdefault(key, []).append(
+                (on_values, tuple(t.components[j] for j in right_rest)))
+    out_rows = {}
+    for t, on_values, key in zip(r1.tuples, left_on, _key_vectors(left_on, keyed)):
+        for right_values, rest in buckets.get(key, ()):
+            unions = list(map(or_, on_values, right_values))
+            if all(c.component_ok(unions[c.index]) for c in threshold_checks):
+                comps = list(t.components)
+                for i, union in zip(on_left, unions):
+                    comps[i] = union
+                out_rows[(*comps, *rest)] = None
+    return FuzzyRelation._derived(schema, _merge(schema, list(out_rows), levels, mode))

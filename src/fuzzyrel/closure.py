@@ -20,11 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def temporal_domain(relation: "FuzzyRelation", attr: str) -> frozenset:
     """Values currently present in one column: the union of its component sets."""
-    return _column(relation.tuples, relation.attribute_index(attr))
+    return _column((t.components for t in relation.tuples), relation.attribute_index(attr))
 
 
-def _column(tuples, idx: int) -> frozenset:
-    return frozenset().union(*(t.components[idx] for t in tuples))
+def _column(rows, idx: int) -> frozenset:
+    return frozenset().union(*(row[idx] for row in rows))
 
 
 def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:

@@ -237,8 +237,10 @@ class ExplicitMatrix(_Kind):
     degree in [0, 1].  ``order`` lists the labels of a linearly ordered
     domain.  It gives the domain its cells: label i of the order sits at
     rank i on [0, len(order) - 1], where interval and equalized partitions
-    apply.  Without an order a matrix domain has no cells.  A table found
-    max-min transitive, on first need, has keys.
+    apply.  A cell bounds the rank-distance degree ``build_ordinal_matrix``
+    builds, not the table's: survey Extreme and Irreversible, of degree 0,
+    share a cell at 0.8.  Without an order a matrix domain has no cells.
+    A table found max-min transitive, on first need, has keys.
     """
 
     _fields = ("labels", "entries", "order")

@@ -486,6 +486,28 @@ class TestEvaluationCounts:
         assert x == fresh and repr(x) == repr(fresh)
         assert pickle.loads(pickle.dumps(x)).proximity._cells == {}
 
+    @pytest.mark.parametrize("mode, pairs", [(None, 0), ("closure", 0), ("threshold", 180)])
+    def test_join_tests_pairs_inside_equal_key_vectors(self, monkeypatch, mode, pairs):
+        # K is keyed under every method; X is a cell, closure or threshold
+        # check.  Each K has 6 rows a side: 5 * 36 pairs share a key, of 900.
+        tested = collections.Counter()
+        component_ok = algebra._Check.component_ok
+
+        def counted(check, values):
+            tested[check.index] += 1
+            return component_ok(check, values)
+
+        monkeypatch.setattr(algebra._Check, "component_ok", counted)
+        x = AttributeSpec("X", Linear(10), "interval")
+        left = FuzzyRelation.from_rows((AttributeSpec("K"), x, AttributeSpec("L")),
+                                       [(k % 5, k % 11, k) for k in range(30)])
+        right = FuzzyRelation.from_rows((AttributeSpec("K"), x, AttributeSpec("R")),
+                                        [(k % 5, k % 7 + 4, k) for k in range(30)])
+        got = join(left, right, ["K", "X"], LevelMap({"X": 0.8}), mode)
+        assert len(got) > 0
+        # the check of X, the second join attribute, alone is tested by pairs
+        assert tested == ({1: pairs} if pairs else {})
+
     def test_no_cell_is_computed_for_a_column_no_check_reaches(self, cells_computed):
         rel = linear_rows(40)
         select(rel, [("X", 5)], LevelMap({"X": 0.8}))
@@ -644,6 +666,37 @@ class TestJoin:
         rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,), (2,)])
         with pytest.raises(ValidationError, match="duplicate join attributes"):
             join(rel, rel, ["X", "X"])
+
+
+class TestEmptyInputs:
+    """An operator over empty input returns an empty relation over its schema."""
+
+    X = AttributeSpec("X", Linear(10), "interval")
+    LEFT = FuzzyRelation.from_rows((AttributeSpec("K"), X), [("a", 1), ("b", 2)])
+    RIGHT = FuzzyRelation.from_rows((AttributeSpec("J"), X), [("c", 1)])
+    LEVELS = LevelMap({"X": 0.8})
+
+    @pytest.mark.parametrize("mode", (None,) + algebra.METHODS)
+    def test_merge_relation(self, mode):
+        empty = FuzzyRelation(self.LEFT.schema, ())
+        got = merge_relation(empty, self.LEVELS, mode)
+        assert got.schema == empty.schema and got.tuples == ()
+
+    @pytest.mark.parametrize("mode", (None,) + algebra.METHODS)
+    def test_project(self, mode):
+        got = project(FuzzyRelation(self.LEFT.schema, ()), ["X"], self.LEVELS, mode)
+        assert got.names == ("X",) and got.tuples == ()
+
+    @pytest.mark.parametrize("mode", (None,) + algebra.METHODS)
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_join(self, mode, side):
+        left, right = self.LEFT, self.RIGHT
+        if side != "right":
+            left = FuzzyRelation(left.schema, ())
+        if side != "left":
+            right = FuzzyRelation(right.schema, ())
+        got = join(left, right, ["X"], self.LEVELS, mode)
+        assert got.names == ("K", "X", "J") and got.tuples == ()
 
 
 class TestLevelMap:
