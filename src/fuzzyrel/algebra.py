@@ -535,9 +535,6 @@ def _absorb(rows: Sequence[tuple], members: list[int], checks: Sequence[_Check])
     if len(members) == 1:  # nothing to absorb
         yield members[0], rows[members[0]]
         return
-    if not checks:  # the first member absorbs the bucket
-        yield members[0], tuple(map(frozenset.union, *map(rows.__getitem__, members)))
-        return
     alive = [rows[p] for p in members]
     parts = [[row[c.index] for c in checks] for row in alive]
     commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]

@@ -130,7 +130,7 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
 
 
 def _sorted_values(component) -> list[Value]:
-    return list(component) if len(component) == 1 else sorted(component, key=value_sort_key)
+    return sorted(component, key=value_sort_key)
 
 
 def _cell_text(component) -> str:

@@ -698,6 +698,16 @@ class TestEmptyInputs:
         got = join(left, right, ["X"], self.LEVELS, mode)
         assert got.names == ("K", "X", "J") and got.tuples == ()
 
+    def test_join_keys_a_side_the_other_cannot_pair(self):
+        # join keys every class-checked join value on both sides, so a value
+        # its spec rejects raises even when no pair would test it
+        schema = (AttributeSpec("K"),)
+        nan = FuzzyRelation(schema, (FuzzyTuple(("K",), ({float("nan")},)),))
+        for left, right in [(nan, FuzzyRelation(schema, ())),
+                            (FuzzyRelation(schema, ()), nan)]:
+            with pytest.raises(UnknownValueError, match="not equal to itself"):
+                join(left, right, ["K"])
+
 
 class TestLevelMap:
     def test_default_is_one(self):
