@@ -484,8 +484,8 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     threshold checks against it, and survivors keep the position of their
     first member: at most O(n^2) pair checks, O(n) with class checks only.
     A later tuple equal to the growing one is absorbed when reached.  Each
-    distinct component is keyed once per call, and each survivor built
-    once, as the union of its members' columns.
+    distinct component is keyed once per call, and each survivor is a new
+    tuple built once, as the union of its members' columns (or its own).
 
     Threshold and closure checks are built over r's own column values
     (see ``_build_checks``); each value's neighbourhood is found once.  The
@@ -497,15 +497,14 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     or keying the tuples, tests every value of a checked column, so a
     value its spec rejects raises here.
     """
-    rows = [t.components for t in r.tuples]
-    return FuzzyRelation._derived(
-        r.schema, _merge(r.schema, rows, levels or LevelMap(), mode, r.tuples))
+    return FuzzyRelation._derived(r.schema, _merge(
+        r.schema, [t.components for t in r.tuples], levels or LevelMap(), mode))
 
 
 def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: LevelMap,
-           mode: str | None, tuples: Sequence[FuzzyTuple] = ()) -> tuple[FuzzyTuple, ...]:
+           mode: str | None) -> tuple[FuzzyTuple, ...]:
     """The survivors of merging the distinct component tuples ``rows``, in
-    order; one that absorbed nothing is ``tuples[pos]``, if given."""
+    order: the one place an operator builds its output tuples."""
     checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
     keyed = [(c.index, c.class_key) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
@@ -518,10 +517,9 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
             buckets.setdefault(keys, []).append(pos)
     for members in buckets.values():
         survivors.update(_absorb(rows, members, threshold_checks))
-    names, make = tuple(a.name for a in schema), FuzzyTuple._trusted
+    names = tuple(a.name for a in schema)
     # distinct: of two equal survivors, the first would have absorbed the other
-    return tuple(tuples[p] if tuples and c is rows[p] else make(names, c)
-                 for p, c in sorted(survivors.items()))
+    return tuple(FuzzyTuple._trusted(names, c) for _, c in sorted(survivors.items()))
 
 
 def _key_vectors(rows: Sequence[tuple], keyed: Sequence[tuple[int, Callable]]):
@@ -531,10 +529,8 @@ def _key_vectors(rows: Sequence[tuple], keyed: Sequence[tuple[int, Callable]]):
 
 
 def _absorb(rows: Sequence[tuple], members: list[int], checks: Sequence[_Check]):
-    """(position, components) of each survivor of one class-key bucket."""
-    if len(members) == 1:  # nothing to absorb
-        yield members[0], rows[members[0]]
-        return
+    """(position, components) of each survivor of one class-key bucket: one
+    loop for every bucket size, which yields a lone member as it came."""
     alive = [rows[p] for p in members]
     parts = [[row[c.index] for c in checks] for row in alive]
     commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]
@@ -598,15 +594,15 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
 
 def project(r: FuzzyRelation, attrs: Sequence[str],
             levels: LevelMap | None = None, mode: str | None = None) -> FuzzyRelation:
-    """Drop all other columns, then merge redundant tuples."""
+    """Drop all other columns, then merge the distinct projected rows, in
+    order, through the merge core that ``merge_relation`` and ``join`` use."""
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
     names = tuple(a.name for a in schema)
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate attribute names in schema: {names}")
-    make = FuzzyTuple._trusted
-    rows = {make(names, tuple(t.components[i] for i in indices)): None for t in r.tuples}
-    return merge_relation(FuzzyRelation._derived(schema, tuple(rows)), levels, mode)
+    rows = list(dict.fromkeys(tuple(t.components[i] for i in indices) for t in r.tuples))
+    return FuzzyRelation._derived(schema, _merge(schema, rows, levels or LevelMap(), mode))
 
 
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):

@@ -58,7 +58,7 @@ def cmd_compare(db: Database, attr: str, alphas: list[float], emit: str) -> str:
         return groupings_to_csv(runs, ("alpha", "method"))
     labels = [str(v) for v in sorted(domain, key=value_sort_key)]
     lines = [f"attribute {attr}: proximity matrix",
-             format_matrix(labels, attribute.proximity.degree, decimals=3)]
+             format_matrix(labels, attribute.proximity.degree)]
     for (alpha, method), grouping in runs:
         if method == methods[0]:
             lines += ["", f"alpha {alpha}"]

@@ -37,12 +37,12 @@ from .proximity import (CrispIdentity, ExplicitMatrix, Linear, Planar, _Record,
                         build_ordinal_matrix)
 from .tables import load_locations, load_matrix, load_relation
 
-_KINDS = ("ordinal", "numeric", "planar", "crisp")
-_DEFAULT_METHOD = {
-    "ordinal": "interval",
-    "numeric": "interval",
-    "planar": "grid",
-    "crisp": "threshold",
+# kind -> (default method, keys its section must set)
+_KINDS = {
+    "ordinal": ("interval", ("labels",)),
+    "numeric": ("interval", ("length",)),
+    "planar": ("grid", ("length", "locations")),
+    "crisp": ("threshold", ()),
 }
 
 
@@ -122,30 +122,27 @@ def _parse_attribute(name: str, section: Mapping[str, str],
     where = f"{base / 'schema.cfg'}: attribute {name!r}"
     kind = section.get("kind", "").strip().lower()
     if kind not in _KINDS:
-        raise FormatError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
+        raise FormatError(f"{where}: kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    default_method, needs = _KINDS[kind]
+    for key in needs:
+        if key not in section:
+            raise FormatError(f"{where}: {kind} kind needs {key}")
     try:
         if kind == "crisp":
             proximity = CrispIdentity()
         elif kind == "numeric":
-            if "length" not in section:
-                raise FormatError(f"{where}: numeric kind needs length")
             proximity = Linear(_length(section, where))
         elif kind == "planar":
-            for key in ("length", "locations"):
-                if key not in section:
-                    raise FormatError(f"{where}: planar kind needs {key}")
             locations = load_locations(base / section["locations"])
             proximity = Planar(_length(section, where), locations)
         else:
-            if "labels" not in section:
-                raise FormatError(f"{where}: ordinal kind needs labels")
             labels = _split_list(section["labels"])
             if "matrix" in section:
                 table = load_matrix(base / section["matrix"])
                 proximity = ExplicitMatrix(table.labels, table.entries, labels)
             else:
                 proximity = build_ordinal_matrix(labels)
-        method = section.get("method", _DEFAULT_METHOD[kind]).strip()
+        method = section.get("method", default_method).strip()
         alpha = _number(section, "alpha", where) if "alpha" in section else None
         if alpha is not None and not 0.0 <= alpha <= 1.0:
             raise FormatError(f"{where}: alpha = {section['alpha']!r} is not in [0, 1]")

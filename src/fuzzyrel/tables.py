@@ -19,6 +19,7 @@ from .partition import Grouping, value_sort_key
 from .proximity import ExplicitMatrix, Point, Value
 
 SET_SEPARATOR = "|"
+MATRIX_DECIMALS = 3  # places of each degree that format_matrix prints
 
 
 def _read_rows(path: Path) -> list[list[str]]:
@@ -190,11 +191,11 @@ def groupings_to_csv(runs: Sequence[tuple[tuple, Grouping]], keys: Sequence[str]
     return out.getvalue()
 
 
-def format_matrix(labels: Sequence[str], degree, decimals: int = 3) -> str:
+def format_matrix(labels: Sequence[str], degree) -> str:
     """Render a degree table; values are printed rounded, never stored so."""
     labels = list(labels)
-    cells = [[f"{degree(x, y):.{decimals}f}" for y in labels] for x in labels]
-    widths = [max(len(labels[j]), decimals + 2) for j in range(len(labels))]
+    cells = [[f"{degree(x, y):.{MATRIX_DECIMALS}f}" for y in labels] for x in labels]
+    widths = [max(len(labels[j]), MATRIX_DECIMALS + 2) for j in range(len(labels))]
     head_width = max((len(x) for x in labels), default=1)
     lines = [
         " ".join([" " * head_width] + [labels[j].rjust(widths[j])

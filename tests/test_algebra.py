@@ -508,6 +508,29 @@ class TestEvaluationCounts:
         # the check of X, the second join attribute, alone is tested by pairs
         assert tested == ({1: pairs} if pairs else {})
 
+    @pytest.mark.parametrize("operator", ["project", "merge_relation", "join"])
+    def test_one_tuple_is_built_per_output_row(self, monkeypatch, operator):
+        # 5 rows, 4 distinct on X; 10 and 12 share a cell at 0.8
+        rel = FuzzyRelation.from_rows(
+            (AttributeSpec("K"), AttributeSpec("X", Linear(100), "interval")),
+            [("a", 10), ("b", 10), ("c", 12), ("d", 50), ("e", 90)])
+        levels = LevelMap({"K": 0.0, "X": 0.8})
+        xs = project(rel, ["X"], levels)
+        assert [t.get("X") for t in xs.tuples] == [{10, 12}, {50}, {90}]
+        built = []
+        trusted = FuzzyTuple._trusted
+
+        def counted(names, components):
+            built.append(components)
+            return trusted(names, components)
+
+        monkeypatch.setattr(FuzzyTuple, "_trusted", staticmethod(counted))
+        out = {"project": lambda: project(rel, ["X"], levels),
+               "merge_relation": lambda: merge_relation(rel, levels),
+               "join": lambda: join(rel, xs, ["X"], levels)}[operator]()
+        assert len(out) == 3
+        assert built == [t.components for t in out.tuples]
+
     def test_no_cell_is_computed_for_a_column_no_check_reaches(self, cells_computed):
         rel = linear_rows(40)
         select(rel, [("X", 5)], LevelMap({"X": 0.8}))

@@ -364,6 +364,20 @@ ERROR_PATHS = {
     "ordinal-without-labels": (
         "survey", _replace("schema.cfg", EFFECT_LABELS, ""),
         _classes("Effect"), 2, ["schema.cfg", "'Effect'", "ordinal", "labels"]),
+    "numeric-needs-length": (
+        "arson", _replace("schema.cfg", "kind = ordinal", "kind = numeric"),
+        _classes("HAIR COLOR"), 2,
+        ["schema.cfg", "attribute 'HAIR COLOR': numeric kind needs length"]),
+    "planar-needs-length": (
+        "gb", _replace("schema.cfg", "length = 2\n", ""),
+        _classes("CITY"), 2, ["schema.cfg", "attribute 'CITY': planar kind needs length"]),
+    "planar-needs-locations": (
+        "suppliers", _replace("schema.cfg", "locations = city_locations.csv\n", ""),
+        _classes("STATUS"), 2,
+        ["schema.cfg", "attribute 'CITY': planar kind needs locations"]),
+    "ordinal-needs-labels": (
+        "arson", _replace("schema.cfg", BUILD_LINES, "matrix = build_matrix.csv\n"),
+        _classes("BUILD"), 2, ["schema.cfg", "attribute 'BUILD': ordinal kind needs labels"]),
     "ordinal-duplicate-label": (
         "arson", _replace("schema.cfg", BUILD_LINES, "labels = Large, Large, Small\n"),
         _classes("BUILD"), 2, ["schema.cfg", "'BUILD'", "distinct"]),

@@ -423,15 +423,15 @@ def test_no_spec_type_test_outside_proximity():
 CLASS_FORMERS = {"closure_classes", "classes_over", "cell_key"}
 
 
-def class_former_calls(source: str) -> set:
-    """(enclosing function, callee) of each call that forms classes or cells."""
+def calls_by_function(source: str, callees: set) -> set:
+    """(enclosing function, callee) of each call of one of ``callees``."""
     found = set()
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if callee in CLASS_FORMERS:
+                if callee in callees:
                     found.add((function, callee))
             inner = child.name if isinstance(child, ast.FunctionDef) else function
             visit(child, inner)
@@ -444,20 +444,38 @@ def test_class_guard_sees_every_form_of_a_call():
     source = ("x = closure_classes(v)\n"
               "def f():\n    def g():\n        partition.classes_over(v)\n"
               "    return closure_classes, cell_key(p)(v)")
-    assert class_former_calls(source) == {
+    assert calls_by_function(source, CLASS_FORMERS) == {
         (None, "closure_classes"), ("g", "classes_over"), ("f", "cell_key")}
 
 
 def test_classes_are_formed_only_in_class_grouping():
     calls = {(path.name, function, callee)
              for path in sorted(SRC.glob("*.py"))
-             for function, callee in class_former_calls(path.read_text(encoding="utf-8"))}
+             for function, callee in calls_by_function(path.read_text(encoding="utf-8"),
+                                                       CLASS_FORMERS)}
     # one function keys values by cell: for classes_over, and behind the
     # memo that cell checks look values up in
     assert calls == {("algebra.py", "class_grouping", "closure_classes"),
                      ("algebra.py", "class_grouping", "classes_over"),
                      ("algebra.py", "_cell_keys", "cell_key"),
                      ("partition.py", "classes_over", "cell_key")}
+
+
+MERGE_CORE = {"_merge", "_trusted"}
+
+
+def test_merge_core_guard_sees_every_form_of_a_call():
+    source = ("class T:\n    def m(self):\n        return T._trusted(n, c)\n"
+              "def f():\n    return [_merge(s, r) for r in rows]")
+    assert calls_by_function(source, MERGE_CORE) == {("m", "_trusted"), ("f", "_merge")}
+
+
+def test_output_tuples_are_built_only_in_the_merge_core():
+    calls = calls_by_function((SRC / "algebra.py").read_text(encoding="utf-8"), MERGE_CORE)
+    # every operator hands _merge distinct component rows; merge_tuples is
+    # the exported pairwise union the merge oracle uses
+    assert calls == {("_merge", "_trusted"), ("merge_tuples", "_trusted"),
+                     ("merge_relation", "_merge"), ("project", "_merge"), ("join", "_merge")}
 
 
 def test_algebra_imports_no_spec_kind_but_the_crisp_default():
