@@ -477,25 +477,29 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     first redundant pair, dropping later tuples equal to the merged one
     and restarting.  One forward pass reaches it: a union only adds class
     keys and can only lower the minimum pairwise degree, so a pair found
-    non-redundant stays so as either side grows.  Tuples are bucketed by
-    the keys of their class-checked components, crisp and transitive
-    matrix ones included; a tuple with one spanning two classes never
-    merges.  In a bucket, tuple i absorbs each later tuple that passes the
-    threshold checks against it, and survivors keep the position of their
-    first member: at most O(n^2) pair checks, O(n) with class checks only.
-    A later tuple equal to the growing one is absorbed when reached.  Each
+    non-redundant stays so as either side grows.  Each tuple is keyed by
+    its class-checked components, crisp and transitive matrix ones
+    included, and joins the first open survivor of its key vector, in the
+    order they were opened, that passes the threshold checks against it;
+    if none does, it opens a new one.  A tuple with a component spanning
+    two classes, or a threshold one that is not mutually close, is a
+    survivor nothing joins.  A survivor changes only when it takes a
+    tuple, so each test sees what the restart loop would.  Survivors keep
+    the position of their first member: at most O(n^2) component tests,
+    O(n) with class checks only, where the first open survivor of a key
+    vector takes each later tuple of it, an equal one included.  Each
     distinct component is keyed once per call, and each survivor is a new
     tuple built once, as the union of its members' columns (or its own).
 
     Threshold and closure checks are built over r's own column values
-    (see ``_build_checks``); each value's neighbourhood is found once.  The
-    growing tuple carries the intersection of its members' neighbourhoods,
-    so a later tuple whose own components are mutually close is redundant
-    with it exactly when each of those components lies inside that
-    intersection: one subset test per attribute.  Keys are by Python
-    equality, exact for every value a spec accepts.  Building the checks,
-    or keying the tuples, tests every value of a checked column, so a
-    value its spec rejects raises here.
+    (see ``_build_checks``); each value's neighbourhood is found once.  An
+    open survivor carries the intersection of its members'
+    neighbourhoods, its ``common``, so a later tuple whose own components
+    are mutually close is redundant with it exactly when each of those
+    components lies inside that intersection: one subset test per
+    attribute.  Keys are by Python equality, exact for every value a spec
+    accepts.  Building the checks, or keying the tuples, tests every value
+    of a checked column, so a value its spec rejects raises here.
     """
     return FuzzyRelation._derived(r.schema, _merge(
         r.schema, [t.components for t in r.tuples], levels or LevelMap(), mode))
@@ -504,50 +508,42 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
 def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: LevelMap,
            mode: str | None) -> tuple[FuzzyTuple, ...]:
     """The survivors of merging the distinct component tuples ``rows``, in
-    order: the one place an operator builds its output tuples."""
+    order of their first row: the one place an operator builds its output
+    tuples.  One forward pass: a row joins the first open survivor of its
+    class-key vector whose carried ``common`` holds each of its threshold
+    components, and that ``common`` narrows by the row's own; if none
+    takes it, the row opens one.  A row with a ``_MIXED`` key or a
+    threshold component that is not mutually close stays alone."""
     checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
     keyed = [(c.index, c.class_key) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
-    survivors: dict[int, tuple] = {}
-    buckets: dict[tuple, list[int]] = {}
-    for pos, keys in enumerate(_key_vectors(rows, keyed)):
-        if _MIXED in keys:
-            survivors[pos] = rows[pos]
+    survivors = []  # the member rows of each survivor
+    open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
+    for row, keys in zip(rows, _key_vectors(rows, keyed)):
+        parts = [row[c.index] for c in threshold_checks]
+        common = [c.common(v) for c, v in zip(threshold_checks, parts)]
+        if _MIXED in keys or not all(map(le, parts, common)):
+            survivors.append([row])
+            continue
+        candidates = open_survivors.setdefault(keys, [])
+        for held, members in candidates:
+            if all(map(le, parts, held)):
+                held[:] = map(and_, held, common)
+                members.append(row)
+                break
         else:
-            buckets.setdefault(keys, []).append(pos)
-    for members in buckets.values():
-        survivors.update(_absorb(rows, members, threshold_checks))
+            survivors.append([row])
+            candidates.append((common, survivors[-1]))
     names = tuple(a.name for a in schema)
-    # distinct: of two equal survivors, the first would have absorbed the other
-    return tuple(FuzzyTuple._trusted(names, c) for _, c in sorted(survivors.items()))
+    # distinct: of two equal survivors, the first would have taken the other
+    return tuple(FuzzyTuple._trusted(names, m[0] if len(m) == 1 else tuple(
+        map(frozenset.union, *m))) for m in survivors)
 
 
 def _key_vectors(rows: Sequence[tuple], keyed: Sequence[tuple[int, Callable]]):
     """Each row's class keys, one per ``(column, class_key)`` of ``keyed``."""
     return (zip(*[map(key, map(itemgetter(i), rows)) for i, key in keyed]) if keyed
             else [()] * len(rows))
-
-
-def _absorb(rows: Sequence[tuple], members: list[int], checks: Sequence[_Check]):
-    """(position, components) of each survivor of one class-key bucket: one
-    loop for every bucket size, which yields a lone member as it came."""
-    alive = [rows[p] for p in members]
-    parts = [[row[c.index] for c in checks] for row in alive]
-    commons = [[c.common(v) for c, v in zip(checks, p)] for p in parts]
-    # A tuple with a component that is not mutually close merges with none.
-    mergeable = [all(map(le, p, common)) for p, common in zip(parts, commons)]
-    for i, row in enumerate(alive):
-        if row is None:
-            continue
-        group, common = [row], commons[i]
-        for j in range(i + 1, len(alive)):
-            if alive[j] is None or not (
-                    mergeable[i] and mergeable[j] and all(map(le, parts[j], common))):
-                continue
-            group.append(alive[j])
-            common = list(map(and_, common, commons[j]))
-            alive[j] = None
-        yield members[i], row if len(group) == 1 else tuple(map(frozenset.union, *group))
 
 
 def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],

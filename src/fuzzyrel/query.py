@@ -11,12 +11,15 @@ Grammar (keywords are case-insensitive, names may be double-quoted):
     with    := "with" level { "," level }
     level   := ("level" | "thres") "(" name ")" ("=" | ">=" | ">") number
 
-An omitted level defaults to 1.  The three comparators after a level all
-bind the same threshold, compared non-strictly during evaluation.
+A number is unsigned decimal digits with at most one point, no larger
+than a float holds.  An omitted level defaults to 1.  The three
+comparators after a level all bind the same threshold, compared
+non-strictly during evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping, NamedTuple, Union
 
@@ -146,7 +149,12 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "IDENT" or kind == "SYMBOL":
             tokens.append(_Token(kind, raw, line, col))
         elif kind == "NUMBER":
-            tokens.append(_Token(kind, float(raw) if "." in raw else int(raw), line, col))
+            number = float(raw)
+            if number == math.inf:
+                raise ParseError(line, col, "a finite number", repr(raw))
+            # past that test an int has at most 309 digits, leading zeros aside
+            tokens.append(_Token(kind, number if "." in raw else int(raw.lstrip("0") or "0"),
+                                 line, col))
         elif kind == "STRING":
             tokens.append(_Token(kind, raw[1:-1], line, col))
         elif kind == "QUOTE":
@@ -281,27 +289,46 @@ class _Parser:
         return Cond(attr, tok.value)
 
 
+def _quoted(text: str) -> str:
+    if '"' in text or "\n" in text:
+        raise ValueError(f"no query text spells the name or string {text!r}")
+    return f'"{text}"'
+
+
 def _render_name(name: str) -> str:
     if _IDENT_RE.fullmatch(name) and name.lower() not in _KEYWORDS:
         return name
-    return f'"{name}"'
+    return _quoted(name)
 
 
 def _render_literal(value: Value) -> str:
     if isinstance(value, str):
-        return f'"{value}"'
+        return _quoted(value)
+    # parse reads an unsigned decimal that a float holds: no bool, no sign
+    try:
+        spelt = (type(value) in (int, float) and 0.0 <= float(value) < math.inf
+                 and math.copysign(1.0, value) > 0)
+    except OverflowError:  # an int too large for a float
+        spelt = False
+    if not spelt:
+        raise ValueError(f"no query text spells the number {value!r}")
     text = repr(value)
     if not isinstance(value, float) or "e" not in text:
         return text
     # The tokenizer reads no exponent, so move repr's point instead: the
     # same digits read back as the same float.
     mantissa, exponent = text.split("e")
-    sign = "-" * mantissa.startswith("-")
-    digits = mantissa.lstrip("-").replace(".", "")
+    digits = mantissa.replace(".", "")
     point = int(exponent) + 1  # repr writes one digit before its point
     if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    return f"{sign}{digits.ljust(point, '0')}.0"
+        return f"0.{'0' * -point}{digits}"
+    return f"{digits.ljust(point, '0')}.0"
+
+
+def _render_level(c: LevelClause) -> str:
+    if not 0.0 <= c.value <= 1.0:
+        raise ValueError(f"no query text spells the level {c.value!r}")
+    return f"level({_render_name(c.attr)}) = {_render_literal(c.value)}"
 
 
 # The operators of the grammar in the module docstring, which is the
@@ -323,7 +350,7 @@ _ITEMS = {
     "level": (_Parser.parse_level,
               lambda tokens, i: (tokens[i].kind == "IDENT"
                                  and tokens[i].value.lower() in ("level", "thres")),
-              lambda c: f"level({_render_name(c.attr)}) = {_render_literal(c.value)}"),
+              _render_level),
 }
 
 
@@ -367,9 +394,12 @@ def evaluate(query: Query | Node, relations: Mapping[str, FuzzyRelation],
 def render(query: Query | Node) -> str:
     """Canonical text for a query; parsing it back yields an equal tree.
 
-    Raises ValueError on a join whose right operand is a bare name and
-    whose left one ends in a name list (a project or join without
-    ``with``): the list would take the name, so no text spells the tree.
+    Raises ValueError on a tree that no text spells: a join whose right
+    operand is a bare name and whose left one ends in a name list (a
+    project or join without ``with``), since the list would take the
+    name; a name or string holding '"' or a newline; a literal that is
+    not an int or float, or is negative (-0.0 included), non-finite or
+    too large for a float; a level outside [0, 1].
     """
     if isinstance(query, Query):
         text = render(query.root)

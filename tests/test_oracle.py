@@ -1160,6 +1160,24 @@ class TestNamedCases:
         with pytest.raises(UnknownValueError, match="not equal to itself"):
             linear_crisp([(1, "a"), (2, float("nan"))])
 
+    @pytest.mark.parametrize("spec, method, level, rows, merged", [
+        # 7 is close to both 0 and 15 and joins the first survivor, 0;
+        # 22 is not close to 0 and joins 15
+        (Linear(100), "threshold", 0.9, [0, 15, 7, 22], [{0, 7}, {15, 22}]),
+        # {1, 5} spans the cells [0, 4) and [4, 8), so nothing joins it
+        (Linear(10), "interval", 0.6, [{1, 5}, 1, 5, 2], [{1, 5}, {1, 2}, {5}]),
+        # {0, 30} is not mutually close at 0.9, so nothing joins it
+        (Linear(100), "threshold", 0.9, [{0, 30}, 5, 30, 2], [{0, 30}, {2, 5}, {30}]),
+    ], ids=["first-survivor-takes-the-row", "row-spanning-two-cells-stays",
+            "row-not-mutually-close-stays"])
+    def test_merge_order(self, spec, method, level, rows, merged):
+        r = FuzzyRelation.from_rows((AttributeSpec("X", spec, method),),
+                                    [(row,) for row in rows])
+        levels = LevelMap({"X": level})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert merge_relation(r, levels).tuples == tuple(
+            FuzzyTuple(("X",), (frozenset(m),)) for m in merged)
+
     def test_component_failing_its_own_level_stays(self):
         r = linear_crisp([({0, 10}, "a"), (0, "a"), (10, "a")])
         levels = LevelMap({"X": 0.8})

@@ -1,7 +1,10 @@
 """Query parsing, rendering and evaluation."""
 
+import math
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzyrel import FuzzyTuple, ParseError, UnknownRelationError, evaluate, parse, render
 from fuzzyrel.query import Cond, Join, LevelClause, Project, Query, RelationRef, Select
@@ -16,12 +19,12 @@ giving "LIKELY ARSONISTS"
 """
 
 
-# Trees ``parse`` can produce: quoted names and strings hold no '"' or
-# newline, numbers are non-negative and finite, levels lie in [0, 1].
-NAMES = st.text(st.characters(exclude_characters='"\n'), max_size=6)
-LITERALS = st.one_of(NAMES, st.integers(min_value=0),
-                     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
-LEVEL_CLAUSES = st.lists(st.builds(LevelClause, NAMES, st.floats(0.0, 1.0)),
+# Names and literals of any value: a name or string that holds '"' or a
+# newline, a literal that is negative, non-finite, a bool or too large for
+# a float, and a level outside [0, 1] make a tree no text spells.
+NAMES = st.text(max_size=6)
+LITERALS = st.one_of(NAMES, st.integers(), st.floats(), st.booleans())
+LEVEL_CLAUSES = st.lists(st.builds(LevelClause, NAMES, st.floats(0.0, 1.0) | st.floats()),
                          max_size=2).map(tuple)
 
 
@@ -29,19 +32,38 @@ def _items(items):
     return st.lists(items, min_size=1, max_size=3).map(tuple)
 
 
+def _spelt_name(name):
+    return '"' not in name and "\n" not in name
+
+
+def _spelt_number(value):
+    # an unsigned decimal that a float holds; -0.0 has a sign
+    return (type(value) in (int, float) and value >= 0
+            and float(str(value)) < math.inf and math.copysign(1, value) > 0)
+
+
 def _spellable(node):
     # In "join (project (R) over A, S) on B" the list over A takes S too,
     # so no text parses to a join whose left operand ends in a name list
     # and whose right operand is a bare name.
     if isinstance(node, Query):
-        return _spellable(node.root)
+        return (_spellable(node.root)
+                and (node.giving is None or _spelt_name(node.giving)))
     if isinstance(node, RelationRef):
-        return True
+        return _spelt_name(node.name)
+    if not all(_spelt_name(c.attr) and _spelt_number(c.value) and c.value <= 1
+               for c in node.levels):
+        return False
     if isinstance(node, Join):
         return (not (isinstance(node.left, (Project, Join)) and not node.left.levels
                      and isinstance(node.right, RelationRef))
+                and all(map(_spelt_name, node.on))
                 and _spellable(node.left) and _spellable(node.right))
-    return _spellable(node.child)
+    if isinstance(node, Project):
+        return all(map(_spelt_name, node.attrs)) and _spellable(node.child)
+    return (all(_spelt_name(c.attr) and (_spelt_name(c.value) if isinstance(c.value, str)
+                                         else _spelt_number(c.value)) for c in node.conds)
+            and _spellable(node.child))
 
 
 QUERIES = st.builds(Query, st.recursive(
@@ -113,6 +135,23 @@ class TestParse:
             parse('select (R) where X = "boom')
         assert (err.value.line, err.value.column) == (1, 22)
 
+    @pytest.mark.parametrize("text, column", [
+        ("select (R) where X = " + "9" * 400 + ".0", 22),
+        ("select (R) where X = " + "9" * 400, 22),
+        ("project (R) over X with level(X) = " + "9" * 400, 36),
+    ], ids=["float-literal", "int-literal", "int-level"])
+    def test_number_no_float_holds_is_refused(self, text, column):
+        # a float would read inf, which renders as the name "inf"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.expected) == \
+            (1, column, "a finite number")
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        # int() refuses a text of more than 4300 digits
+        q = parse("select (R) where X = " + "0" * 5000 + "1")
+        assert q.root.conds == (Cond("X", 1),)
+
     def test_level_outside_unit_interval(self):
         with pytest.raises(ParseError):
             parse("project (R) over X with level(X) = 2")
@@ -176,6 +215,11 @@ class TestRender:
 
     @settings(max_examples=500, deadline=None)
     @given(q=QUERIES)
+    @example(q=Query(Select(RelationRef("R"), (Cond("X", -0.0),))))
+    @example(q=Query(Project(RelationRef("R"), ("X",), (LevelClause("X", -0.0),))))
+    @example(q=Query(Select(RelationRef("R"), (Cond("X", 2 ** 1024),))))
+    # a float reads this int's digits as the largest float, not inf
+    @example(q=Query(Select(RelationRef("R"), (Cond("X", int(sys.float_info.max) + 1),))))
     def test_round_trip_keeps_trees_and_value_types(self, q):
         if not _spellable(q):
             with pytest.raises(ValueError, match="no query text spells"):
