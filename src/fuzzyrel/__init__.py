@@ -18,7 +18,6 @@ from .algebra import (
     interpretations,
     join,
     merge_relation,
-    merge_tuples,
     project,
     redundant,
     select,
@@ -108,7 +107,6 @@ __all__ = [
     "load_matrix",
     "load_relation",
     "merge_relation",
-    "merge_tuples",
     "parse",
     "partition_line",
     "partition_plane",

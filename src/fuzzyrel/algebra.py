@@ -95,11 +95,13 @@ class FuzzyTuple(_Record):
 
     @classmethod
     def of(cls, values: Mapping[str, object]) -> "FuzzyTuple":
-        """Build from a name-to-value mapping; scalars become singletons."""
+        """Build from a name-to-value mapping.  A scalar becomes a singleton,
+        and so does a tuple, which is one planar point; any other iterable
+        is the component's value set."""
         names, comps = [], []
         for name, value in values.items():
             names.append(name)
-            if isinstance(value, (str, int, float, bool)):
+            if isinstance(value, (str, int, float, bool, tuple)):
                 comps.append(frozenset([value]))
             else:
                 comps.append(frozenset(value))
@@ -239,22 +241,19 @@ def interpretations(t: FuzzyTuple) -> frozenset:
     return frozenset(itertools.product(*t.components))
 
 
-def _min_pairwise(spec: ProximitySpec, values: Iterable[Value]) -> float:
-    degrees = [spec.degree(x, y) for x, y in itertools.combinations(values, 2)]
-    return min(degrees, default=1.0)
-
-
 def thres(r: FuzzyRelation, attr: str) -> float:
-    """Smallest pairwise degree inside any component of one column.
+    """Smallest ``degree`` of two values inside any component of one column:
+    the threshold of Buckles and Petry for the relation on ``attr``.
 
     Relations with only singleton components on the attribute, and the
-    empty relation, score 1 by the vacuous-minimum convention.
+    empty relation, score 1 by the vacuous-minimum convention.  A
+    threshold merge keeps it at least the attribute's level, or its value
+    before the merge where that is lower.
     """
     idx = r.attribute_index(attr)
-    spec = r.schema[idx].proximity
-    return min(
-        (_min_pairwise(spec, t.components[idx]) for t in r.tuples), default=1.0
-    )
+    degree = r.schema[idx].proximity.degree
+    return min((degree(x, y) for t in r.tuples
+                for x, y in itertools.combinations(t.components[idx], 2)), default=1.0)
 
 
 def valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple, levels: LevelMap) -> bool:
@@ -459,14 +458,6 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
         (t.components for t in (r.tuples if method == "closure" else (t1, t2))), idx))
     return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
                for c in checks)
-
-
-def merge_tuples(t1: FuzzyTuple, t2: FuzzyTuple) -> FuzzyTuple:
-    """Componentwise union of two tuples over the same attributes."""
-    if t1.names != t2.names:
-        raise SchemaMismatchError(f"cannot merge {t1.names} with {t2.names}")
-    return FuzzyTuple._trusted(
-        t1.names, tuple(a | b for a, b in zip(t1.components, t2.components)))
 
 
 def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,

@@ -29,7 +29,6 @@ from fuzzyrel import (
     interpretations,
     join,
     merge_relation,
-    merge_tuples,
     project,
     redundant,
     select,
@@ -75,6 +74,16 @@ class TestFromRows:
         matrix = (AttributeSpec("E", effect_matrix),)
         with pytest.raises(UnknownValueError, match="'Mild' not in matrix domain"):
             FuzzyRelation.from_rows(matrix, [("Severe",), ("Mild",)])
+
+    def test_tuple_value_is_one_planar_point(self):
+        schema = (AttributeSpec("P", Planar(10, {"C": (5.0, 5.0)})),)
+        r = FuzzyRelation.from_rows(schema, [((2.0, 3.0),), ((5.0, 5.1),),
+                                             ({(5.0, 4.9), "C"},)])
+        assert [t.components for t in r.tuples] == [
+            (frozenset({(2.0, 3.0)}),), (frozenset({(5.0, 5.1)}),),
+            (frozenset({(5.0, 4.9), "C"}),)]
+        assert merge_relation(r, LevelMap({"P": 0.9})).tuples == (
+            tup({"P": (2.0, 3.0)}), tup({"P": {(5.0, 5.1), (5.0, 4.9), "C"}}))
 
 
 class TestInterpretations:
@@ -173,23 +182,6 @@ class TestRedundant:
         rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,), (2,)])
         with pytest.raises(UnknownValueError, match="^value 5 is in no class$"):
             redundant(rel, rel.tuples[0], tup({"X": 5}), LevelMap({"X": 0.5}), "closure")
-
-
-class TestMergeTuples:
-    def test_idempotent(self):
-        t = tup({"X": {"a", "b"}})
-        assert merge_tuples(t, t) == t
-
-    def test_componentwise_union(self):
-        t1 = tup({"X": "A", "Y": "Limited"})
-        t2 = tup({"X": "D", "Y": "Moderate"})
-        assert merge_tuples(t1, t2) == tup(
-            {"X": {"A", "D"}, "Y": {"Limited", "Moderate"}}
-        )
-
-    def test_mismatch(self):
-        with pytest.raises(SchemaMismatchError):
-            merge_tuples(tup({"X": "a"}), tup({"Y": "a"}))
 
 
 class TestMergeRelation:

@@ -12,16 +12,29 @@ and Hypothesis requires the engine to return the same tuples, classes,
 tokens or query trees in the same order, or to raise the same exception
 with the same message.
 
+The oracles take no decision from the code they check.  They resolve
+each requested method from their own table, form closure classes with
+their own pairwise loop, union tuples, take pairwise minima and name join
+columns themselves, and read degrees only through ``spec.degree``.  From
+``fuzzyrel`` they import constructors, errors and the functions under
+test, and the cell functions ``class_of``, ``cell_of``, ``partition_line``
+and ``partition_plane`` until a reference in exact arithmetic classifies
+cells; ``test_oracles_take_no_decision_from_fuzzyrel`` keeps it so.
+
 Relations over one proximity spec share its memo of each value's cell.
 Laws below require each operator to treat a derived relation exactly as
 a fresh copy of its schema and tuples, and a relation whose specs another
 relation's values warmed exactly as one over fresh specs.
 """
 
+import ast
 import copy
+import importlib
 import itertools
 import re
+import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import pytest
@@ -38,38 +51,27 @@ from fuzzyrel import (
     Linear,
     Planar,
     UnknownValueError,
+    ValidationError,
     closure_classes,
     join,
     merge_relation,
-    merge_tuples,
     project,
     select,
+    thres,
     valid_tuple,
 )
-from fuzzyrel import algebra, query
-from fuzzyrel.algebra import (
-    _MIXED,
-    METHODS,
-    _joined_schema,
-    _min_pairwise,
-    _resolve_method,
-)
-from fuzzyrel.closure import temporal_domain
+from fuzzyrel import algebra
 from fuzzyrel.errors import SchemaMismatchError, UnknownAttributeError
 from fuzzyrel.partition import (
     Grouping,
     Partition2D,
-    _unit_interval,
     cell_of,
     class_of,
     partition_line,
     partition_plane,
-    value_sort_key,
 )
-from fuzzyrel.proximity import ProximitySpec, Value, _Record, degree_of
+from fuzzyrel.proximity import ProximitySpec, Value
 from fuzzyrel.query import (
-    _KEYWORDS,
-    _MAX_DEPTH,
     Cond,
     Join,
     LevelClause,
@@ -81,11 +83,60 @@ from fuzzyrel.query import (
     Select,
     _Token,
     _tokenize,
+    parse,
+    render,
 )
 from test_acceptance import _maxmin_closure
 
 
 # --- oracles ---------------------------------------------------------------
+
+
+METHODS = ("threshold", "interval", "equalized", "grid", "closure")
+# The method each requested one resolves to, by the dimensions of the
+# spec's cells (None for a spec without cells): a line cuts interval cells
+# when grid is asked, the square grid cells whichever cell method is asked.
+RESOLVED = {
+    None: {"threshold": "threshold", "closure": "closure"},
+    1: {"threshold": "threshold", "interval": "interval", "equalized": "equalized",
+        "grid": "interval", "closure": "closure"},
+    2: {"threshold": "threshold", "interval": "grid", "equalized": "grid",
+        "grid": "grid", "closure": "closure"},
+}
+_MIXED = object()  # class key of a component that spans two classes
+
+
+def _method(attr: AttributeSpec, requested: str) -> str:
+    """The method that serves ``requested`` on ``attr``: threshold on a spec
+    with keys but no cells, whose keys decide every method, else by
+    ``RESOLVED``."""
+    if requested not in METHODS:
+        raise ValidationError(f"unknown method {requested!r}")
+    embedding = attr.proximity.embedding()
+    if embedding is None and attr.proximity.keys(1.0) is not None:
+        return "threshold"
+    try:
+        return RESOLVED[embedding and embedding[0]][requested]
+    except KeyError:
+        raise ValidationError(
+            f"attribute {attr.name!r} does not support {requested!r} classes") from None
+
+
+def _column_values(r: FuzzyRelation, name: str) -> frozenset:
+    """The union of the components of one column."""
+    idx = r.attribute_index(name)
+    return frozenset().union(*(t.components[idx] for t in r.tuples))
+
+
+def _min_degree(spec: ProximitySpec, values: Iterable[Value]) -> float:
+    """The smallest degree of two of ``values``; 1 for fewer than two."""
+    return min((spec.degree(x, y) for x, y in itertools.combinations(values, 2)),
+               default=1.0)
+
+
+def _union(t1: FuzzyTuple, t2: FuzzyTuple) -> FuzzyTuple:
+    """Componentwise union of two tuples over the same attributes."""
+    return FuzzyTuple(t1.names, tuple(a | b for a, b in zip(t1.components, t2.components)))
 
 
 def _make_resolver(resolve):
@@ -103,7 +154,7 @@ def _classifier(attr: AttributeSpec, method: str, level: float,
     itself on the singleton partition.
     """
     if method == "closure":
-        return closure_classes(domain or frozenset(), attr.proximity, level).class_index
+        return oracle_closure_classes(domain or frozenset(), attr.proximity, level).class_index
     dims, length, resolve = attr.proximity.embedding()
     if dims == 2:
         partitioner = partition_plane(length, level)
@@ -132,7 +183,7 @@ class _Check:
         if self.classify is not None:
             keys = {self.classify(v) for v in values}
             return len(keys) == 1
-        return _min_pairwise(self.spec, values) >= self.level
+        return _min_degree(self.spec, values) >= self.level
 
     __hash__ = None
 
@@ -144,14 +195,14 @@ def _build_checks(r: FuzzyRelation, levels: LevelMap, mode: str | None,
         level = levels.level(attr.name)
         if level == 0.0:
             continue
-        effective = _resolve_method(attr, mode or attr.default_method)
+        effective = _method(attr, mode or attr.default_method)
         if effective == "threshold":
             checks.append(_Check(idx, attr.name, level, spec=attr.proximity))
         else:
             if domains is not None and attr.name in domains:
                 domain = domains[attr.name]
             else:
-                domain = temporal_domain(r, attr.name) if effective == "closure" else None
+                domain = _column_values(r, attr.name) if effective == "closure" else None
             checks.append(
                 _Check(idx, attr.name, level,
                        classify=_classifier(attr, effective, level, domain))
@@ -180,7 +231,7 @@ def oracle_merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
         for i in range(len(tuples)):
             for j in range(i + 1, len(tuples)):
                 if _pair_redundant(checks, tuples[i], tuples[j]):
-                    tuples[i] = merge_tuples(tuples[i], tuples[j])
+                    tuples[i] = _union(tuples[i], tuples[j])
                     del tuples[j]
                     tuples = list(dict.fromkeys(tuples))
                     merged_some = True
@@ -210,7 +261,7 @@ def oracle_select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     kept = tuple(
         t for t in r.tuples
         if all(
-            all(degree_of(spec, v, constant) >= level for v in t.components[idx])
+            all(spec.degree(v, constant) >= level for v in t.components[idx])
             for idx, spec, constant, level in prepared
         )
     )
@@ -245,12 +296,24 @@ def oracle_join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
         if left_spec != right_spec:
             raise SchemaMismatchError(f"join attribute {a!r} differs between schemas")
 
-    domains = {a: temporal_domain(r1, a) | temporal_domain(r2, a) for a in on}
+    domains = {a: _column_values(r1, a) | _column_values(r2, a) for a in on}
     on_checks = _build_checks(
         FuzzyRelation(tuple(r1.attribute(a) for a in on), ()),
         levels, mode, domains=domains,
     )
-    schema, right_rest = _joined_schema(r1, r2, on)
+    # a right column whose name is taken gains ``_2`` until it is free
+    schema, right_rest = list(r1.schema), []
+    for j, a in enumerate(r2.schema):
+        if a.name in on:
+            continue
+        name = a.name
+        while name in {b.name for b in schema}:
+            name += "_2"
+        if name != a.name:
+            a = AttributeSpec(name, a.proximity, a.default_method)
+        schema.append(a)
+        right_rest.append(j)
+    schema = tuple(schema)
     names = tuple(a.name for a in schema)
     on_left = {a: r1.attribute_index(a) for a in on}
     on_right = {a: r2.attribute_index(a) for a in on}
@@ -279,9 +342,17 @@ def oracle_valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple,
         level = levels.level(name)
         if level == 0.0:
             continue
-        if _min_pairwise(specs[name], comp) < level:
+        if _min_degree(specs[name], comp) < level:
             return False
     return True
+
+
+def oracle_thres(r: FuzzyRelation, attr: str) -> float:
+    """Smallest pairwise degree inside any component of one column; 1 when
+    no component has two values."""
+    idx = r.attribute_index(attr)
+    return min((_min_degree(r.schema[idx].proximity, t.components[idx]) for t in r.tuples),
+               default=1.0)
 
 
 @dataclass(frozen=True)
@@ -335,8 +406,12 @@ def oracle_closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     to the value set.  Classes are ordered by their smallest member.
     Every value must be one ``spec.degree`` can interpret.
     """
-    a = _unit_interval(alpha)
-    nodes = sorted(set(values), key=value_sort_key)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise DomainError(f"alpha must be a number, got {alpha!r}")
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {a}")
+    nodes = sorted(set(values), key=_sort_key)
     parent = {v: v for v in nodes}  # union-find forest
 
     def find(v):
@@ -351,7 +426,15 @@ def oracle_closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     components: dict = {}
     for v in nodes:
         components.setdefault(find(v), set()).add(v)
-    return Grouping.from_classes(components.values())
+    return Grouping.in_order(sorted(components.values(),
+                                    key=lambda c: _sort_key(min(c, key=_sort_key))))
+
+
+def _sort_key(v: Value):
+    """Total order across mixed value types: numbers first, then strings."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return (0, "", float(v))
+    return (1, str(v), 0.0)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -408,6 +491,13 @@ def oracle_tokenize(text: str) -> list[_Token]:
         raise ParseError(line, col, "a name, number or punctuation", repr(ch))
     tokens.append(_Token("EOF", None, line, col))
     return tokens
+
+
+_KEYWORDS = {
+    "select", "project", "join", "where", "over", "on", "with",
+    "level", "thres", "giving",
+}
+_MAX_DEPTH = 150
 
 
 # The query parser and ``render`` with one method or branch per operator.
@@ -684,7 +774,7 @@ def leaves(node):
     if isinstance(node, tuple):
         for child in node:
             yield from leaves(child)
-    elif isinstance(node, _Record):
+    elif hasattr(node, "_fields"):  # a query record
         for name in node._fields:
             yield from leaves(getattr(node, name))
     else:
@@ -923,6 +1013,26 @@ class TestAgainstOracles:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    def test_thres(self, data):
+        r, _, _ = data.draw(relations())
+        for name in r.names:
+            assert thres(r, name) == oracle_thres(r, name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_threshold_merge_keeps_thres_at_its_level(self, data):
+        # a threshold merge unions only components whose values are all
+        # within the level of each other
+        r, _, _ = data.draw(relations())
+        levels = data.draw(level_maps(r.names))
+        merged = merge_relation(r, levels, "threshold")
+        for name in r.names:
+            level = levels.level(name)
+            if level > 0.0:
+                assert thres(merged, name) >= min(level, thres(r, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_threshold_check(self, data):
         attr, values, _ = data.draw(attributes("X"))
         level = data.draw(st.sampled_from(LEVELS[1:]))
@@ -931,7 +1041,7 @@ class TestAgainstOracles:
             min_size=1, max_size=6))
         r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
         check, = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
-                                       lambda idx, _: temporal_domain(r, "X"))
+                                       lambda idx, _: _column_values(r, "X"))
         old = _MemoCheck(0, "X", level, spec=attr.proximity)
         for a in comps:
             for b in comps:
@@ -959,7 +1069,7 @@ class TestAgainstOracles:
     @given(pieces=st.lists(st.sampled_from(TOKEN_PIECES), max_size=30))
     def test_tokenize(self, pieces):
         text = "".join(pieces)
-        assert tokens_or_error(query._tokenize, text) == \
+        assert tokens_or_error(_tokenize, text) == \
             tokens_or_error(oracle_tokenize, text)
 
     @settings(max_examples=500, deadline=None)
@@ -975,15 +1085,15 @@ class TestAgainstOracles:
 
     @staticmethod
     def check_parse(text):
-        got = tree_or_error(query.parse, text)
+        got = tree_or_error(parse, text)
         assert got == tree_or_error(oracle_parse, text)
         if got[0] == "parsed":
             tree = got[1]
             if any(isinstance(v, float) and "e" in repr(v) for v in leaves(tree)):
                 # the oracle wrote an exponent, which does not parse back
-                assert query.parse(query.render(tree)) == tree
+                assert parse(render(tree)) == tree
             else:
-                assert query.render(tree) == oracle_render(tree)
+                assert render(tree) == oracle_render(tree)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1134,6 +1244,11 @@ def linear_crisp(rows):
     return FuzzyRelation.from_rows(schema, rows)
 
 
+def closure_chain(rows):
+    schema = (AttributeSpec("X", Linear(10), "closure"), AttributeSpec("K"))
+    return FuzzyRelation.from_rows(schema, rows)
+
+
 class TestNamedCases:
     def test_merge_order_on_a_non_transitive_matrix(self, hair_matrix):
         # Blond~Light brown and Light brown~Red at 0.7, Blond~Red only 0.5:
@@ -1177,6 +1292,43 @@ class TestNamedCases:
         assert_same(merge_relation, oracle_merge_relation, r, levels, None)
         assert merge_relation(r, levels).tuples == tuple(
             FuzzyTuple(("X",), (frozenset(m),)) for m in merged)
+
+    # 1~3 and 3~5 have degree 0.8 and 1~5 has 0.6: at 0.75 only the
+    # closure of the cut puts all three in one class
+    def test_closure_chain_merge(self):
+        r = closure_chain([(1, "a"), (3, "a"), (5, "a")])
+        levels = LevelMap({"X": 0.75, "K": 0.0})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert merge_relation(r, levels).tuples == (
+            FuzzyTuple(("X", "K"), (frozenset({1, 3, 5}), frozenset({"a"}))),)
+
+    def test_closure_chain_project(self):
+        r = closure_chain([(1, "a"), (3, "a"), (5, "a")])
+        levels = LevelMap({"X": 0.75})
+        assert_same(project, oracle_project, r, ["X"], levels, None)
+        assert project(r, ["X"], levels).tuples == (
+            FuzzyTuple(("X",), (frozenset({1, 3, 5}),)),)
+
+    def test_closure_chain_join(self):
+        left = closure_chain([(1, "a"), (3, "b")])
+        right = closure_chain([(5, "c")])
+        levels = LevelMap({"X": 0.75})
+        assert_same(join, oracle_join, left, right, ["X"], levels, None)
+        names = ("X", "K", "K_2")
+        assert join(left, right, ["X"], levels).tuples == (
+            FuzzyTuple(names, (frozenset({1, 5}), frozenset({"a"}), frozenset({"c"}))),
+            FuzzyTuple(names, (frozenset({3, 5}), frozenset({"b"}), frozenset({"c"}))),
+        )
+
+    def test_grid_on_a_line_cuts_interval_cells(self):
+        # the cells [0, 3) and [3, 6) part 2.9 from 3.1; equalized cells,
+        # [2.5, 5) among them, would hold both
+        r = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10), "grid"),),
+                                    [(2.9,), (3.1,)])
+        levels = LevelMap({"X": 0.7})
+        assert_same(merge_relation, oracle_merge_relation, r, levels, None)
+        assert merge_relation(r, levels).tuples == (
+            FuzzyTuple(("X",), (frozenset({2.9}),)), FuzzyTuple(("X",), (frozenset({3.1}),)))
 
     def test_component_failing_its_own_level_stays(self):
         r = linear_crisp([({0, 10}, "a"), (0, "a"), (10, "a")])
@@ -1230,7 +1382,7 @@ class TestNamedCases:
         "select (R) where select = 1",
     ])
     def test_parse_edge(self, text):
-        assert tree_or_error(query.parse, text) == tree_or_error(oracle_parse, text)
+        assert tree_or_error(parse, text) == tree_or_error(oracle_parse, text)
 
     def test_first_condition_removes_every_tuple(self):
         r = linear_crisp([(1, "a"), (2, "b")])
@@ -1253,3 +1405,65 @@ class TestNamedCases:
         r = linear_crisp([])
         assert_same(select, oracle_select, r, [("X", "abc")], None)
         assert len(select(r, [("X", "abc")])) == 0
+
+
+# --- what the oracles import -----------------------------------------------
+
+
+# Every name this file may take from fuzzyrel: no oracle decision among them.
+ALLOWED_IMPORTS = {
+    # constructors: spec kinds, records, query nodes and tokens
+    "AttributeSpec", "CrispIdentity", "ExplicitMatrix", "FuzzyRelation", "FuzzyTuple",
+    "Grouping", "LevelMap", "Linear", "Planar",
+    "Cond", "Join", "LevelClause", "Project", "Query", "RelationRef", "Select", "_Token",
+    # types that only annotate
+    "Node", "ProximitySpec", "Value",
+    # errors
+    "DomainError", "ParseError", "SchemaMismatchError", "UnknownAttributeError",
+    "UnknownValueError", "ValidationError",
+    # the functions under test
+    "_build_checks", "_tokenize", "closure_classes", "join", "merge_relation", "parse",
+    "project", "render", "select", "thres", "valid_tuple",
+    # the cells, until a reference in exact arithmetic classifies them
+    "Partition2D", "cell_of", "class_of", "partition_line", "partition_plane",
+}
+
+
+def fuzzyrel_names(source: str) -> set:
+    """The names ``source`` imports from fuzzyrel, and those it reads as
+    attributes of a fuzzyrel module it imports."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                        if alias.name.split(".")[0] == "fuzzyrel"}
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "fuzzyrel"):
+            package = importlib.import_module(node.module)
+            for alias in node.names:
+                if isinstance(getattr(package, alias.name, None), types.ModuleType):
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names.add(alias.name)
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules}
+
+
+def test_import_guard_sees_every_form_of_an_import():
+    source = ("from fuzzyrel import merge_tuples, FuzzyTuple\n"
+              "from fuzzyrel.algebra import _min_pairwise as pairwise\n"
+              "from fuzzyrel import algebra as a\n"
+              "import fuzzyrel.closure as c\n"
+              "import fuzzyrel\n"
+              "a._resolve_method(x), a._joined_schema, c.temporal_domain\n"
+              "def f():\n    return fuzzyrel.degree_of\n")
+    assert fuzzyrel_names(source) - ALLOWED_IMPORTS == {
+        "merge_tuples", "_min_pairwise", "_resolve_method", "_joined_schema",
+        "temporal_domain", "degree_of"}
+
+
+def test_oracles_take_no_decision_from_fuzzyrel():
+    source = Path(__file__).read_text(encoding="utf-8")
+    assert fuzzyrel_names(source) - ALLOWED_IMPORTS == set()

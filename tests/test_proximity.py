@@ -472,9 +472,8 @@ def test_merge_core_guard_sees_every_form_of_a_call():
 
 def test_output_tuples_are_built_only_in_the_merge_core():
     calls = calls_by_function((SRC / "algebra.py").read_text(encoding="utf-8"), MERGE_CORE)
-    # every operator hands _merge distinct component rows; merge_tuples is
-    # the exported pairwise union the merge oracle uses
-    assert calls == {("_merge", "_trusted"), ("merge_tuples", "_trusted"),
+    # every operator hands _merge distinct component rows
+    assert calls == {("_merge", "_trusted"),
                      ("merge_relation", "_merge"), ("project", "_merge"), ("join", "_merge")}
 
 
