@@ -114,6 +114,14 @@ class FuzzyTuple(_Record):
             raise UnknownAttributeError(f"no attribute {name!r} in tuple") from None
 
 
+def _schema_names(schema: Sequence[AttributeSpec]) -> tuple[str, ...]:
+    """The names of ``schema``; ValidationError when one repeats."""
+    names = tuple(a.name for a in schema)
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate attribute names in schema: {names}")
+    return names
+
+
 def _conform(tuples: Iterable[FuzzyTuple], names: tuple[str, ...]) -> None:
     """Raise SchemaMismatchError unless every tuple is named as ``names``."""
     for t in tuples:
@@ -135,9 +143,7 @@ class FuzzyRelation(_Record):
 
     def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
         schema = tuple(schema)
-        names = tuple(a.name for a in schema)
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate attribute names in schema: {names}")
+        names = _schema_names(schema)
         tuples = tuple(tuples)
         _conform(tuples, names)
         self._set(schema=schema, tuples=tuple(dict.fromkeys(tuples)), _columns={})
@@ -585,9 +591,7 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
     order, through the merge core that ``merge_relation`` and ``join`` use."""
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
-    names = tuple(a.name for a in schema)
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate attribute names in schema: {names}")
+    _schema_names(schema)
     rows = list(dict.fromkeys(tuple(t.components[i] for i in indices) for t in r.tuples))
     return FuzzyRelation._derived(schema, _merge(schema, rows, levels or LevelMap(), mode))
 

@@ -119,17 +119,23 @@ class _Token(NamedTuple):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# One alternative per token kind, tried in this order at each position.
+# One alternative per token kind, tried in this order at each position,
+# each after the run of spaces before it, so that a run is no match of its
+# own; END takes the spaces at the end of the text in one match, where a
+# retry at each of them would cost time quadratic in their number.
 # ``\s`` is exactly ``str.isspace``; only a newline starts a new line.
 _TOKEN_RE = re.compile(r"""
+  [^\S\n]*
+  (?:
     (?P<NEWLINE>\n)
-  | (?P<SPACE>[^\S\n]+)
   | (?P<STRING>"[^"\n]*")
   | (?P<QUOTE>")
   | (?P<IDENT>""" + _IDENT_RE.pattern + r""")
   | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
   | (?P<SYMBOL>>=|[(),=>])
-  | (?P<OTHER>.)
+  | (?P<OTHER>\S)
+  | (?P<END>\Z)
+  )
 """, re.VERBOSE)
 
 
@@ -138,14 +144,14 @@ def _tokenize(text: str) -> list[_Token]:
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "SPACE":
-            continue
+        if kind == "END":
+            break
         if kind == "NEWLINE":
             line += 1
             line_start = m.end()
             continue
-        col = m.start() - line_start + 1
-        raw = m.group()
+        raw = m.group(kind)
+        col = m.end() - len(raw) - line_start + 1
         if kind == "IDENT" or kind == "SYMBOL":
             tokens.append(_Token(kind, raw, line, col))
         elif kind == "NUMBER":

@@ -294,6 +294,11 @@ def _empty(name):
     return edit
 
 
+def _duplicate_attribute(db):
+    _replace("schema.cfg", "attributes = SNAME, STATUS, CITY", "attributes = SNAME, SNAME")(db)
+    (db / "suppliers.csv").write_text("SNAME,SNAME\nBagins,Took\n", encoding="utf-8")
+
+
 BUILD_LINES = ("labels = Very large, Large, Average, Small, Very small\n"
                "matrix = build_matrix.csv\n")
 EFFECT_LABELS = ("labels = Minimal, Limited, Tolerable, Moderate, Severe, Major, Extreme, "
@@ -397,6 +402,9 @@ ERROR_PATHS = {
         "suppliers", _replace("schema.cfg", "attributes = SNAME, STATUS, CITY",
                               "attributes = SNAME, STATUS, TOWN"),
         _classes("STATUS"), 2, ["schema.cfg", "'SUPPLIERS'", "'TOWN'"]),
+    "relation-duplicate-attribute": (
+        "suppliers", _duplicate_attribute, _classes("STATUS"), 2,
+        ["duplicate attribute names", "('SNAME', 'SNAME')"]),
     "relation-missing-header": (
         "suppliers", _empty("suppliers.csv"), _classes("STATUS"), 2,
         ["suppliers.csv", "missing header"]),

@@ -4,9 +4,11 @@ import pytest
 
 from fuzzyrel import (
     AttributeSpec,
+    CrispIdentity,
     DomainError,
     ExplicitMatrix,
     FormatError,
+    FuzzyTuple,
     LevelMap,
     Linear,
     ValidationError,
@@ -21,6 +23,26 @@ from fuzzyrel.tables import format_grouping, format_table
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+class CountingCrisp(CrispIdentity):
+    """Crisp identity that records each text it parses."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self):
+        super().__init__()
+        self._set(texts=[])
+
+    def parse(self, text):
+        self.texts.append(text)
+        return text
+
+
+def linear_pair(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    return path, [AttributeSpec("A", Linear(10)), AttributeSpec("B", Linear(10))]
 
 
 class TestLoadRelation:
@@ -70,6 +92,73 @@ class TestLoadRelation:
         with pytest.raises(FormatError):
             load_relation(path, [AttributeSpec("A")])
 
+    def test_an_error_after_a_blank_line_names_its_line(self, tmp_path):
+        path, schema = linear_pair(tmp_path, "A,B\n1,2\n\n3,x\n")
+        with pytest.raises(FormatError) as info:
+            load_relation(path, schema)
+        assert str(info.value) == f"{path}:4: 'x' is not a number in column 'B'"
+
+    def test_an_error_names_the_line_its_row_starts_on(self, tmp_path):
+        # the quoted cell "1\n" spans lines 2 and 3
+        path, schema = linear_pair(tmp_path, 'A,B\n"1\n",2\n3,x\n')
+        with pytest.raises(FormatError, match=r"r\.csv:4: 'x'"):
+            load_relation(path, schema)
+        path.write_text('A,B\n \t, \n"x\n",2\n')
+        with pytest.raises(FormatError, match=r"r\.csv:3: 'x' is not a number"):
+            load_relation(path, schema)
+
+    def test_blank_rows_are_skipped_and_duplicates_keep_the_first(self, tmp_path):
+        path, schema = linear_pair(tmp_path, "\n A , B \n ,\n,\n1,2\n1.0, 2 \n\n3|1,2\n")
+        rel = load_relation(path, schema)
+        assert [t.components for t in rel.tuples] == [({1}, {2}), ({1, 3}, {2})]
+        assert [type(v) for v in rel.tuples[0].get("A")] == [int]
+
+    def test_duplicate_attribute_names_are_refused_after_every_cell(self, tmp_path):
+        path = tmp_path / "r.csv"
+        schema = [AttributeSpec("A"), AttributeSpec("A")]
+        path.write_text("A,A\nx,y\nx,\n")
+        with pytest.raises(FormatError, match=r":3: empty value in column 'A'"):
+            load_relation(path, schema)
+        path.write_text("A,B\nx,y\n")
+        with pytest.raises(FormatError, match="does not match schema"):
+            load_relation(path, schema)
+        path.write_text("A,A\nx,y\n")
+        with pytest.raises(ValidationError) as info:
+            load_relation(path, schema)
+        assert str(info.value) == "duplicate attribute names in schema: ('A', 'A')"
+
+    def test_each_cell_text_is_parsed_once_per_load(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("A,B\nx,p\ny,p\nx,q\nx,p\ny, p\n")
+        a, b = CountingCrisp(), CountingCrisp()
+        schema = [AttributeSpec("A", a), AttributeSpec("B", b)]
+        load_relation(path, schema)
+        assert (a.texts, b.texts) == (["x", "y"], ["p", "q", "p"])
+        load_relation(path, schema)
+        assert (a.texts, b.texts) == (["x", "y"] * 2, ["p", "q", "p"] * 2)
+
+    def test_equal_cell_texts_share_one_set(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("A,B\nx,p|q\ny,p|q\nz,q|p\n")
+        rel = load_relation(path, [AttributeSpec("A"), AttributeSpec("B")])
+        first, second, third = (t.get("B") for t in rel.tuples)
+        assert first is second and first == third and first is not third
+
+    def test_one_tuple_is_built_per_distinct_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        path.write_text("A,B\nx,p\ny,p\nx,p\nx,p|p\nx,q\n")
+        built = []
+        trusted = FuzzyTuple._trusted
+
+        def counted(names, components):
+            built.append(components)
+            return trusted(names, components)
+
+        monkeypatch.setattr(FuzzyTuple, "_trusted", staticmethod(counted))
+        rel = load_relation(path, [AttributeSpec("A"), AttributeSpec("B")])
+        assert len(rel) == 3
+        assert built == [t.components for t in rel.tuples]
+
 
 class TestLoadMatrix:
     def test_effect_matrix(self, effect_matrix):
@@ -105,6 +194,15 @@ class TestLoadMatrix:
         with pytest.raises(FormatError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("text", ["s,a,b\n\na,1.0,0.5\nb,0.5,x\n",
+                                      's,a,b\na,1.0,"0.5\n"\nb,0.5,x\n'])
+    def test_an_error_names_the_line_its_row_starts_on(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}:4: could not convert string to float: 'x'"
+
 
 class TestLoadDatabase:
     def test_an_ordinal_matrix_attribute_is_ordered_by_its_labels(self, arson_db,
@@ -132,6 +230,15 @@ class TestLoadLocations:
         path.write_text("name,x,y\nA,1,1\n")
         with pytest.raises(FormatError):
             load_locations(path)
+
+    @pytest.mark.parametrize("text", ["label,x,y\nA,1,1\n\nA,2,2\n",
+                                      'label,x,y\n"A\n",1,1\nA,2,2\n'])
+    def test_an_error_names_the_line_its_row_starts_on(self, tmp_path, text):
+        path = tmp_path / "l.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_locations(path)
+        assert str(info.value) == f"{path}:4: duplicate label 'A'"
 
 
 class TestRoundTrip:

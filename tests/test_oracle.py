@@ -5,12 +5,15 @@
 from the first pair, with unmemoised redundancy checks.  Later the
 threshold check memoised ``degree(x, y) >= level`` per value pair,
 ``closure_classes`` tested every pair of values, the query tokenizer
-stepped through the text one character at a time, and the query parser
-and ``render`` spelled out each operator by hand.  Those versions are
-copied below unchanged, with ``project`` and ``join`` rebuilt on them,
-and Hypothesis requires the engine to return the same tuples, classes,
+stepped through the text one character at a time, the query parser
+and ``render`` spelled out each operator by hand, and ``load_relation``
+read a whole file before it parsed the rows one by one.  Those versions
+are copied below unchanged, but for the loader's line numbers, which now
+name the line a row starts on; ``project`` and ``join`` are rebuilt on
+them.  Hypothesis requires the engine to return the same tuples, classes,
 tokens or query trees in the same order, or to raise the same exception
-with the same message.
+with the same message.  The oracle parser reads the oracle tokenizer's
+tokens, so the two are checked apart.
 
 The oracles take no decision from the code they check.  They resolve
 each requested method from their own table, form closure classes with
@@ -29,6 +32,7 @@ relation's values warmed exactly as one over fresh specs.
 
 import ast
 import copy
+import csv
 import importlib
 import itertools
 import re
@@ -45,6 +49,7 @@ from fuzzyrel import (
     CrispIdentity,
     DomainError,
     ExplicitMatrix,
+    FormatError,
     FuzzyRelation,
     FuzzyTuple,
     LevelMap,
@@ -54,6 +59,7 @@ from fuzzyrel import (
     ValidationError,
     closure_classes,
     join,
+    load_relation,
     merge_relation,
     project,
     select,
@@ -503,7 +509,7 @@ _MAX_DEPTH = 150
 # The query parser and ``render`` with one method or branch per operator.
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = oracle_tokenize(text)
         self.pos = 0
         self.depth = 0
 
@@ -692,6 +698,62 @@ class _Parser:
 def oracle_parse(text: str) -> Query:
     """Parse query text; raises ParseError with a position on bad input."""
     return _Parser(text).parse_query()
+
+
+def _oracle_parse_cell(cell: str, attr: AttributeSpec, where: str) -> frozenset:
+    parts = [p.strip() for p in cell.split("|")]
+    if any(not p for p in parts):
+        raise FormatError(f"{where}: empty value in column {attr.name!r}")
+    parse = attr.proximity.parse
+    try:
+        return frozenset(map(parse, parts))
+    except (FormatError, DomainError) as exc:
+        raise type(exc)(f"{where}: {exc} in column {attr.name!r}") from None
+
+
+def oracle_load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
+    """Read the whole file, drop its blank rows, then parse row by row.
+
+    Each row's line is the one its record starts on.  Reading comes
+    first, so a decode error anywhere wins over a fault in any cell; the
+    loader under test reads as it parses, so the two agree on files with
+    at most one fault.
+    """
+    path = Path(path)
+    schema = tuple(schema)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows, line = [], 1
+            for row in reader:
+                rows.append((line, row))
+                line = reader.line_num + 1
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+    rows = [(line, r) for line, r in rows if any(cell.strip() for cell in r)]
+    if not rows:
+        raise FormatError(f"{path}: missing header row")
+    header = tuple(c.strip() for c in rows[0][1])
+    expected = tuple(a.name for a in schema)
+    if header != expected:
+        raise FormatError(
+            f"{path}: header {header} does not match schema {expected}"
+        )
+    tuples = []
+    parsed: list[dict[str, frozenset]] = [{} for _ in schema]
+    for lineno, row in rows[1:]:
+        if len(row) != len(schema):
+            raise FormatError(f"{path}:{lineno}: expected {len(schema)} cells")
+        comps = []
+        for cell, attr, seen in zip(row, schema, parsed):
+            comp = seen.get(cell)
+            if comp is None:
+                comp = seen[cell] = _oracle_parse_cell(cell, attr, f"{path}:{lineno}")
+            comps.append(comp)
+        tuples.append(FuzzyTuple(expected, tuple(comps)))
+    if len(set(expected)) != len(expected):
+        raise ValidationError(f"duplicate attribute names in schema: {expected}")
+    return FuzzyRelation(schema, tuple(tuples))
 
 
 def _render_name(name: str) -> str:
@@ -890,6 +952,116 @@ def level_maps(draw, names):
 modes = st.sampled_from((None,) + METHODS)
 
 
+# --- generated relation files ----------------------------------------------
+
+
+# Cell texts of each kind's values, some spelling an int as a float, and
+# texts outside each kind's domain.
+CELL_TEXTS = {
+    "crisp": CRISP_VALUES + ("a b", "x,y", '"q"', "1"),
+    "linear": ("0", "2", "2.0", "2.5", "10", "7.50", "03"),
+    "matrix": LABELS,
+    "planar": tuple(SITES),
+}
+OUT_OF_DOMAIN = {
+    "linear": ("11", "-1", "abc", "1e999", "nan", "10.01"),
+    "matrix": ("Awful", "l0"),
+    "planar": ("Nowhere",),
+}
+# Rows a loader skips: an empty line, and empty or whitespace-only cells.
+BLANK_ROWS = ([], [""], ["", ""], [" ", "\t"], ["  "], [" ", "", " "])
+FILE_FAULTS = (None, "empty member", "out of domain", "cell count", "header",
+               "repeated name", "not utf-8", "no header")
+
+
+@st.composite
+def cell_texts(draw, kind):
+    """A value or a set of them, with spaces around some members."""
+    members = draw(st.lists(st.sampled_from(CELL_TEXTS[kind]), min_size=1, max_size=3))
+    spaces = st.sampled_from(("", " ", "\t "))
+    return "|".join(draw(spaces) + m + draw(spaces) for m in members)
+
+
+@st.composite
+def csv_fields(draw, text):
+    """``text`` as one CSV field: bare when it can be, else quoted, at
+    times with a line break inside the quotes, which stripping removes."""
+    how = draw(st.sampled_from(("bare", "quoted", "two lines")))
+    if how == "bare" and not any(c in text for c in ',"\r\n'):
+        return text
+    if how == "two lines":
+        text += "\n"
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def relation_files(draw):
+    """(file bytes, schema, fault) of a relation file with at most one fault.
+
+    Blank and whitespace-only rows, repeated rows, set cells with spaces
+    and quoted cells spanning two lines are no faults.
+    """
+    attrs = [draw(attributes(f"A{i}")) for i in range(draw(st.integers(1, 3)))]
+    fault = draw(st.sampled_from(FILE_FAULTS))
+    if fault == "repeated name":
+        spec, values, kind = attrs[0]
+        attrs.insert(draw(st.integers(1, len(attrs))),
+                     (AttributeSpec(spec.name, spec.proximity, spec.default_method),
+                      values, kind))
+    kinds = [kind for _, _, kind in attrs]
+    schema = tuple(spec for spec, _, _ in attrs)
+    header = [spec.name for spec in schema]
+    rows = [[draw(cell_texts(kind)) for kind in kinds]
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows = draw(st.permutations(rows))
+    width = len(kinds)
+    if fault == "out of domain" and set(kinds) <= {"crisp"}:
+        fault = "cell count"
+    if fault == "header":
+        header[draw(st.integers(0, width - 1))] += draw(st.sampled_from(("x", " y", "|")))
+    elif fault in ("empty member", "out of domain", "cell count", "not utf-8"):
+        row = [draw(cell_texts(kind)) for kind in kinds]
+        column = draw(st.sampled_from([i for i, kind in enumerate(kinds)
+                                       if fault != "out of domain" or kind != "crisp"]))
+        if fault == "empty member":
+            row[column] = draw(st.sampled_from(("{0}|", " |{0}", "{0}||{0}"))).format(row[column])
+        elif fault == "out of domain":
+            row[column] = draw(st.sampled_from(OUT_OF_DOMAIN[kinds[column]]))
+        elif fault == "not utf-8":
+            row[column] += "\x00"  # made an undecodable byte below
+        elif width == 1 or draw(st.booleans()):
+            row.append(row[0])
+        else:
+            row.pop()
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [] if fault == "no header" else [header, *rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), list(draw(st.sampled_from(BLANK_ROWS))))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    text = "".join(",".join([draw(csv_fields(cell)) for cell in line]) + end
+                   for line in lines)
+    if not draw(st.booleans()):
+        text = text[:-len(end)]
+    return text.encode("utf-8").replace(b"\x00", b"\xff"), schema, fault
+
+
+def loaded(load, path, schema):
+    """Each tuple's value sets with the type of every value, or the exception."""
+    try:
+        r = load(path, schema)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    return ("returned", r.schema,
+            [[{(type(v), v) for v in c} for c in t.components] for t in r.tuples])
+
+
+@pytest.fixture(scope="module")
+def relation_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("relation") / "r.csv"
+
+
 # --- generated queries -----------------------------------------------------
 
 
@@ -1064,6 +1236,15 @@ class TestAgainstOracles:
         got = closure_classes(chosen, spec, alpha)
         assert got == oracle_closure_classes(chosen, spec, alpha)
         assert got.classes == oracle_closure_classes(chosen, spec, alpha).classes
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_relation(self, data, relation_path):
+        content, schema, fault = data.draw(relation_files())
+        relation_path.write_bytes(content)
+        got = loaded(load_relation, relation_path, schema)
+        assert got == loaded(oracle_load_relation, relation_path, schema)
+        assert (got[0] == "returned") == (fault is None)
 
     @settings(max_examples=500, deadline=None)
     @given(pieces=st.lists(st.sampled_from(TOKEN_PIECES), max_size=30))
@@ -1419,11 +1600,11 @@ ALLOWED_IMPORTS = {
     # types that only annotate
     "Node", "ProximitySpec", "Value",
     # errors
-    "DomainError", "ParseError", "SchemaMismatchError", "UnknownAttributeError",
+    "DomainError", "FormatError", "ParseError", "SchemaMismatchError", "UnknownAttributeError",
     "UnknownValueError", "ValidationError",
     # the functions under test
-    "_build_checks", "_tokenize", "closure_classes", "join", "merge_relation", "parse",
-    "project", "render", "select", "thres", "valid_tuple",
+    "_build_checks", "_tokenize", "closure_classes", "join", "load_relation",
+    "merge_relation", "parse", "project", "render", "select", "thres", "valid_tuple",
     # the cells, until a reference in exact arithmetic classifies them
     "Partition2D", "cell_of", "class_of", "partition_line", "partition_plane",
 }

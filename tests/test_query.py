@@ -165,6 +165,14 @@ class TestParse:
             parse("select (R) where")
         assert "line 1, column 17" in str(err.value)
 
+    def test_spaces_at_the_end_are_one_match(self):
+        # retrying the match at each trailing space would take minutes here
+        spaces = " \t" * 50_000
+        assert parse("R" + spaces) == parse("R")
+        with pytest.raises(ParseError) as err:
+            parse("select (R) where" + spaces)
+        assert "line 1, column 100017" in str(err.value)
+
 
 class TestRender:
     def test_round_trip_of_arson_query(self):
