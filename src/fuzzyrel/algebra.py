@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from operator import and_, itemgetter, le, or_
+from operator import and_, attrgetter, itemgetter, le, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closure import _column, closure_classes
@@ -47,7 +47,7 @@ class AttributeSpec(_Record):
     The proximity spec owns the domain's cells: an ordinal domain's label
     order lives on its ``ExplicitMatrix``, ``embedding()`` gives the cells
     that interval, equalized and grid partitions cut, and the spec keeps
-    the memo of each value's cell (see ``_cell_keys``).
+    the memo of each component's class key (see ``_cell_keys``).
     """
 
     __slots__ = _fields = ("name", "proximity", "default_method")
@@ -338,52 +338,60 @@ def class_grouping(attr: AttributeSpec, method: str, level: float,
 # (method, level) memos a proximity spec keeps, the oldest dropped first:
 # levels are free floats.
 _MAX_CELL_MEMOS = 16
-# Values a memo keeps before it starts afresh, since a spec outlives the
-# relations it keyed; the benchmark's query pool keys at most 123.
+# Components a memo keeps before it starts afresh, since a spec outlives
+# the relations it keyed.
 _MAX_MEMO_CELLS = 4096
+_MIXED = object()  # class key of a component that spans two classes
 
 
-class _CellMemo(dict):
-    """Each value's cell key under one method and level, found on first lookup."""
+class _ClassKeys(dict):
+    """Each component's one class key, or ``_MIXED``, found on first lookup
+    by ``classify`` of each member, looked up as a singleton component, so
+    each value is keyed once; a lookup that raises stores nothing."""
 
-    __slots__ = ("compute",)
+    __slots__ = ("classify",)
 
-    def __missing__(self, value):
+    def __init__(self, classify: Callable[[Value], object]):
+        self.classify = classify
+
+    def __missing__(self, values: frozenset):
+        if len(values) == 1:
+            key = self.classify(next(iter(values)))
+        else:
+            keys = {self[frozenset((v,))] for v in values}
+            key = keys.pop() if len(keys) == 1 else _MIXED
         if len(self) >= _MAX_MEMO_CELLS:
             self.clear()
-        cell = self[value] = self.compute(value)
-        return cell
+        self[values] = key
+        return key
 
 
-def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[Value], object]:
-    """``cell_key`` of the cells ``method`` cuts at ``level``, memoised on
-    ``attr.proximity``: a value's cell depends only on the attribute's
-    domain, so every attribute over one proximity spec shares the memo."""
+def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[frozenset], object]:
+    """A component's class key by the cells ``method`` cuts at ``level``, or
+    by ``keys(level)`` for a method without cells, memoised on
+    ``attr.proximity``: it depends only on the domain, so every attribute
+    over one proximity spec shares the memo, across calls."""
     memos = attr.proximity._cells
     memo = memos.get((method, level))
     if memo is None:
-        memo = _CellMemo()
-        memo.compute = cell_key(*_partitioner(attr, method, level))
+        memo = _ClassKeys(cell_key(*_partitioner(attr, method, level))
+                          if method in CELL_METHODS else attr.proximity.keys(level))
         if len(memos) == _MAX_CELL_MEMOS:
             del memos[next(iter(memos))]
         memos[method, level] = memo
     return memo.__getitem__
 
 
-_MIXED = object()  # class key of a component that spans two classes
-
-
 class _Check(_Record):
     """Redundancy test for one attribute position, built for one call.
 
-    A cell test keys values by their cell (see ``_cell_keys``), a keyed
-    test by its spec's ``keys``, a closure test by the ``class_index`` of
-    a ``class_grouping`` holding every value the call will test; each
-    memoises the key of every component it meets.  A threshold test holds
-    those values compiled by the spec and memoises each value's
-    neighbourhood: the values within the level of it.  A component is
-    mutually close exactly when it lies inside the intersection of its
-    members' neighbourhoods.  Memos key by Python equality; they last one call.
+    A class test's ``classify`` looks a component up in a ``_ClassKeys``
+    memo: the one its spec keeps for a cell or keyed test (``_cell_keys``),
+    one over a ``class_grouping`` of every value the call will test for a
+    closure test.  A threshold test holds those values compiled by the
+    spec and memoises, for the call, each value's neighbourhood: the values
+    within the level of it.  A component is mutually close exactly when it
+    lies inside the intersection of its members' neighbourhoods.
     """
 
     _fields = ("index", "level", "cut", "classify")
@@ -393,14 +401,6 @@ class _Check(_Record):
                  cut: object | None = None, classify: Callable | None = None):
         # a threshold test has a ``cut``, a class test a ``classify``
         self._set(index=index, level=level, cut=cut, classify=classify, memo={})
-
-    def class_key(self, values: frozenset):
-        """The one class key all ``values`` share, or ``_MIXED``."""
-        key = self.memo.get(values)
-        if key is None:
-            keys = set(map(self.classify, values))
-            key = self.memo[values] = keys.pop() if len(keys) == 1 else _MIXED
-        return key
 
     def common(self, values: frozenset) -> frozenset:
         """The values within the level of each of ``values``."""
@@ -415,7 +415,7 @@ class _Check(_Record):
 
     def component_ok(self, values: frozenset) -> bool:
         if self.classify is not None:
-            return self.class_key(values) is not _MIXED
+            return self.classify(values) is not _MIXED
         return values <= self.common(values)
 
     __hash__ = None
@@ -437,15 +437,13 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
         if level == 0.0:
             continue
         method = _resolve_method(attr, mode or attr.default_method)
-        if method in CELL_METHODS:
+        if method in CELL_METHODS or attr.proximity.keys(level) is not None:
             check = _Check(idx, level, classify=_cell_keys(attr, method, level))
-        elif (keys := attr.proximity.keys(level)) is not None:
-            check = _Check(idx, level, classify=keys)
         elif method == "threshold":
             check = _Check(idx, level, cut=attr.proximity.compile(values_of(idx, method)))
         else:
             grouping = class_grouping(attr, method, level, values_of(idx, method))
-            check = _Check(idx, level, classify=grouping.class_index)
+            check = _Check(idx, level, classify=_ClassKeys(grouping.class_index).__getitem__)
         checks.append(check)
     return checks
 
@@ -485,8 +483,8 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     the position of their first member: at most O(n^2) component tests,
     O(n) with class checks only, where the first open survivor of a key
     vector takes each later tuple of it, an equal one included.  Each
-    distinct component is keyed once per call, and each survivor is a new
-    tuple built once, as the union of its members' columns (or its own).
+    distinct component is keyed once (by cells or keys, once per spec), and
+    each survivor is built once, as the union of its members' columns.
 
     Threshold and closure checks are built over r's own column values
     (see ``_build_checks``); each value's neighbourhood is found once.  An
@@ -512,7 +510,7 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     takes it, the row opens one.  A row with a ``_MIXED`` key or a
     threshold component that is not mutually close stays alone."""
     checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
-    keyed = [(c.index, c.class_key) for c in checks if c.classify is not None]
+    keyed = [(c.index, c.classify) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
     survivors = []  # the member rows of each survivor
     open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
@@ -538,7 +536,7 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
 
 
 def _key_vectors(rows: Sequence[tuple], keyed: Sequence[tuple[int, Callable]]):
-    """Each row's class keys, one per ``(column, class_key)`` of ``keyed``."""
+    """Each row's class keys, one per ``(column, classify)`` of ``keyed``."""
     return (zip(*[map(key, map(itemgetter(i), rows)) for i, key in keyed]) if keyed
             else [()] * len(rows))
 
@@ -592,7 +590,9 @@ def project(r: FuzzyRelation, attrs: Sequence[str],
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
     _schema_names(schema)
-    rows = list(dict.fromkeys(tuple(t.components[i] for i in indices) for t in r.tuples))
+    pick = itemgetter(*indices) if indices else lambda _: ()
+    rows = dict.fromkeys(map(pick, map(attrgetter("components"), r.tuples)))
+    rows = [(c,) for c in rows] if len(indices) == 1 else list(rows)
     return FuzzyRelation._derived(schema, _merge(schema, rows, levels or LevelMap(), mode))
 
 
@@ -654,7 +654,7 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     right_on = [[t.components[j] for j in on_right] for t in r2.tuples]
     on_checks = _build_checks(tuple(r1.schema[i] for i in on_left), levels, mode,
                               lambda k, _: _column(left_on, k) | _column(right_on, k))
-    keyed = [(c.index, c.class_key) for c in on_checks if c.classify is not None]
+    keyed = [(c.index, c.classify) for c in on_checks if c.classify is not None]
     threshold_checks = [c for c in on_checks if c.classify is None]
     schema, right_rest = _joined_schema(r1, r2, on)
     buckets: dict[tuple, list] = {}  # none for a vector holding _MIXED

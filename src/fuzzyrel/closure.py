@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .partition import Grouping, _unit_interval, value_sort_key
+from .partition import Grouping, _unit_interval
 from .proximity import ProximitySpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,29 +30,14 @@ def _column(rows, idx: int) -> frozenset:
 def closure_classes(values, spec: ProximitySpec, alpha) -> Grouping:
     """Connected components of the alpha-cut graph over ``values``.
 
-    Each component is walked from its smallest member through alpha-cut
-    neighbourhoods, ``spec.compile(values).near(v, alpha)``, so the work
-    follows the cut's edges, found by bisection, strip or matrix row,
-    instead of a degree for every pair.  This equals the
-    reflexive-symmetric-transitive closure of alpha-similarity restricted
-    to the value set.  Classes are ordered by their smallest member.
-    Every value must be one ``spec.degree`` can interpret; compiling
-    checks each and raises what ``degree`` raises.
+    The compiled cut answers them, ``spec.compile(values).classes(alpha)``:
+    on a line the runs of sorted values whose gaps reach alpha, else a walk
+    through ``near`` sets, so no degree is taken for every pair.  This is
+    the reflexive-symmetric-transitive closure of alpha-similarity on the
+    value set.  Classes are ordered by their smallest member under
+    ``value_sort_key``, text after numbers.  Every value must be one
+    ``spec.degree`` can interpret; compiling checks each and raises what
+    ``degree`` raises.
     """
     a = _unit_interval(alpha)
-    nodes = set(values)
-    cut = spec.compile(nodes)
-    seen: set = set()
-    components = []
-    for v in sorted(nodes, key=value_sort_key):
-        if v in seen:
-            continue
-        seen.add(v)
-        component, frontier = {v}, [v]
-        while frontier:
-            found = cut.near(frontier.pop(), a) - seen
-            seen |= found
-            component |= found
-            frontier.extend(found)
-        components.append(component)
-    return Grouping.in_order(components)  # each found from its smallest member
+    return Grouping.from_classes(spec.compile(set(values)).classes(a))

@@ -25,9 +25,11 @@ Each kind has the same members:
   and is checked as ``degree`` checks it.  Linear values are found by
   bisection, planar ones in a strip of x, matrix ones in the row of x;
   membership is decided by the float expression ``degree`` evaluates, so
-  the set is exactly the one a scan of ``degree`` gives.  The compiled
-  form does not depend on the level, and ``near`` is the only place the
-  package decides ``degree >= level``,
+  the set is exactly the one a scan of ``degree`` gives.  Its
+  ``classes(level)`` are the cut's connected components: walked through
+  ``near``, on a line the runs of sorted values whose gaps reach the level.
+  The compiled form does not depend on the level.  Only ``near`` and a
+  line's gaps decide ``degree >= level``; on a line both call one helper,
 * ``embedding()``     -- the cells that interval, equalized and grid
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
@@ -40,8 +42,8 @@ Each kind has the same members:
 Each kind checks a value on one path, which ``degree``, ``compile``,
 ``near`` and ``keys`` share.  Hidden caches, out of ``==``, ``repr`` and
 pickle, hold what depends only on the domain: every spec's ``_cells``,
-where ``algebra._cell_keys`` keeps each value's cell per method and level,
-and a matrix's ``_violation``, its transitivity decided on first need.
+where ``algebra._cell_keys`` keeps each component's class key per method
+and level, and a matrix's ``_violation``, its transitivity decided on first need.
 
 Apart from these caches all objects are immutable; every function is pure.
 """
@@ -60,10 +62,11 @@ Value = Union[str, int, float]
 Point = tuple[float, float]
 
 _SQRT2 = math.sqrt(2.0)
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 # Widens a cut's candidate band or strip past (1 - level) * scale, so no
 # rounding leaves a member out; ``degree``'s float expression then decides
-# each candidate in ``near``, the one place ``degree >= level`` is decided.
+# each candidate in ``near``.
 _REACH_SLACK = 1e-9
 _UNDECIDED = object()  # a matrix's transitivity before its first need
 
@@ -170,8 +173,10 @@ class Linear(_Kind):
         return x
 
     def parse(self, text: str) -> Value:
-        """An int when ``text`` spells one, else a float."""
+        """An int when ``text`` spells one, else a float; ASCII decimal text only."""
         try:
+            if not _DECIMAL_RE.fullmatch(text):
+                raise ValueError
             number = int(text) if _INT_RE.fullmatch(text) else float(text)
         except ValueError:
             raise FormatError(f"{text!r} is not a number") from None
@@ -353,7 +358,25 @@ def _crisp_value(v: Value) -> Value:
 ProximitySpec = Union[ExplicitMatrix, Linear, Planar, CrispIdentity]
 
 
-class _LineCut:
+class _Cut:
+    """A compiled value set whose closure classes are walked through ``near``."""
+
+    def classes(self, level: float) -> list:
+        """The connected components of the alpha cut at ``level``, walked through ``near``."""
+        seen, components = set(), []
+        for v in self._values:
+            if v not in seen:
+                seen.add(v)
+                component = [v]
+                for u in component:  # a breadth-first walk: it reaches what it appends
+                    found = self.near(u, level) - seen
+                    seen |= found
+                    component.extend(found)
+                components.append(component)
+        return components
+
+
+class _LineCut(_Cut):
     """Linear values sorted by position; a cut is a band found by bisection."""
 
     def __init__(self, spec: Linear, values):
@@ -362,23 +385,33 @@ class _LineCut:
         self._keys = [k for k, _ in ranked]
         self._values = [v for _, v in ranked]
 
+    def _reaches(self, p: float, q: float, level: float) -> bool:
+        """``degree >= level`` at positions p and q, by ``degree``'s float expression."""
+        return 1.0 - abs(q - p) / self._spec.length >= level
+
     def near(self, x: Value, level: float) -> frozenset:
         p = self._spec._position(x)
-        L = self._spec.length
         keys = self._keys
-        reach = (1.0 - level + _REACH_SLACK) * L
+        reach = (1.0 - level + _REACH_SLACK) * self._spec.length
         lo = bisect_left(keys, p - reach)
         hi = bisect_right(keys, p + reach, lo)
         # The degree falls monotonically with distance on either side of p,
         # so the members form one run: trim the band's ends to it.
-        while lo < hi and 1.0 - abs(keys[lo] - p) / L < level:
+        while lo < hi and not self._reaches(keys[lo], p, level):
             lo += 1
-        while lo < hi and 1.0 - abs(keys[hi - 1] - p) / L < level:
+        while lo < hi and not self._reaches(keys[hi - 1], p, level):
             hi -= 1
         return frozenset(self._values[lo:hi])
 
+    def classes(self, level: float) -> list:
+        """The runs of sorted values whose gaps reach ``level`` (single linkage):
+        float arithmetic is monotone, so no pair is closer than a gap between."""
+        keys = self._keys
+        cuts = [i for i in range(1, len(keys)) if not self._reaches(keys[i - 1], keys[i], level)]
+        return [self._values[i:j] for i, j in zip([0, *cuts], [*cuts, len(keys)])]
 
-class _PlaneCut:
+
+class _PlaneCut(_Cut):
     """Planar values sorted by x; a cut's candidates lie in a vertical strip."""
 
     def __init__(self, spec: Planar, values):
@@ -386,6 +419,7 @@ class _PlaneCut:
         self._points = sorted(((spec.resolve(v), v) for v in values),
                               key=lambda pv: pv[0][0])
         self._xs = [p[0] for p, _ in self._points]
+        self._values = [v for _, v in self._points]
 
     def near(self, x: Value | Point, level: float) -> frozenset:
         p = self._spec.resolve(x)
@@ -397,19 +431,19 @@ class _PlaneCut:
                          if 1.0 - math.dist(p, q) / scale >= level)
 
 
-class _MatrixCut:
+class _MatrixCut(_Cut):
     """Matrix labels with their rows; a cut reads the row of its centre."""
 
     def __init__(self, spec: ExplicitMatrix, values):
         self._spec = spec
-        self._members = [(v, spec.position(v)) for v in values]
+        self._values = {v: spec.position(v) for v in values}
 
     def near(self, x: Value, level: float) -> frozenset:
         row = self._spec.entries[self._spec.position(x)]
-        return frozenset(v for v, j in self._members if row[j] >= level)
+        return frozenset(v for v, j in self._values.items() if row[j] >= level)
 
 
-class _CrispCut:
+class _CrispCut(_Cut):
     """Crisp values by equality; a cut is every value, the equal one or none."""
 
     def __init__(self, values):

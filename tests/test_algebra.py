@@ -36,7 +36,7 @@ from fuzzyrel import (
     valid_tuple,
 )
 from fuzzyrel import algebra
-from fuzzyrel.partition import cell_key, partition_line
+from fuzzyrel.partition import Grouping, cell_key, partition_line
 
 
 def tup(mapping):
@@ -252,13 +252,32 @@ class CountingCrisp(Counting, CrispIdentity):
         object.__setattr__(self, "calls", collections.Counter())
 
 
+class CountingLinear(Counting, Linear):
+    def __init__(self, length):
+        super().__init__(length)
+        object.__setattr__(self, "calls", collections.Counter())
+
+
+class CountingPlanar(Counting, Planar):
+    def __init__(self, side, locations):
+        super().__init__(side, locations)
+        object.__setattr__(self, "calls", collections.Counter())
+
+
 class CountingCut:
     def __init__(self, cut, calls):
         self.cut, self.calls = cut, calls
 
+    def __getattr__(self, name):
+        return getattr(self.cut, name)
+
     def near(self, x, level):
         self.calls["near"] += 1
         return self.cut.near(x, level)
+
+    def classes(self, level):
+        # the wrapped cut's own classes, through the counted ``near``
+        return type(self.cut).classes(self, level)
 
 
 EFFECTS = ("Minimal", "Tolerable", "Irreversible")
@@ -318,10 +337,13 @@ def cells(alpha, values, mode="standard"):
 class TestEvaluationCounts:
     """No degree is evaluated: select and merge look up alpha-cut neighbourhoods.
 
-    A value's cell is computed once per proximity spec, method and level,
-    for every relation with that spec; closure classes and threshold cuts
-    are formed per call, over the values the call sees.  Each test builds
-    its own specs, so no other test's memo changes a count.
+    A component's class key under cells or a spec's keys is found once per
+    proximity spec, method and level, for every relation with that spec,
+    and each value's cell once; closure classes and threshold cuts are
+    formed per call, over the values the call sees, and a closure check's
+    keys last one call.  Linear closure classes come from sorted gaps, with
+    no neighbourhood.  Each test builds its own specs, so no other test's
+    memo changes a count.
     """
 
     def test_select_one_lookup_per_condition(self, effect_matrix):
@@ -441,6 +463,9 @@ class TestEvaluationCounts:
         assert sum(cells_computed.values()) == 40 * 11
         assert project(rel, ["X"], LevelMap({"X": alphas[0]})) == first[0]
         assert sum(cells_computed.values()) == 41 * 11
+        # each memo keys the components it met: X's 11 singletons
+        singletons = {frozenset({v}) for v in range(11)}
+        assert all(set(memo) == singletons for memo in rel.schema[1].proximity._cells.values())
 
     def test_cell_memo_starts_afresh_at_its_bound(self):
         # fresh values through one spec, as from relation after relation
@@ -453,8 +478,9 @@ class TestEvaluationCounts:
             merge_relation(rel, LevelMap({"X": 0.9}))
             memo = x.proximity._cells["interval", 0.9]
             assert 0 < len(memo) <= bound
+        # each kept component is a singleton keyed by its value's cell
         key = cell_key(partition_line(100, 0.9), x.proximity.embedding()[2])
-        assert all(cell == key(v) for v, cell in memo.items())
+        assert all(len(values) == 1 and cell == key(*values) for values, cell in memo.items())
 
     def test_repeated_join_computes_no_cell(self, cells_computed):
         k = AttributeSpec("K")
@@ -525,12 +551,70 @@ class TestEvaluationCounts:
 
     def test_no_cell_is_computed_for_a_column_no_check_reaches(self, cells_computed):
         rel = linear_rows(40)
+        # KEY's spec is the shared crisp default, whose memos other tests fill
+        key_memos = dict(rel.schema[0].proximity._cells)
         select(rel, [("X", 5)], LevelMap({"X": 0.8}))
         assert cells_computed == {}
         project(rel, ["X", "Y"], LevelMap({"X": 0.8, "Y": 0.0}))
         project(rel, ["X"], LevelMap({"X": 0.8}), "threshold")
         assert cells_computed == cells(0.8, range(11))
-        assert [list(a.proximity._cells) for a in rel.schema] == [[], [("interval", 0.8)], []]
+        assert [list(a.proximity._cells) for a in rel.schema[1:]] == [[("interval", 0.8)], []]
+        assert rel.schema[0].proximity._cells == key_memos
+        assert all(a is b for a, b in zip(rel.schema[0].proximity._cells.values(),
+                                          key_memos.values()))
+
+    @pytest.mark.parametrize("kind", ["linear", "planar", "matrix"])
+    def test_linear_closure_classes_take_no_neighbourhood(self, hair_matrix, kind):
+        # the first two values are within 0.8 of each other, the third of neither
+        spec, values = {
+            "linear": (CountingLinear(10), (1, 2, 5)),
+            "planar": (CountingPlanar(10, {"a": (1, 1), "b": (1, 2), "c": (8, 8)}),
+                       ("a", "b", "c")),
+            "matrix": (CountingMatrix(hair_matrix), HAIRS)}[kind]
+        rel, spec = keyed_rows(spec, values, 30)
+        got = project(rel, ["E"], LevelMap({"E": 0.8}), "closure")
+        assert [t.get("E") for t in got.tuples] == [set(values[:2]), {values[2]}]
+        assert spec.calls["compile"] == 1 and spec.calls["degree"] == 0
+        # a line's classes are runs of its sorted values; other cuts walk
+        assert (spec.calls["near"] == 0) == (kind == "linear")
+
+    def test_a_second_merge_keys_only_components_it_has_not_seen(self, monkeypatch):
+        keyed = []
+        missing = algebra._ClassKeys.__missing__
+
+        def counted(memo, values):
+            keyed.append(values)
+            return missing(memo, values)
+
+        monkeypatch.setattr(algebra._ClassKeys, "__missing__", counted)
+        x = AttributeSpec("X", Linear(10), "interval")
+        first = FuzzyRelation.from_rows((x,), [({1, 2},), (3,), (5,)])
+        second = FuzzyRelation.from_rows((x,), [({1, 2},), (3,), (7,), ({5, 9},)])
+        levels = LevelMap({"X": 0.8})
+        merge_relation(first, levels)
+        # a component of two values keys them as singleton components
+        assert set(keyed) == {frozenset({1, 2}), frozenset({1}), frozenset({2}),
+                              frozenset({3}), frozenset({5})}
+        keyed.clear()
+        merge_relation(second, levels)
+        assert sorted(keyed, key=sorted) == [frozenset({5, 9}), frozenset({7}), frozenset({9})]
+
+    def test_a_closure_checks_keys_last_one_call(self, monkeypatch):
+        looked_up = collections.Counter()
+        class_index = Grouping.class_index
+
+        def counted(grouping, value):
+            looked_up[value] += 1
+            return class_index(grouping, value)
+
+        monkeypatch.setattr(Grouping, "class_index", counted)
+        x = AttributeSpec("X", Linear(10), "closure")
+        rel = FuzzyRelation.from_rows((AttributeSpec("K"), x), [(k, k % 5) for k in range(30)])
+        levels = LevelMap({"K": 0.0, "X": 0.95})
+        for calls in (1, 2):
+            assert len(merge_relation(rel, levels)) == 5
+            assert looked_up == {v: calls for v in range(5)}
+        assert x.proximity._cells == {}
 
 
 class TestSelect:

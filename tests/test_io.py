@@ -98,6 +98,12 @@ class TestLoadRelation:
             load_relation(path, schema)
         assert str(info.value) == f"{path}:4: 'x' is not a number in column 'B'"
 
+    def test_digit_grouping_is_not_a_number(self, tmp_path):
+        path, schema = linear_pair(tmp_path, "A,B\n1,2\n3,1_0\n")
+        with pytest.raises(FormatError) as info:
+            load_relation(path, schema)
+        assert str(info.value) == f"{path}:3: '1_0' is not a number in column 'B'"
+
     def test_an_error_names_the_line_its_row_starts_on(self, tmp_path):
         # the quoted cell "1\n" spans lines 2 and 3
         path, schema = linear_pair(tmp_path, 'A,B\n"1\n",2\n3,x\n')

@@ -1226,10 +1226,11 @@ class TestAgainstOracles:
         spec = attr.proximity
         pool = st.sampled_from(values)
         if kind == "linear":
-            pool |= st.floats(0, 10)
+            # numeric text sorts after every number, wherever it sits
+            pool |= st.floats(0, 10) | st.sampled_from(("3", "7.5"))
         elif kind == "planar":
             pool |= st.tuples(st.floats(0, 10), st.floats(0, 10))
-        chosen = data.draw(st.lists(pool, max_size=12))
+        chosen = data.draw(st.lists(pool, max_size=40))
         # a level equal to a degree in the set puts that pair on the cut's edge
         edges = tuple(spec.degree(x, y) for x in chosen[:3] for y in chosen)
         alpha = data.draw(st.sampled_from(LEVELS + edges))
@@ -1411,10 +1412,23 @@ class TestWarmCellMemos:
             on = data.draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True))
             fn, args, operands = join, (on, levels, mode), (r, right)
         assert outcome(fn, *operands, *args) == outcome(fn, *fresh_specs(*operands), *args)
+        # a memo maps each component to its members' one class key, or to
+        # a bare object() that marks it mixed
         for attr in r.schema:
-            for (method, level), memo in attr.proximity._cells.items():
-                classify = _classifier(attr, method, level, None)
-                assert all(key == classify(value) for value, key in memo.items())
+            spec = attr.proximity
+            for (method, level), memo in spec._cells.items():
+                if method in ("interval", "equalized", "grid"):
+                    classify = _classifier(attr, method, level, None)
+                    for values, key in memo.items():
+                        keys = {classify(v) for v in values}
+                        assert (type(key) is object) == (len(keys) > 1)
+                        assert len(keys) > 1 or key == keys.pop()
+                    continue
+                # keys(level): two components share a key exactly when
+                # their union is mutually close
+                for (a, key_a), (b, key_b) in itertools.product(memo.items(), repeat=2):
+                    shared = type(key_a) is not object and key_a == key_b
+                    assert shared == (_min_degree(spec, a | b) >= level)
 
 
 # --- the cases the generators must not miss --------------------------------

@@ -13,6 +13,7 @@ from fuzzyrel import (
     CrispIdentity,
     DomainError,
     ExplicitMatrix,
+    FormatError,
     FuzzyRelError,
     Linear,
     Planar,
@@ -48,6 +49,24 @@ class TestLinear:
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             Linear(0).degree(0, 0)
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), ("+7", 7), ("-0", 0), ("007", 7), ("2.5", 2.5), (".5", 0.5),
+        ("5.", 5.0), ("1e1", 10.0), ("25E-1", 2.5), ("100", 100)])
+    def test_parse_reads_ascii_decimal_text(self, text, value):
+        got = Linear(100).parse(text)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "1_0.5", "1e1_0", "\u0661\u0662", "\uff11\uff12", "1\u0662", " 12", "12 ",
+        "0x10", "nan", "inf", "Infinity", "", "+", ".", "e5", "1e", "1.2.3", "--1"])
+    def test_parse_refuses_any_other_number_text(self, text):
+        with pytest.raises(FormatError, match="is not a number"):
+            Linear(100).parse(text)
+
+    def test_parse_refuses_a_number_outside_the_domain(self):
+        with pytest.raises(DomainError, match="outside"):
+            Linear(100).parse("100.5")
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(0.01, 1.0))
     def test_alpha_cut_is_distance_bound(self, a, b, alpha):
@@ -475,6 +494,25 @@ def test_output_tuples_are_built_only_in_the_merge_core():
     # every operator hands _merge distinct component rows
     assert calls == {("_merge", "_trusted"),
                      ("merge_relation", "_merge"), ("project", "_merge"), ("join", "_merge")}
+
+
+def spec_kind_names(source: str) -> set:
+    """Each spec kind ``source`` names: as a name, an attribute or an import."""
+    return {name for node in ast.walk(ast.parse(source))
+            for name in (getattr(node, key, None) for key in ("id", "attr", "name"))
+            if name in SPEC_KINDS}
+
+
+def test_kind_guard_sees_every_form_of_a_name():
+    source = ("from .proximity import Linear as L\nx = proximity.Planar\n"
+              "isinstance(s, ExplicitMatrix)\nCrispIdentity()\n'Linear'")
+    assert spec_kind_names(source) == SPEC_KINDS
+    assert spec_kind_names("'Linear'\nLinearCut = 1") == set()
+
+
+def test_closure_names_no_spec_kind():
+    # each compiled cut answers its classes: the engine switches on no kind
+    assert spec_kind_names((SRC / "closure.py").read_text(encoding="utf-8")) == set()
 
 
 def test_algebra_imports_no_spec_kind_but_the_crisp_default():
