@@ -159,10 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _show_parse_error(text: str, err: ParseError) -> str:
-    lines = text.splitlines() or [""]
-    line = lines[min(err.line, len(lines)) - 1]
-    caret = " " * (err.column - 1) + "^"
-    return f"{err}\n{line}\n{caret}"
+    # as in ParseError, only "\n" ends a line; any other space shows as
+    # one, so that the caret sits under the column
+    line = "".join(" " if c.isspace() else c for c in text.split("\n")[err.line - 1])
+    return f"{err}\n{line}\n{' ' * (err.column - 1)}^"
 
 
 def _run(args) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 from . import algebra
 from .algebra import FuzzyRelation, LevelMap
@@ -37,7 +37,12 @@ _MAX_DEPTH = 150
 
 
 class ParseError(FuzzyRelError):
-    """Malformed query text, with the offending position."""
+    """Malformed query text, with the offending position.
+
+    ``line`` counts from 1 and only a newline starts the next one;
+    ``column`` counts code points from 1 within the line, so a tab, a
+    carriage return or any other space is one column.
+    """
 
     def __init__(self, line: int, column: int, expected: str, found: str = ""):
         self.line = line
@@ -104,31 +109,16 @@ class Query(_Record):
         self._set(root=root, giving=giving)
 
 
-class _Token(NamedTuple):
-    # a tuple, not a frozen class: a query makes ~50 and building them
-    # dominated the tokenizer
-    kind: str  # IDENT | STRING | NUMBER | SYMBOL | EOF
-    value: object
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        if self.kind == "EOF":
-            return "end of input"
-        return repr(str(self.value))
-
-
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One alternative per token kind, tried in this order at each position,
 # each after the run of spaces before it, so that a run is no match of its
 # own; END takes the spaces at the end of the text in one match, where a
 # retry at each of them would cost time quadratic in their number.
-# ``\s`` is exactly ``str.isspace``; only a newline starts a new line.
+# ``\s`` is exactly ``str.isspace``.
 _TOKEN_RE = re.compile(r"""
-  [^\S\n]*
+  \s*
   (?:
-    (?P<NEWLINE>\n)
-  | (?P<STRING>"[^"\n]*")
+    (?P<STRING>"[^"\n]*")
   | (?P<QUOTE>")
   | (?P<IDENT>""" + _IDENT_RE.pattern + r""")
   | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
@@ -139,109 +129,105 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(text: str) -> list[_Token]:
+# Tokens keep offsets; a position is worked out only for an error.
+def _position(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def _error(text: str, offset: int, expected: str, found: str = "") -> ParseError:
+    return ParseError(*_position(text, offset), expected, found)
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) per token, then ("EOF", None, len(text)).
+
+    A symbol's kind is its text, and a keyword's is its lowercase
+    spelling, its value the spelling as written; other kinds are IDENT,
+    STRING and NUMBER.
+    """
     tokens = []
-    line, line_start = 1, 0
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "END":
-            break
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-            continue
-        raw = m.group(kind)
-        col = m.end() - len(raw) - line_start + 1
-        if kind == "IDENT" or kind == "SYMBOL":
-            tokens.append(_Token(kind, raw, line, col))
+        raw = m[kind]
+        if kind == "SYMBOL":
+            append((raw, raw, m.start(kind)))
+        elif kind == "IDENT":
+            word = raw.lower()
+            append((word if word in _KEYWORDS else kind, raw, m.start(kind)))
+        elif kind == "STRING":
+            append((kind, raw[1:-1], m.start(kind)))
         elif kind == "NUMBER":
             number = float(raw)
             if number == math.inf:
-                raise ParseError(line, col, "a finite number", repr(raw))
+                raise _error(text, m.start(kind), "a finite number", repr(raw))
             # past that test an int has at most 309 digits, leading zeros aside
-            tokens.append(_Token(kind, number if "." in raw else int(raw.lstrip("0") or "0"),
-                                 line, col))
-        elif kind == "STRING":
-            tokens.append(_Token(kind, raw[1:-1], line, col))
+            append((kind, number if "." in raw else int(raw.lstrip("0") or "0"),
+                    m.start(kind)))
+        elif kind == "END":  # a second, empty END would follow one that took spaces
+            break
         elif kind == "QUOTE":
-            raise ParseError(line, col, "a closing quote")
+            raise _error(text, m.start(kind), "a closing quote")
         else:
-            raise ParseError(line, col, "a name, number or punctuation", repr(raw))
-    tokens.append(_Token("EOF", None, line, len(text) - line_start + 1))
+            raise _error(text, m.start(kind), "a name, number or punctuation", repr(raw))
+    append(("EOF", None, len(text)))
     return tokens
 
 
-def _is_name(tok: _Token) -> bool:
-    if tok.kind == "STRING":
-        return True
-    return tok.kind == "IDENT" and tok.value.lower() not in _KEYWORDS
-
-
-def _is_symbol(tok: _Token, sym: str) -> bool:
-    return tok.kind == "SYMBOL" and tok.value == sym
+_NAME_KINDS = ("IDENT", "STRING")
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self):
-        self.pos += 1  # only past a token already matched, never past EOF
-
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(tok.line, tok.column, expected, tok.describe())
+        kind, value, offset = self.tokens[self.pos]
+        return _error(self.text, offset, expected,
+                      "end of input" if kind == "EOF" else repr(str(value)))
 
-    def keyword(self) -> str | None:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value.lower() in _KEYWORDS:
-            return tok.value.lower()
-        return None
-
-    def expect_symbol(self, sym: str):
-        if not _is_symbol(self.peek(), sym):
-            raise self.error(repr(sym))
-        self.advance()
+    def expect(self, kind: str):
+        """Step past a symbol or keyword token of ``kind``."""
+        if self.tokens[self.pos][0] != kind:
+            raise self.error(f"keyword {kind!r}" if kind.isalpha() else repr(kind))
+        self.pos += 1  # only past a token already matched, never past EOF
 
     def parse_query(self) -> Query:
         root = self.parse_expr()
         giving = None
-        if self.keyword() == "giving":
-            self.advance()
+        if self.tokens[self.pos][0] == "giving":
+            self.pos += 1
             giving = self.parse_name()
-        if self.peek().kind != "EOF":
+        if self.tokens[self.pos][0] != "EOF":
             raise self.error("end of input")
         return Query(root, giving)
 
     def parse_expr(self) -> Node:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.column, "a shallower query (nesting too deep)")
+            raise _error(self.text, self.tokens[self.pos][2],
+                         "a shallower query (nesting too deep)")
         try:
-            op = _OPERATORS.get(self.keyword())
+            op = _OPERATORS.get(self.tokens[self.pos][0])
             if op is None:
                 return RelationRef(self.parse_name())
             cls, operands, list_word, item = op
-            self.advance()
-            self.expect_symbol("(")
+            self.pos += 1
+            self.expect("(")
             children = [self.parse_expr()]
             for _ in range(1, operands):
-                self.expect_symbol(",")
+                self.expect(",")
                 children.append(self.parse_expr())
-            self.expect_symbol(")")
-            if self.keyword() != list_word:
-                raise self.error(f"keyword {list_word!r}")
-            self.advance()
+            self.expect(")")
+            self.expect(list_word)
             items = self.parse_list(item)
             levels = ()
-            if self.keyword() == "with":
-                self.advance()
+            if self.tokens[self.pos][0] == "with":
+                self.pos += 1
                 levels = self.parse_list("level")
             return cls(*children, items, levels)
         finally:
@@ -253,46 +239,45 @@ class _Parser:
     def parse_list(self, item: str) -> tuple:
         parse_item, starts_item, _ = _ITEMS[item]
         items = [parse_item(self)]
-        while _is_symbol(self.peek(), ",") and starts_item(self.tokens, self.pos + 1):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "," and starts_item(tokens, self.pos + 1):
+            self.pos += 1
             items.append(parse_item(self))
         return tuple(items)
 
     def parse_level(self) -> LevelClause:
-        if self.keyword() not in ("level", "thres"):
+        if self.tokens[self.pos][0] not in ("level", "thres"):
             raise self.error("'level' or 'thres'")
-        self.advance()
-        self.expect_symbol("(")
+        self.pos += 1
+        self.expect("(")
         attr = self.parse_name()
-        self.expect_symbol(")")
-        tok = self.peek()
-        if tok.kind != "SYMBOL" or tok.value not in (">=", "=", ">"):
+        self.expect(")")
+        if self.tokens[self.pos][0] not in (">=", "=", ">"):
             raise self.error("'=', '>=' or '>'")
-        self.advance()
-        tok = self.peek()
-        if tok.kind != "NUMBER":
+        self.pos += 1
+        kind, value, offset = self.tokens[self.pos]
+        if kind != "NUMBER":
             raise self.error("a number in [0, 1]")
-        value = float(tok.value)
         if not 0.0 <= value <= 1.0:
-            raise ParseError(tok.line, tok.column, "a number in [0, 1]", str(tok.value))
-        self.advance()
-        return LevelClause(attr, value)
+            raise _error(self.text, offset, "a number in [0, 1]", str(value))
+        self.pos += 1
+        return LevelClause(attr, float(value))
 
     def parse_name(self) -> str:
-        tok = self.peek()
-        if not _is_name(tok):
+        kind, value, _ = self.tokens[self.pos]
+        if kind not in _NAME_KINDS:
             raise self.error("a name")
-        self.advance()
-        return tok.value
+        self.pos += 1
+        return value
 
     def parse_cond(self) -> Cond:
         attr = self.parse_name()
-        self.expect_symbol("=")
-        tok = self.peek()
-        if tok.kind != "NUMBER" and not _is_name(tok):
+        self.expect("=")
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "NUMBER" and kind not in _NAME_KINDS:
             raise self.error("a literal")
-        self.advance()
-        return Cond(attr, tok.value)
+        self.pos += 1
+        return Cond(attr, value)
 
 
 def _quoted(text: str) -> str:
@@ -350,12 +335,10 @@ _OPERATORS = {
 # comma, render); tokens[i] follows a comma, so it is not EOF
 _ITEMS = {
     "cond": (_Parser.parse_cond,
-             lambda tokens, i: _is_name(tokens[i]) and _is_symbol(tokens[i + 1], "="),
+             lambda tokens, i: tokens[i][0] in _NAME_KINDS and tokens[i + 1][0] == "=",
              lambda c: f"{_render_name(c.attr)} = {_render_literal(c.value)}"),
-    "name": (_Parser.parse_name, lambda tokens, i: _is_name(tokens[i]), _render_name),
-    "level": (_Parser.parse_level,
-              lambda tokens, i: (tokens[i].kind == "IDENT"
-                                 and tokens[i].value.lower() in ("level", "thres")),
+    "name": (_Parser.parse_name, lambda tokens, i: tokens[i][0] in _NAME_KINDS, _render_name),
+    "level": (_Parser.parse_level, lambda tokens, i: tokens[i][0] in ("level", "thres"),
               _render_level),
 }
 

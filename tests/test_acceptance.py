@@ -600,6 +600,6 @@ def test_parser_is_total(text):
         query = querylang.parse(text)
     except ParseError as err:
         assert 1 <= err.line <= text.count("\n") + 1
-        assert err.column >= 1
+        assert 1 <= err.column <= len(text.split("\n")[err.line - 1]) + 1
     else:
         assert querylang.parse(querylang.render(query)) == query

@@ -225,6 +225,26 @@ class TestQuery:
         assert "^" in err
         assert "expected" in err
 
+    @pytest.mark.parametrize("space", ["\x0c", "\r", "\u2028", "\t"],
+                             ids=["form-feed", "carriage-return", "line-separator", "tab"])
+    def test_caret_sits_under_the_column_past_odd_spaces(self, capsys, space):
+        # only "\n" ends a query line; each other space shows as one space
+        text = f'select (R){space} where X = "a'
+        code, _, err = run(capsys, "query", "--db", DATA / "survey", text)
+        assert code == 2
+        message, shown, caret = err.rstrip("\n").split("\n")
+        assert message.startswith("line 1, column 23: expected a closing quote")
+        assert shown == text.replace(space, " ")
+        assert caret == " " * 22 + "^"
+        assert shown[len(caret) - 1] == '"'
+
+    def test_caret_line_is_the_error_line(self, capsys):
+        code, _, err = run(capsys, "query", "--db", DATA / "survey",
+                           'select (R)\r\n where\n X = "a')
+        assert code == 2
+        assert err.split("\n")[:3] == [
+            "line 3, column 6: expected a closing quote", ' X = "a', "     ^"]
+
 
 class TestCheckMatrix:
     def test_similarity_matrix(self, capsys):

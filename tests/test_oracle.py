@@ -39,7 +39,7 @@ import re
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -87,7 +87,6 @@ from fuzzyrel.query import (
     Query,
     RelationRef,
     Select,
-    _Token,
     _tokenize,
     parse,
     render,
@@ -441,6 +440,18 @@ def _sort_key(v: Value):
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return (0, "", float(v))
     return (1, str(v), 0.0)
+
+
+class _Token(NamedTuple):
+    kind: str  # IDENT | STRING | NUMBER | SYMBOL | EOF
+    value: object
+    line: int
+    column: int
+
+    def describe(self) -> str:
+        if self.kind == "EOF":
+            return "end of input"
+        return repr(str(self.value))
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -841,6 +852,21 @@ def leaves(node):
             yield from leaves(getattr(node, name))
     else:
         yield node
+
+
+def positioned_tokens(text: str) -> list[_Token]:
+    """``_tokenize``'s (kind, value, offset) tokens as oracle records: a
+    keyword kind reads IDENT, a punctuation kind SYMBOL, and each offset
+    becomes the line and column of the text before it."""
+    tokens = []
+    for kind, value, offset in _tokenize(text):
+        if kind in _KEYWORDS:
+            kind = "IDENT"
+        elif kind in (">=", "(", ")", ",", "=", ">"):
+            kind = "SYMBOL"
+        lines = text[:offset].split("\n")
+        tokens.append(_Token(kind, value, len(lines), len(lines[-1]) + 1))
+    return tokens
 
 
 def tokens_or_error(tokenize, text):
@@ -1251,7 +1277,7 @@ class TestAgainstOracles:
     @given(pieces=st.lists(st.sampled_from(TOKEN_PIECES), max_size=30))
     def test_tokenize(self, pieces):
         text = "".join(pieces)
-        assert tokens_or_error(_tokenize, text) == \
+        assert tokens_or_error(positioned_tokens, text) == \
             tokens_or_error(oracle_tokenize, text)
 
     @settings(max_examples=500, deadline=None)
@@ -1607,10 +1633,10 @@ class TestNamedCases:
 
 # Every name this file may take from fuzzyrel: no oracle decision among them.
 ALLOWED_IMPORTS = {
-    # constructors: spec kinds, records, query nodes and tokens
+    # constructors: spec kinds, records and query nodes
     "AttributeSpec", "CrispIdentity", "ExplicitMatrix", "FuzzyRelation", "FuzzyTuple",
     "Grouping", "LevelMap", "Linear", "Planar",
-    "Cond", "Join", "LevelClause", "Project", "Query", "RelationRef", "Select", "_Token",
+    "Cond", "Join", "LevelClause", "Project", "Query", "RelationRef", "Select",
     # types that only annotate
     "Node", "ProximitySpec", "Value",
     # errors

@@ -173,6 +173,45 @@ class TestParse:
             parse("select (R) where" + spaces)
         assert "line 1, column 100017" in str(err.value)
 
+    @pytest.mark.parametrize("space", ["\r", "\t", "\xa0"],
+                             ids=["carriage-return", "tab", "no-break-space"])
+    def test_each_space_but_a_newline_is_one_column(self, space):
+        with pytest.raises(ParseError) as err:
+            parse(f"project (R){space}over X # y")
+        assert (err.value.line, err.value.column, err.value.found) == (1, 20, "'#'")
+
+    def test_error_on_the_third_line(self):
+        with pytest.raises(ParseError) as err:
+            parse("project (R)\nover X\n  with level(X) >= 1.5")
+        assert (err.value.line, err.value.column) == (3, 20)
+        assert (err.value.expected, err.value.found) == ("a number in [0, 1]", "1.5")
+
+    def test_keyword_is_found_as_spelt(self):
+        with pytest.raises(ParseError) as err:
+            parse("select (R) where X = 1 WHERE")
+        assert str(err.value) == "line 1, column 24: expected end of input, found 'WHERE'"
+
+    def test_unclosed_quote_wins_over_an_earlier_grammar_error(self):
+        # the whole text is lexed before the grammar is checked
+        with pytest.raises(ParseError) as err:
+            parse('select R where X = "a')
+        assert (err.value.column, err.value.expected) == (20, "a closing quote")
+
+    def test_positions_are_worked_out_only_for_an_error(self, monkeypatch):
+        import fuzzyrel.query as querylang
+
+        def refuse(text, offset):
+            raise AssertionError("a position was worked out")
+
+        monkeypatch.setattr(querylang, "_position", refuse)
+        assert parse(ARSON_QUERY) == parse(render(parse(ARSON_QUERY)))
+        calls = []
+        monkeypatch.setattr(querylang, "_position",
+                            lambda text, offset: calls.append(offset) or (1, offset + 1))
+        with pytest.raises(ParseError) as err:
+            parse("project (R) over X with")
+        assert calls == [23] and err.value.column == 24
+
 
 class TestRender:
     def test_round_trip_of_arson_query(self):
