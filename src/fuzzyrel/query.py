@@ -11,7 +11,7 @@ Grammar (keywords are case-insensitive, names may be double-quoted):
     with    := "with" level { "," level }
     level   := ("level" | "thres") "(" name ")" ("=" | ">=" | ">") number
 
-A number is unsigned decimal digits with at most one point, no larger
+A number is unsigned ASCII digits with at most one point, no larger
 than a float holds.  An omitted level defaults to 1.  The three
 comparators after a level all bind the same threshold, compared
 non-strictly during evaluation.
@@ -121,7 +121,7 @@ _TOKEN_RE = re.compile(r"""
     (?P<STRING>"[^"\n]*")
   | (?P<QUOTE>")
   | (?P<IDENT>""" + _IDENT_RE.pattern + r""")
-  | (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
+  | (?P<NUMBER>[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)
   | (?P<SYMBOL>>=|[(),=>])
   | (?P<OTHER>\S)
   | (?P<END>\Z)

@@ -455,7 +455,7 @@ class _Token(NamedTuple):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+_NUMBER_RE = re.compile(r"[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+")
 
 
 def oracle_tokenize(text: str) -> list[_Token]:

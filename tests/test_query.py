@@ -152,6 +152,17 @@ class TestParse:
         q = parse("select (R) where X = " + "0" * 5000 + "1")
         assert q.root.conds == (Cond("X", 1),)
 
+    @pytest.mark.parametrize("text, column", [
+        ("select (R) where X = ٣٣", 22),
+        ("select (R) where X = 3 with level(X) = ٠.9", 40),
+    ], ids=["literal", "level"])
+    def test_numbers_are_ascii_digits(self, text, column):
+        # as in a data file, which Linear.parse reads in ASCII digits only
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.column, err.value.expected) == \
+            (column, "a name, number or punctuation")
+
     def test_level_outside_unit_interval(self):
         with pytest.raises(ParseError):
             parse("project (R) over X with level(X) = 2")
