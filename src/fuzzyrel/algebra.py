@@ -60,7 +60,7 @@ class AttributeSpec(_Record):
             raise ValidationError(
                 f"method must be one of {METHODS}, got {default_method!r}"
             )
-        self._set(name=name, proximity=proximity, default_method=default_method)
+        self._set(name, proximity, default_method)
         # Fail early on impossible method/proximity pairings.
         _resolve_method(self, default_method)
 
@@ -146,14 +146,14 @@ class FuzzyRelation(_Record):
         names = _schema_names(schema)
         tuples = tuple(tuples)
         _conform(tuples, names)
-        self._set(schema=schema, tuples=tuple(dict.fromkeys(tuples)), _columns={})
+        self._set(schema, tuple(dict.fromkeys(tuples)), {})
 
     @classmethod
     def _derived(cls, schema: tuple[AttributeSpec, ...],
                  tuples: tuple[FuzzyTuple, ...]) -> "FuzzyRelation":
         """An operator's output: distinct tuples named as ``schema``."""
         r = object.__new__(cls)
-        r._set(schema=schema, tuples=tuples, _columns={})
+        r._set(schema, tuples, {})
         return r
 
     @classmethod
@@ -230,7 +230,7 @@ class LevelMap(_Record):
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"level for {name!r} must lie in [0, 1], got {lvl}")
             checked[name] = value
-        self._set(levels=checked)
+        self._set(checked)
 
     def level(self, name: str) -> float:
         while name not in self.levels:
@@ -400,7 +400,7 @@ class _Check(_Record):
     def __init__(self, index: int, level: float,
                  cut: object | None = None, classify: Callable | None = None):
         # a threshold test has a ``cut``, a class test a ``classify``
-        self._set(index=index, level=level, cut=cut, classify=classify, memo={})
+        self._set(index, level, cut, classify, {})
 
     def common(self, values: frozenset) -> frozenset:
         """The values within the level of each of ``values``."""
@@ -480,11 +480,12 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     two classes, or a threshold one that is not mutually close, is a
     survivor nothing joins.  A survivor changes only when it takes a
     tuple, so each test sees what the restart loop would.  Survivors keep
-    the position of their first member: at most O(n^2) component tests,
-    O(n) with class checks only, where the first open survivor of a key
-    vector takes each later tuple of it, an equal one included.  Each
-    distinct component is keyed once (by cells or keys, once per spec), and
-    each survivor is built once, as the union of its members' columns.
+    the position of their first member: at most O(n^2) component tests.
+    With class checks only, the first survivor of a key vector takes every
+    later tuple of it, so the survivors are the key-vector buckets: O(n)
+    dict operations.  Each distinct component is keyed once (by cells or
+    keys, once per spec), and each survivor is built once, as the union of
+    its members' columns.
 
     Threshold and closure checks are built over r's own column values
     (see ``_build_checks``); each value's neighbourhood is found once.  An
@@ -508,27 +509,35 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     class-key vector whose carried ``common`` holds each of its threshold
     components, and that ``common`` narrows by the row's own; if none
     takes it, the row opens one.  A row with a ``_MIXED`` key or a
-    threshold component that is not mutually close stays alone."""
+    threshold component that is not mutually close stays alone.  With class
+    checks only (every class-mode merge) there is no scan: the survivors are
+    the key-vector buckets of one dict pass, a ``_MIXED`` row alone in one."""
     checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
     keyed = [(c.index, c.classify) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
-    survivors = []  # the member rows of each survivor
-    open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
-    for row, keys in zip(rows, _key_vectors(rows, keyed)):
-        parts = [row[c.index] for c in threshold_checks]
-        common = [c.common(v) for c, v in zip(threshold_checks, parts)]
-        if _MIXED in keys or not all(map(le, parts, common)):
-            survivors.append([row])
-            continue
-        candidates = open_survivors.setdefault(keys, [])
-        for held, members in candidates:
-            if all(map(le, parts, held)):
-                held[:] = map(and_, held, common)
-                members.append(row)
-                break
-        else:
-            survivors.append([row])
-            candidates.append((common, survivors[-1]))
+    if not threshold_checks:
+        buckets: dict[object, list] = {}
+        for row, keys in zip(rows, _key_vectors(rows, keyed)):
+            buckets.setdefault(object() if _MIXED in keys else keys, []).append(row)
+        survivors = buckets.values()
+    else:
+        survivors = []  # the member rows of each survivor
+        open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
+        for row, keys in zip(rows, _key_vectors(rows, keyed)):
+            parts = [row[c.index] for c in threshold_checks]
+            common = [c.common(v) for c, v in zip(threshold_checks, parts)]
+            if _MIXED in keys or not all(map(le, parts, common)):
+                survivors.append([row])
+                continue
+            candidates = open_survivors.setdefault(keys, [])
+            for held, members in candidates:
+                if all(map(le, parts, held)):
+                    held[:] = map(and_, held, common)
+                    members.append(row)
+                    break
+            else:
+                survivors.append([row])
+                candidates.append((common, survivors[-1]))
     names = tuple(a.name for a in schema)
     # distinct: of two equal survivors, the first would have taken the other
     return tuple(FuzzyTuple._trusted(names, m[0] if len(m) == 1 else tuple(

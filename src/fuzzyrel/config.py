@@ -58,7 +58,7 @@ class Database(_Record):
 
     def __init__(self, path: Path, relations: Mapping[str, FuzzyRelation],
                  attributes: Mapping[str, AttributeSpec], alphas: Mapping[str, float]):
-        self._set(path=path, relations=relations, attributes=attributes, alphas=alphas)
+        self._set(path, relations, attributes, alphas)
 
     __hash__ = None
 

@@ -58,8 +58,7 @@ class Partition1D(_Record):
 
     def __init__(self, length: float, alpha: float, mode: str, width: float,
                  cell_count: int, singleton: bool = False):
-        self._set(length=length, alpha=alpha, mode=mode, width=width,
-                  cell_count=cell_count, singleton=singleton)
+        self._set(length, alpha, mode, width, cell_count, singleton)
 
 
 def partition_line(length, alpha, mode: str = "standard") -> Partition1D:
@@ -108,7 +107,7 @@ class Partition2D(_Record):
     __slots__ = _fields = ("axis",)
 
     def __init__(self, axis: Partition1D):
-        self._set(axis=axis)
+        self._set(axis)
 
     @property
     def cell_count(self) -> int:
@@ -152,7 +151,7 @@ class Grouping(_Record):
     __slots__ = _fields = ("classes", "index")
 
     def __init__(self, classes: tuple[frozenset, ...], index: Mapping[Value, int]):
-        self._set(classes=classes, index=index)
+        self._set(classes, index)
 
     __hash__ = None
 

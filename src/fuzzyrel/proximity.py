@@ -78,19 +78,24 @@ class _Record:
     ``hash`` hashes them unless the class sets ``__hash__ = None``, ``repr``
     reads ``Name(field=value, ...)``, and copy and pickle call the class
     with them.  Objects are frozen: assignment and deletion raise
-    AttributeError, so ``__init__`` stores through ``_set``.  Slots outside
-    ``_fields`` hold hidden caches, out of ``==`` and ``repr``.
+    AttributeError.  Fields live in slots, and slots outside ``_fields`` hold
+    hidden caches, out of ``==`` and ``repr``.  ``__init__`` stores them with
+    ``_set``, by position in slot order (the class's own ``__slots__``, then
+    each base's) through slot setters found once per class, or one apart
+    with ``object.__setattr__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._setters = tuple(base.__dict__[name].__set__ for base in cls.__mro__
+                             for name in base.__dict__.get("__slots__", ()))
         # The fields for == and hash in one C call: the bare value of a
         # one-field class, the class itself when there are none.  Neither
         # callable is a descriptor, so ``self._key`` is the callable.
@@ -131,7 +136,7 @@ class _Kind(_Record):
     __slots__ = ("_cells",)
 
     def __init__(self):
-        self._set(_cells={})
+        object.__setattr__(self, "_cells", {})
 
     def embedding(self):
         return None
@@ -149,7 +154,8 @@ class Linear(_Kind):
         length = _as_number(length, "length")
         if not 0 < length < math.inf:
             raise DomainError(f"length must be positive and finite, got {length}")
-        self._set(length=length, _cells={})
+        self._set(length)
+        object.__setattr__(self, "_cells", {})
 
     def degree(self, x: Value, y: Value) -> float:
         p, q = self._position(x), self._position(y)
@@ -194,10 +200,10 @@ class Planar(_Kind):
         side = _as_number(side, "side")
         if not 0 < side < math.inf:
             raise DomainError(f"side must be positive and finite, got {side}")
-        self._set(side=side, _cells={})
-        self._set(locations={
-            label: self._in_square(point, f"location {label!r}")
-            for label, point in dict(locations).items()})
+        self._set(side, {})  # ``locations`` is filled once ``side`` is set
+        object.__setattr__(self, "_cells", {})
+        self.locations.update((label, self._in_square(point, f"location {label!r}"))
+                              for label, point in dict(locations).items())
 
     def resolve(self, value: Value | Point) -> Point:
         """The location of a label, or a point checked to lie in the square."""
@@ -273,17 +279,18 @@ class ExplicitMatrix(_Kind):
                     raise ValidationError(f"degree {v} for ({x}, {y}) outside [0, 1]")
                 if v != entries[j][i]:
                     raise ValidationError(f"asymmetric entries for ({x}, {y})")
-        self._set(labels=labels, entries=entries, order=None, _ranks=None, _cells={},
-                  _pos={lab: i for i, lab in enumerate(labels)}, _violation=_UNDECIDED)
-        if order is None:
-            return
-        order = tuple(order)
-        if len(set(order)) != len(order) or len(order) < 2:
-            raise ValidationError("order must list at least 2 distinct labels")
-        if set(order) != set(labels):
-            raise ValidationError("order does not match the matrix labels")
-        rank = {label: i for i, label in enumerate(order)}
-        self._set(order=order, _ranks=tuple(rank[lab] for lab in labels))
+        ranks = None
+        if order is not None:
+            order = tuple(order)
+            if len(set(order)) != len(order) or len(order) < 2:
+                raise ValidationError("order must list at least 2 distinct labels")
+            if set(order) != set(labels):
+                raise ValidationError("order does not match the matrix labels")
+            rank = {label: i for i, label in enumerate(order)}
+            ranks = tuple(rank[lab] for lab in labels)
+        self._set(labels, entries, order, {lab: i for i, lab in enumerate(labels)}, ranks,
+                  _UNDECIDED)
+        object.__setattr__(self, "_cells", {})
 
     def position(self, label: Value) -> int:
         """Row of ``label``; UnknownValueError for a label not in the domain."""
@@ -320,9 +327,9 @@ class ExplicitMatrix(_Kind):
         """``relation_properties``' first violation, found on the first call and kept."""
         if self._violation is _UNDECIDED:
             e, labels, n = self.entries, self.labels, range(len(self.labels))
-            self._set(_violation=next(((labels[i], labels[j], labels[k])
-                                       for i in n for j in n for k in n
-                                       if e[i][k] < min(e[i][j], e[j][k])), None))
+            object.__setattr__(self, "_violation", next(
+                ((labels[i], labels[j], labels[k]) for i in n for j in n for k in n
+                 if e[i][k] < min(e[i][j], e[j][k])), None))
         return self._violation
 
 
@@ -486,7 +493,7 @@ class PropertyReport(_Record):
 
     def __init__(self, max_min_transitive: bool,
                  first_violation: tuple[str, str, str] | None = None):
-        self._set(max_min_transitive=max_min_transitive, first_violation=first_violation)
+        self._set(max_min_transitive, first_violation)
 
 
 def relation_properties(m: ExplicitMatrix) -> PropertyReport:

@@ -57,21 +57,21 @@ class Cond(_Record):
     __slots__ = _fields = ("attr", "value")
 
     def __init__(self, attr: str, value: Value):
-        self._set(attr=attr, value=value)
+        self._set(attr, value)
 
 
 class LevelClause(_Record):
     __slots__ = _fields = ("attr", "value")
 
     def __init__(self, attr: str, value: float):
-        self._set(attr=attr, value=value)
+        self._set(attr, value)
 
 
 class RelationRef(_Record):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
-        self._set(name=name)
+        self._set(name)
 
 
 # Distinct classes, not named tuples: a Select never equals a Project.
@@ -80,7 +80,7 @@ class Select(_Record):
 
     def __init__(self, child: Node, conds: tuple[Cond, ...],
                  levels: tuple[LevelClause, ...] = ()):
-        self._set(child=child, conds=conds, levels=levels)
+        self._set(child, conds, levels)
 
 
 class Project(_Record):
@@ -88,7 +88,7 @@ class Project(_Record):
 
     def __init__(self, child: Node, attrs: tuple[str, ...],
                  levels: tuple[LevelClause, ...] = ()):
-        self._set(child=child, attrs=attrs, levels=levels)
+        self._set(child, attrs, levels)
 
 
 class Join(_Record):
@@ -96,7 +96,7 @@ class Join(_Record):
 
     def __init__(self, left: Node, right: Node, on: tuple[str, ...],
                  levels: tuple[LevelClause, ...] = ()):
-        self._set(left=left, right=right, on=on, levels=levels)
+        self._set(left, right, on, levels)
 
 
 Node = Union[RelationRef, Select, Project, Join]
@@ -106,7 +106,7 @@ class Query(_Record):
     __slots__ = _fields = ("root", "giving")
 
     def __init__(self, root: Node, giving: str | None = None):
-        self._set(root=root, giving=giving)
+        self._set(root, giving)
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

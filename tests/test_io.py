@@ -32,7 +32,7 @@ class CountingCrisp(CrispIdentity):
 
     def __init__(self):
         super().__init__()
-        self._set(texts=[])
+        self._set([])
 
     def parse(self, text):
         self.texts.append(text)

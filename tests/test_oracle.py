@@ -1504,15 +1504,26 @@ class TestNamedCases:
         (Linear(10), "interval", 0.6, [{1, 5}, 1, 5, 2], [{1, 5}, {1, 2}, {5}]),
         # {0, 30} is not mutually close at 0.9, so nothing joins it
         (Linear(100), "threshold", 0.9, [{0, 30}, 5, 30, 2], [{0, 30}, {2, 5}, {30}]),
+        # the cells [0, 4) and [4, 8) interleave around {1, 5}, which keeps
+        # its own place between the survivors it spans
+        (Linear(10), "interval", 0.6, [1, 5, {1, 5}, 2, 6], [{1, 2}, {5, 6}, {1, 5}]),
+        # (X, K) rows over a crisp K: a survivor per (cell, key) vector
+        (Linear(10), "interval", 0.6,
+         [(1, "a"), (5, "a"), ({1, 5}, "a"), (2, "b"), (2, "a"), (6, "a")],
+         [({1, 2}, "a"), ({5, 6}, "a"), ({1, 5}, "a"), (2, "b")]),
     ], ids=["first-survivor-takes-the-row", "row-spanning-two-cells-stays",
-            "row-not-mutually-close-stays"])
+            "row-not-mutually-close-stays", "spanning-row-between-interleaved-cells",
+            "two-column-key-vector"])
     def test_merge_order(self, spec, method, level, rows, merged):
-        r = FuzzyRelation.from_rows((AttributeSpec("X", spec, method),),
-                                    [(row,) for row in rows])
+        # a row is an X value, or an (X, K) pair
+        rows, merged = ([v if isinstance(v, tuple) else (v,) for v in vs]
+                        for vs in (rows, merged))
+        schema = (AttributeSpec("X", spec, method), AttributeSpec("K"))[:len(rows[0])]
+        r = FuzzyRelation.from_rows(schema, rows)
         levels = LevelMap({"X": level})
         assert_same(merge_relation, oracle_merge_relation, r, levels, None)
         assert merge_relation(r, levels).tuples == tuple(
-            FuzzyTuple(("X",), (frozenset(m),)) for m in merged)
+            FuzzyTuple.of(dict(zip(r.names, m))) for m in merged)
 
     # 1~3 and 3~5 have degree 0.8 and 1~5 has 0.6: at 0.75 only the
     # closure of the cut puts all three in one class

@@ -153,6 +153,22 @@ def test_defaults(cls, row):
 
 
 @CLASSES
+def test_every_slot_is_filled_in_its_place(cls, row):
+    # values are stored by slot position: one stored in the wrong slot, or
+    # a slot left unset, shows here; hidden caches start empty
+    kwargs = row[0]
+    made = cls(**kwargs)
+    slots = [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
+    assert set(cls._fields) <= set(slots)
+    for name in slots:
+        value = getattr(made, name)
+        if name in kwargs:
+            assert value == kwargs[name]
+        elif name in ("_cells", "_columns", "memo"):
+            assert value == {}
+
+
+@CLASSES
 def test_equality_is_field_wise_and_type_strict(cls, row):
     kwargs, _, other = row[:3]
     a, b = cls(**kwargs), cls(**kwargs)
