@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from operator import and_, attrgetter, itemgetter, le, or_
+from functools import reduce
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closure import _column, closure_classes
@@ -130,31 +131,70 @@ def _conform(tuples: Iterable[FuzzyTuple], names: tuple[str, ...]) -> None:
                 f"tuple attributes {t.names} do not match schema {names}")
 
 
+class _StoredColumn:
+    """One column of a checked stored relation, compiled by its spec on
+    first need and kept: the cut that the threshold merges of the relation,
+    and of every operator output derived from it, read."""
+
+    __slots__ = ("_spec", "_tuples", "_index", "_cut")
+
+    def __init__(self, spec: ProximitySpec, tuples: tuple, index: int, cut=None):
+        self._spec, self._index, self._cut = spec, index, cut
+        self._tuples = tuples if cut is None else None
+
+    def cut(self):
+        if self._cut is None:
+            self._cut = self._spec.compile(_column(
+                (t.components for t in self._tuples), self._index))
+            self._tuples = None  # the cut holds what it needs of them
+        return self._cut
+
+
 class FuzzyRelation(_Record):
     """An ordered schema plus a duplicate-free sequence of conforming tuples.
 
-    A hidden cache, out of ``==``, ``repr`` and pickle, holds each
-    column's value index and compiled cut over this relation's own values
-    (see ``_column_cut``), which ``select`` reads.
+    Hidden caches, out of ``==``, ``repr`` and pickle, hold each column's
+    value index and cut (see ``_column_cut``), which ``select`` reads, and
+    each column's source: the ``_StoredColumn`` of the checked stored
+    relation its values come from, or None.  A relation that
+    ``load_relation`` or ``from_rows`` built is stored and checked: each
+    column is its own source.  An operator's output keeps the sources of
+    the columns it copies, so every relation derived from a stored one
+    reads that one's cut, compiled once, never an intermediate's.  A join
+    column that unions two sources has none, nor has any column of a
+    relation built by ``FuzzyRelation(schema, tuples)``, whose values no
+    spec has checked, or derived from one: its checks compile its own
+    values, so a value in a row that an operator dropped never raises.
     """
 
     _fields = ("schema", "tuples")
-    __slots__ = _fields + ("_columns",)
+    __slots__ = _fields + ("_columns", "_sources")
 
     def __init__(self, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...]):
         schema = tuple(schema)
         names = _schema_names(schema)
         tuples = tuple(tuples)
         _conform(tuples, names)
-        self._set(schema, tuple(dict.fromkeys(tuples)), {})
+        self._set(schema, tuple(dict.fromkeys(tuples)), {}, (None,) * len(schema))
 
     @classmethod
-    def _derived(cls, schema: tuple[AttributeSpec, ...],
-                 tuples: tuple[FuzzyTuple, ...]) -> "FuzzyRelation":
-        """An operator's output: distinct tuples named as ``schema``."""
+    def _derived(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
+                 sources: tuple) -> "FuzzyRelation":
+        """An operator's output: distinct tuples named as ``schema``, with
+        the source of each column."""
         r = object.__new__(cls)
-        r._set(schema, tuples, {})
+        r._set(schema, tuples, {}, sources)
         return r
+
+    @classmethod
+    def _stored(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
+                cuts: Sequence = ()) -> "FuzzyRelation":
+        """Checked distinct tuples named as ``schema``: each column its own
+        source, starting from ``cuts`` where given."""
+        cuts = tuple(cuts) or (None,) * len(schema)
+        return cls._derived(schema, tuples, tuple(
+            _StoredColumn(a.proximity, tuples, i, cut)
+            for i, (a, cut) in enumerate(zip(schema, cuts))))
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -163,6 +203,9 @@ class FuzzyRelation(_Record):
         Every value is checked against its column's spec, which raises
         what ``degree`` raises for it.  Values are told apart by type as
         well, so ``True`` is checked even where an equal ``1`` is present.
+        The cuts that check them are kept, the relation stored, each over
+        its column's values distinct by Python equality: a column that
+        holds equal values of two types compiles them once more so.
         """
         specs = tuple(schema)
         names = tuple(a.name for a in specs)
@@ -172,12 +215,14 @@ class FuzzyRelation(_Record):
                 tuples.append(FuzzyTuple.of({n: row[n] for n in names}))
             else:
                 tuples.append(FuzzyTuple.of(dict(zip(names, row))))
-        relation = cls(specs, tuple(tuples))
+        tuples = cls(specs, tuple(tuples)).tuples
+        cuts = []
         for idx, attr in enumerate(specs):
-            values = {(type(v), v): v
-                      for t in relation.tuples for v in t.components[idx]}
-            attr.proximity.compile(values.values())
-        return relation
+            typed = {(type(v), v): v for t in tuples for v in t.components[idx]}
+            cut = attr.proximity.compile(typed.values())
+            distinct = dict.fromkeys(typed.values())
+            cuts.append(cut if len(distinct) == len(typed) else attr.proximity.compile(distinct))
+        return cls._stored(specs, tuples, cuts)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -198,8 +243,9 @@ class FuzzyRelation(_Record):
     def _column_cut(self, idx: int) -> tuple[dict, object]:
         """(index, cut) of column ``idx``, built on first use and kept: the
         tuples never change.  ``index`` maps each value, by Python equality,
-        to its ascending positions in a machine-word array; ``cut`` is those
-        values compiled by the column's spec, whatever the levels asked.
+        to its ascending positions in a machine-word array; ``cut`` is the
+        source's cut, over a superset of those values, or with no source
+        those values compiled by the column's spec, whatever the levels asked.
         """
         columns = self._columns
         column = columns.get(idx)
@@ -208,7 +254,9 @@ class FuzzyRelation(_Record):
             for pos, t in enumerate(self.tuples):
                 for v in t.components[idx]:
                     index.setdefault(v, array("l")).append(pos)
-            column = columns[idx] = index, self.schema[idx].proximity.compile(index)
+            source = self._sources[idx]
+            column = columns[idx] = index, (
+                source.cut() if source else self.schema[idx].proximity.compile(index))
         return column
 
     __hash__ = None
@@ -388,10 +436,12 @@ class _Check(_Record):
     A class test's ``classify`` looks a component up in a ``_ClassKeys``
     memo: the one its spec keeps for a cell or keyed test (``_cell_keys``),
     one over a ``class_grouping`` of every value the call will test for a
-    closure test.  A threshold test holds those values compiled by the
-    spec and memoises, for the call, each value's neighbourhood: the values
-    within the level of it.  A component is mutually close exactly when it
-    lies inside the intersection of its members' neighbourhoods.
+    closure test.  A threshold test holds a cut over a superset of the
+    values the call will test, and reads the cut's memo of neighbourhood
+    masks at its level (``masks``), kept across calls: a value's mask has
+    the bits of the cut's values within the level of it.  A component is
+    mutually close exactly when its own bits, its ``part``, lie inside the
+    AND of its members' masks, its ``common``.
     """
 
     _fields = ("index", "level", "cut", "classify")
@@ -400,36 +450,38 @@ class _Check(_Record):
     def __init__(self, index: int, level: float,
                  cut: object | None = None, classify: Callable | None = None):
         # a threshold test has a ``cut``, a class test a ``classify``
-        self._set(index, level, cut, classify, {})
+        self._set(index, level, cut, classify, {} if cut is None else cut.masks(level))
 
-    def common(self, values: frozenset) -> frozenset:
-        """The values within the level of each of ``values``."""
-        memo = self.memo
-        out = None
-        for v in values:
-            near = memo.get(v)
-            if near is None:
-                near = memo[v] = self.cut.near(v, self.level)
-            out = near if out is None else out & near
-        return out
+    def part(self, values: frozenset) -> int:
+        """The bits of ``values``, each a value of the cut."""
+        return sum(map(self.cut.bits().__getitem__, values))
+
+    def common(self, values: frozenset) -> int:
+        """The mask of the values within the level of each of ``values``."""
+        return reduce(and_, map(self.memo.__getitem__, values))
 
     def component_ok(self, values: frozenset) -> bool:
         if self.classify is not None:
             return self.classify(values) is not _MIXED
-        return values <= self.common(values)
+        part = self.part(values)
+        return self.common(values) & part == part
 
     __hash__ = None
 
 
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
-                  values_of: Callable[[int, str], frozenset]) -> list[_Check]:
+                  values_of: Callable[[int, str], frozenset],
+                  sources: Sequence | None = None) -> list[_Check]:
     """One check per attribute above level 0, at its position in ``schema``.
 
     ``values_of(idx, method)`` is the value set the check of position
-    ``idx`` will see, given its resolved method.  A threshold check
-    compiles it and a closure check groups it with ``class_grouping``: a
-    neighbourhood or a closure class over more values would differ.  Cell
-    and keyed checks key each value alone.
+    ``idx`` will see, given its resolved method.  A closure check groups
+    it with ``class_grouping``: a closure class over more values would
+    differ.  A threshold check reads the cut of the position's source in
+    ``sources`` (see ``FuzzyRelation``), or with none compiles the value
+    set: a subset test decides alike over any superset of the values (the
+    superset rule of ``proximity``).  Cell and keyed checks key each value
+    alone.
     """
     checks = []
     for idx, attr in enumerate(schema):
@@ -440,7 +492,9 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
         if method in CELL_METHODS or attr.proximity.keys(level) is not None:
             check = _Check(idx, level, classify=_cell_keys(attr, method, level))
         elif method == "threshold":
-            check = _Check(idx, level, cut=attr.proximity.compile(values_of(idx, method)))
+            source = sources and sources[idx]
+            check = _Check(idx, level, cut=source.cut() if source
+                           else attr.proximity.compile(values_of(idx, method)))
         else:
             grouping = class_grouping(attr, method, level, values_of(idx, method))
             check = _Check(idx, level, classify=_ClassKeys(grouping.class_index).__getitem__)
@@ -487,32 +541,39 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     keys, once per spec), and each survivor is built once, as the union of
     its members' columns.
 
-    Threshold and closure checks are built over r's own column values
-    (see ``_build_checks``); each value's neighbourhood is found once.  An
-    open survivor carries the intersection of its members'
-    neighbourhoods, its ``common``, so a later tuple whose own components
-    are mutually close is redundant with it exactly when each of those
-    components lies inside that intersection: one subset test per
-    attribute.  Keys are by Python equality, exact for every value a spec
-    accepts.  Building the checks, or keying the tuples, tests every value
-    of a checked column, so a value its spec rejects raises here.
+    Closure checks group r's own column values; threshold checks read the
+    cut of each column's source, the stored relation r derives from, which
+    holds a superset of r's values, or with no source compile r's own (see
+    ``FuzzyRelation`` and ``_build_checks``).  Each value's neighbourhood
+    mask is found once per cut and level, across calls.  An open survivor
+    carries the AND of its members' masks, its ``common``, so a later tuple
+    whose own components are mutually close is redundant with it exactly
+    when each of those components' bits lie inside that AND: one test of
+    ints per attribute.  Keys are by Python equality, exact for every value
+    a spec accepts.  Building the checks, or keying the tuples, tests every
+    value of a checked column of r, or of its source, so a value its spec
+    rejects raises here.
     """
     return FuzzyRelation._derived(r.schema, _merge(
-        r.schema, [t.components for t in r.tuples], levels or LevelMap(), mode))
+        r.schema, [t.components for t in r.tuples], levels or LevelMap(), mode, r._sources),
+        r._sources)
 
 
 def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: LevelMap,
-           mode: str | None) -> tuple[FuzzyTuple, ...]:
+           mode: str | None, sources: Sequence) -> tuple[FuzzyTuple, ...]:
     """The survivors of merging the distinct component tuples ``rows``, in
     order of their first row: the one place an operator builds its output
     tuples.  One forward pass: a row joins the first open survivor of its
-    class-key vector whose carried ``common`` holds each of its threshold
-    components, and that ``common`` narrows by the row's own; if none
+    class-key vector whose carried ``common`` masks hold the bits of each
+    of its threshold components, its ``part`` (``part & held == part``),
+    and those masks narrow by the row's own (``held & common``); if none
     takes it, the row opens one.  A row with a ``_MIXED`` key or a
-    threshold component that is not mutually close stays alone.  With class
-    checks only (every class-mode merge) there is no scan: the survivors are
-    the key-vector buckets of one dict pass, a ``_MIXED`` row alone in one."""
-    checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx))
+    threshold component that is not mutually close stays alone.  Threshold
+    checks read the cuts of ``sources``, one per column of ``schema``.
+    With class checks only (every class-mode merge) there is no scan: the
+    survivors are the key-vector buckets of one dict pass, a ``_MIXED`` row
+    alone in one."""
+    checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx), sources)
     keyed = [(c.index, c.classify) for c in checks if c.classify is not None]
     threshold_checks = [c for c in checks if c.classify is None]
     if not threshold_checks:
@@ -523,15 +584,18 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     else:
         survivors = []  # the member rows of each survivor
         open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
+        # each check's ``part`` and ``common``, inlined
+        probes = [(c.index, c.cut.bits().__getitem__, c.memo.__getitem__)
+                  for c in threshold_checks]
         for row, keys in zip(rows, _key_vectors(rows, keyed)):
-            parts = [row[c.index] for c in threshold_checks]
-            common = [c.common(v) for c, v in zip(threshold_checks, parts)]
-            if _MIXED in keys or not all(map(le, parts, common)):
+            parts = [sum(map(bit, row[i])) for i, bit, _ in probes]
+            common = [reduce(and_, map(near, row[i])) for i, _, near in probes]
+            if _MIXED in keys or [*map(and_, parts, common)] != parts:
                 survivors.append([row])
                 continue
             candidates = open_survivors.setdefault(keys, [])
             for held, members in candidates:
-                if all(map(le, parts, held)):
+                if [*map(and_, parts, held)] == parts:
                     held[:] = map(and_, held, common)
                     members.append(row)
                     break
@@ -559,17 +623,20 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
     order.  No merging happens here; kept tuples stay in relation order.
 
     Each condition is one lookup, ``near(constant, level)``, on the
-    column's values compiled by its spec, which the relation builds on
-    first use and keeps with its value-to-positions index
-    (``FuzzyRelation._column_cut``).  The first condition finds its
-    candidate tuples through that index; a tuple
-    passes when its component is a subset of the neighbourhood.  Once no
-    tuple is kept, later conditions are not evaluated, so a constant no
-    value can be compared with raises only when some tuple reaches its
-    condition.  A level-0 condition is skipped.  Values are keyed by
-    Python equality, which is exact for every value a spec accepts;
-    compiling checks every value of the column, so a relation built with
-    a value its spec rejects raises when a condition reaches its column.
+    column's cut, which the relation finds on first use and keeps with its
+    value-to-positions index (``FuzzyRelation._column_cut``): the cut of
+    the column's stored source, over a superset of its values, or its own
+    values compiled by its spec.  The first condition finds its candidate
+    tuples through that index, where a neighbour the relation lacks has
+    none; a tuple passes when its component is a subset of the
+    neighbourhood, which over a superset decides alike.  Once no tuple is
+    kept, later conditions are not evaluated, so a constant no value can
+    be compared with raises only when some tuple reaches its condition.  A
+    level-0 condition is skipped.  Values are keyed by Python equality,
+    which is exact for every value a spec accepts; compiling checks every
+    value of the column, so a relation built with a value its spec rejects
+    raises when a condition reaches its column.  The output keeps the
+    relation's sources.
     """
     levels = levels or LevelMap()
     prepared = []
@@ -587,22 +654,28 @@ def select(r: FuzzyRelation, conds: Iterable[tuple[str, Value]],
         index, cut = r._column_cut(idx)
         passing = cut.near(constant, level)
         if len(kept) == len(tuples):
-            kept = sorted({pos for v in passing for pos in index[v]})
+            kept = sorted({pos for v in passing for pos in index.get(v, ())})
         kept = [pos for pos in kept if tuples[pos].components[idx] <= passing]
-    return FuzzyRelation._derived(r.schema, tuple(tuples[pos] for pos in kept))
+    return FuzzyRelation._derived(r.schema, tuple(tuples[pos] for pos in kept), r._sources)
 
 
 def project(r: FuzzyRelation, attrs: Sequence[str],
             levels: LevelMap | None = None, mode: str | None = None) -> FuzzyRelation:
     """Drop all other columns, then merge the distinct projected rows, in
-    order, through the merge core that ``merge_relation`` and ``join`` use."""
+    order, through the merge core that ``merge_relation`` and ``join`` use.
+    Each kept column keeps its source (see ``FuzzyRelation``)."""
     indices = [r.attribute_index(a) for a in attrs]
     schema = tuple(r.schema[i] for i in indices)
     _schema_names(schema)
     pick = itemgetter(*indices) if indices else lambda _: ()
     rows = dict.fromkeys(map(pick, map(attrgetter("components"), r.tuples)))
-    rows = [(c,) for c in rows] if len(indices) == 1 else list(rows)
-    return FuzzyRelation._derived(schema, _merge(schema, rows, levels or LevelMap(), mode))
+    sources = pick(r._sources)
+    if len(indices) == 1:
+        rows, sources = [(c,) for c in rows], (sources,)
+    else:
+        rows = list(rows)
+    return FuzzyRelation._derived(
+        schema, _merge(schema, rows, levels or LevelMap(), mode, sources), sources)
 
 
 def _joined_schema(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str]):
@@ -641,6 +714,9 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     named twice raises ValidationError.  Tuples are hashed by the class
     keys of their class-checked join values, which this tests; threshold
     checks test only pairs with equal keys, all n*m with no class check.
+    The output's columns keep their sources (see ``FuzzyRelation``); a
+    join column keeps one only when both sides share it, and its output
+    merge reads their cuts.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -680,4 +756,10 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
                 for i, union in zip(on_left, unions):
                     comps[i] = union
                 out_rows[(*comps, *rest)] = None
-    return FuzzyRelation._derived(schema, _merge(schema, list(out_rows), levels, mode))
+    sources = [*r1._sources, *map(r2._sources.__getitem__, right_rest)]
+    for i, j in zip(on_left, on_right):
+        if sources[i] is not r2._sources[j]:
+            sources[i] = None
+    sources = tuple(sources)
+    return FuzzyRelation._derived(
+        schema, _merge(schema, list(out_rows), levels, mode, sources), sources)

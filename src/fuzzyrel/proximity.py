@@ -29,7 +29,20 @@ Each kind has the same members:
   ``classes(level)`` are the cut's connected components: walked through
   ``near``, on a line the runs of sorted values whose gaps reach the level.
   The compiled form does not depend on the level.  Only ``near`` and a
-  line's gaps decide ``degree >= level``; on a line both call one helper,
+  line's gaps decide ``degree >= level``; on a line both call one helper.
+  ``near_mask(x, level)`` is the same set as an int over the cut's bit
+  order, ``bits()``: value i of that order is bit ``1 << i``, one bit per
+  value where the values are distinct by Python equality, as
+  ``closure._column`` gives them and every kept cut holds them.  On a line
+  the order is by position, so a mask is the run of bits of the band
+  ``near`` bisects and trims; other kinds sum the bits of ``near``'s
+  members.  ``masks(level)`` memoises ``near_mask`` by value on the cut,
+  in at most ``_MAX_LEVEL_MEMOS`` levels, the oldest dropped first, of at
+  most ``_MAX_MEMO_MASKS`` values each.  The superset rule: for values V
+  inside a cut's value set S, ``near`` over S meets V exactly in ``near``
+  over V, so one cut over a stored column decides every subset test, and
+  every intersection of neighbourhoods that such a test reads, for any
+  relation whose values lie in that column,
 * ``embedding()``     -- the cells that interval, equalized and grid
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
@@ -44,6 +57,7 @@ Each kind checks a value on one path, which ``degree``, ``compile``,
 pickle, hold what depends only on the domain: every spec's ``_cells``,
 where ``algebra._cell_keys`` keeps each component's class key per method
 and level, and a matrix's ``_violation``, its transitivity decided on first need.
+A compiled cut keeps its bits and its level memos of masks.
 
 Apart from these caches all objects are immutable; every function is pure.
 """
@@ -69,6 +83,12 @@ _DECIMAL_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 # each candidate in ``near``.
 _REACH_SLACK = 1e-9
 _UNDECIDED = object()  # a matrix's transitivity before its first need
+# Level memos of ``near_mask`` a cut keeps, the oldest dropped first: levels
+# are free floats.
+_MAX_LEVEL_MEMOS = 16
+# Values a level memo keeps before it starts afresh, since a cut outlives
+# the queries it serves.
+_MAX_MEMO_MASKS = 4096
 
 
 class _Record:
@@ -366,7 +386,11 @@ ProximitySpec = Union[ExplicitMatrix, Linear, Planar, CrispIdentity]
 
 
 class _Cut:
-    """A compiled value set whose closure classes are walked through ``near``."""
+    """A compiled value set, its ``_values`` in bit order, whose closure
+    classes are walked through ``near``."""
+
+    _bits = None  # value -> its bit, built on first need
+    _masks = None  # level -> _Masks, the oldest dropped first
 
     def classes(self, level: float) -> list:
         """The connected components of the alpha cut at ``level``, walked through ``near``."""
@@ -382,9 +406,50 @@ class _Cut:
                 components.append(component)
         return components
 
+    def bits(self) -> dict:
+        """Each value's bit, ``1 << i`` at its position i in bit order."""
+        if self._bits is None:
+            self._bits = {v: 1 << i for i, v in enumerate(self._values)}
+        return self._bits
+
+    def near_mask(self, x: Value, level: float) -> int:
+        """``near(x, level)`` as the sum of its members' bits."""
+        return sum(map(self.bits().__getitem__, self.near(x, level)))
+
+    def masks(self, level: float) -> "_Masks":
+        """The memo of ``near_mask`` at ``level``, kept for the cut's life."""
+        memos = self._masks
+        if memos is None:
+            memos = self._masks = {}
+        memo = memos.get(level)
+        if memo is None:
+            if len(memos) == _MAX_LEVEL_MEMOS:
+                del memos[next(iter(memos))]
+            memo = memos[level] = _Masks(self, level)
+        return memo
+
+
+class _Masks(dict):
+    """Each value's ``near_mask`` at one level, found on first lookup; a
+    lookup that raises stores nothing, and the memo starts afresh at its
+    bound, since free levels and values would let it grow without end."""
+
+    __slots__ = ("cut", "level")
+
+    def __init__(self, cut: _Cut, level: float):
+        self.cut, self.level = cut, level
+
+    def __missing__(self, x: Value) -> int:
+        mask = self.cut.near_mask(x, self.level)
+        if len(self) >= _MAX_MEMO_MASKS:
+            self.clear()
+        self[x] = mask
+        return mask
+
 
 class _LineCut(_Cut):
-    """Linear values sorted by position; a cut is a band found by bisection."""
+    """Linear values sorted by position; a cut is a band found by bisection,
+    and its mask the band's run of bits."""
 
     def __init__(self, spec: Linear, values):
         self._spec = spec
@@ -396,7 +461,8 @@ class _LineCut(_Cut):
         """``degree >= level`` at positions p and q, by ``degree``'s float expression."""
         return 1.0 - abs(q - p) / self._spec.length >= level
 
-    def near(self, x: Value, level: float) -> frozenset:
+    def _band(self, x: Value, level: float) -> tuple[int, int]:
+        """The positions [lo, hi) of ``near(x, level)`` in sorted order."""
         p = self._spec._position(x)
         keys = self._keys
         reach = (1.0 - level + _REACH_SLACK) * self._spec.length
@@ -408,7 +474,15 @@ class _LineCut(_Cut):
             lo += 1
         while lo < hi and not self._reaches(keys[hi - 1], p, level):
             hi -= 1
+        return lo, hi
+
+    def near(self, x: Value, level: float) -> frozenset:
+        lo, hi = self._band(x, level)
         return frozenset(self._values[lo:hi])
+
+    def near_mask(self, x: Value, level: float) -> int:
+        lo, hi = self._band(x, level)
+        return ((1 << (hi - lo)) - 1) << lo
 
     def classes(self, level: float) -> list:
         """The runs of sorted values whose gaps reach ``level`` (single linkage):

@@ -161,7 +161,7 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
             rows[row] = None  # an equal later row leaves the first one's key
     _schema_names(schema)
     make = FuzzyTuple._trusted  # row lengths are checked; cells parse to non-empty sets
-    return FuzzyRelation._derived(schema, tuple(make(names, row) for row in rows))
+    return FuzzyRelation._stored(schema, tuple(make(names, row) for row in rows))
 
 
 def _sorted_values(component) -> list[Value]:

@@ -35,7 +35,7 @@ from fuzzyrel import (
     thres,
     valid_tuple,
 )
-from fuzzyrel import algebra
+from fuzzyrel import algebra, proximity
 from fuzzyrel.partition import Grouping, cell_key, partition_line
 
 
@@ -84,6 +84,15 @@ class TestFromRows:
             (frozenset({(5.0, 4.9), "C"}),)]
         assert merge_relation(r, LevelMap({"P": 0.9})).tuples == (
             tup({"P": (2.0, 3.0)}), tup({"P": {(5.0, 5.1), (5.0, 4.9), "C"}}))
+
+
+    def test_kept_cut_holds_the_values_distinct_by_equality(self):
+        # 1 and 1.0 are checked apart and kept as one value, "1" is another
+        r = FuzzyRelation.from_rows(self.SCHEMA, [(1, "a"), (1.0, "b"), ("1", "c"), (5, "d")])
+        assert set(r._sources[0].cut().bits()) == {1, "1", 5}
+        assert sorted(r._sources[0].cut().bits().values()) == [1, 2, 4]
+        merged = merge_relation(r, LevelMap({"X": 0.9, "K": 0.0}))
+        assert [t.get("X") for t in merged.tuples] == [{1, "1"}, {5}]
 
 
 class TestInterpretations:
@@ -329,6 +338,21 @@ def cells_computed(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def masks_computed(monkeypatch):
+    """Counts ``near_mask`` computations by (cut, value, level); each key
+    holds its cut, so no two cuts share one."""
+    calls = collections.Counter()
+    for kind in (proximity._Cut, proximity._LineCut):
+        near_mask = kind.near_mask
+
+        def counted(cut, x, level, near_mask=near_mask):
+            calls[cut, x, level] += 1
+            return near_mask(cut, x, level)
+        monkeypatch.setattr(kind, "near_mask", counted)
+    return calls
+
+
 def cells(alpha, values, mode="standard"):
     """Each value's cell on [0, 10] at ``alpha``, computed once."""
     return {(partition_line(10, alpha, mode), v): 1 for v in values}
@@ -339,30 +363,34 @@ class TestEvaluationCounts:
 
     A component's class key under cells or a spec's keys is found once per
     proximity spec, method and level, for every relation with that spec,
-    and each value's cell once; closure classes and threshold cuts are
-    formed per call, over the values the call sees, and a closure check's
-    keys last one call.  Linear closure classes come from sorted gaps, with
-    no neighbourhood.  Each test builds its own specs, so no other test's
-    memo changes a count.
+    and each value's cell once.  Closure classes are formed per call, over
+    the values the call sees, and a closure check's keys last one call.  A
+    threshold check reads the cut of its column's stored relation, which
+    ``from_rows`` kept from checking the values, and the cut's memo of
+    neighbourhood masks: each (cut, value, level) mask is computed once.
+    Linear closure classes come from sorted gaps, with no neighbourhood.
+    Each test builds its own specs, so no other test's memo changes a count.
     """
 
     def test_select_one_lookup_per_condition(self, effect_matrix):
         rel, spec = keyed_rows(CountingMatrix(effect_matrix), EFFECTS, 60)
         got = select(rel, [("E", "Tolerable")], LevelMap({"E": 0.8}))
-        assert spec.calls == {"compile": 1, "near": 1}
+        # the cut from_rows checked the column with serves: nothing compiles
+        assert spec.calls == {"near": 1}
         assert [t.get("KEY") for t in got.tuples] == [
             frozenset({k}) for k in range(60) if k % 3 != 2]
-        # the compiled column is kept: a second select only looks up
+        # the column is kept: a second select only looks up
         select(rel, [("E", "Minimal"), ("E", "Tolerable")], LevelMap({"E": 0.8}))
-        assert spec.calls == {"compile": 1, "near": 3}
+        assert spec.calls == {"near": 3}
 
-    def test_merge_one_neighbourhood_per_value(self, hair_matrix):
+    def test_merge_one_neighbourhood_per_value(self, hair_matrix, masks_computed):
         # the hair table is not max-min transitive, so its check is pairwise
         rel, spec = keyed_rows(CountingMatrix(hair_matrix), HAIRS, 60)
         merged = merge_relation(rel, LevelMap({"KEY": 0.0, "E": 0.8}))
         assert spec.calls["degree"] == 0
-        assert spec.calls["compile"] == 1
-        assert spec.calls["near"] <= 3
+        assert spec.calls["compile"] == 0  # from_rows' cut serves
+        cut = rel._sources[1].cut().cut  # inside its counting wrapper
+        assert masks_computed == {(cut, h, 0.8): 1 for h in HAIRS}
         assert [t.get("E") for t in merged.tuples] == [
             frozenset({"Black", "Dark brown"}), frozenset({"Bleached"})]
 
@@ -441,15 +469,90 @@ class TestEvaluationCounts:
 
     def test_closure_and_threshold_checks_are_built_on_every_call(
             self, hair_matrix, groupings_formed):
-        rel, spec = keyed_rows(CountingMatrix(hair_matrix), HAIRS, 30)
+        spec = CountingMatrix(hair_matrix)
+        rel = FuzzyRelation.from_rows((AttributeSpec("E", spec),), [(h,) for h in HAIRS])
+        assert spec.calls["compile"] == 1  # from_rows checks with it, and keeps it
         levels = LevelMap({"E": 0.8})
         for _ in range(2):
             project(rel, ["E"], levels)
-        assert spec.calls["compile"] == 2
+        assert spec.calls["compile"] == 1
         for _ in range(2):
             project(rel, ["E"], levels, "closure")
         assert groupings_formed == {("E", "closure"): 2}
-        assert spec.calls["compile"] == 4  # each closure walks a new cut
+        assert spec.calls["compile"] == 3  # each closure walks a new cut
+
+    def test_threshold_merges_compute_each_stored_mask_once(self, hair_matrix,
+                                                            masks_computed):
+        # X on a line, E a non-transitive table: both are threshold checks
+        schema = (AttributeSpec("K"), AttributeSpec("X", Linear(10)),
+                  AttributeSpec("E", hair_matrix))
+        rel = FuzzyRelation.from_rows(schema, [(k, k % 11, HAIRS[k % 3]) for k in range(60)])
+        levels = LevelMap({"K": 0.0, "X": 0.8, "E": 0.8})
+        near = select(rel, [("X", 5)], LevelMap({"X": 0.7}))
+        for _ in range(2):
+            for r in (rel, near):
+                project(r, ["X", "E"], levels)
+                project(r, ["E"], levels)
+                merge_relation(r, levels)
+            # the join's output merge reads the stored cuts of X and E
+            keyed = LevelMap({"X": 0.8, "E": 0.8})
+            out = join(project(rel, ["K", "X"], keyed), project(near, ["K", "E"], keyed),
+                       ["K"], keyed)
+            assert len(out) == len(near) and out._sources == rel._sources
+        xs, es = (rel._sources[i].cut() for i in (1, 2))
+        stored = {key for key in masks_computed if key[0] in (xs, es)}
+        assert stored == ({(xs, v, 0.8) for v in range(11)}
+                          | {(es, h, 0.8) for h in HAIRS})
+        assert set(masks_computed.values()) == {1}
+        # a select's output reads the stored cut, never one of its own
+        assert near._column_cut(1)[1] is xs and near._sources == rel._sources
+
+    def test_join_output_merge_reads_the_cut_both_sides_share(self):
+        spec = CountingLinear(10)
+        schema = (AttributeSpec("K"), AttributeSpec("X", spec))
+        rel = FuzzyRelation.from_rows(schema, [(k, k % 11) for k in range(40)])
+        other = FuzzyRelation.from_rows(schema, [(k, 10 - k % 11) for k in range(40)])
+        levels = LevelMap({"X": 0.9})
+        left = project(select(rel, [("K", 3)]), ["X"], levels)
+        xs, others = project(rel, ["X"], levels), project(other, ["X"], levels)
+        spec.calls.clear()
+        # the pair test compiles both sides' values; the output merge reads
+        # the stored cut both sides share
+        shared = join(left, xs, ["X"], levels)
+        assert [t.get("X") for t in shared.tuples] == [{2, 3}]
+        assert shared._sources == xs._sources == (rel._sources[1],)
+        assert spec.calls["compile"] == 1
+        # over two stored relations the join column compiles its own values
+        assert len(join(left, others, ["X"], levels)) == 1
+        assert spec.calls["compile"] == 3
+
+    def test_level_memos_kept_per_cut_are_bounded(self, masks_computed):
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(v,) for v in range(11)])
+        alphas = [0.5 + k / 100 for k in range(40)]
+        first = [project(rel, ["X"], LevelMap({"X": a})) for a in alphas]
+        cut, kept = rel._sources[0].cut(), proximity._MAX_LEVEL_MEMOS
+        assert list(cut._masks) == alphas[-kept:]
+        # the newest are kept; the oldest were dropped and are computed again
+        assert [project(rel, ["X"], LevelMap({"X": a})) for a in alphas[-kept:]] == first[-kept:]
+        assert sum(masks_computed.values()) == 40 * 11
+        assert project(rel, ["X"], LevelMap({"X": alphas[0]})) == first[0]
+        assert sum(masks_computed.values()) == 41 * 11
+        assert list(cut._masks) == [*alphas[-kept + 1:], alphas[0]]
+        assert all(set(memo) == set(range(11)) for memo in cut._masks.values())
+
+    def test_mask_memo_starts_afresh_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(proximity, "_MAX_MEMO_MASKS", 8)
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(100)), AttributeSpec("K")),
+                                      [(v, v // 5) for v in range(40)])
+        levels = LevelMap({"X": 0.9, "K": 0.0})
+        cut = rel._sources[0].cut()
+        for k in range(8):
+            # fresh values through one cut, as from select after select
+            got = project(select(rel, [("K", k)]), ["X"], levels)
+            assert [t.get("X") for t in got.tuples] == [set(range(5 * k, 5 * k + 5))]
+            memo = cut._masks[0.9]
+            assert 0 < len(memo) <= 8
+            assert all(mask == cut.near_mask(v, 0.9) for v, mask in memo.items())
 
     def test_cell_memos_kept_per_spec_are_bounded(self, cells_computed):
         rel = linear_rows(40)
@@ -645,6 +748,20 @@ class TestSelect:
         assert [t.get("X") for t in got.tuples] == [{60}, {64.4}]
 
 
+    def test_nested_select_reaches_values_only_the_stored_relation_holds(self):
+        rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)), AttributeSpec("K")),
+                                      [(x, "a" if x < 3 else "b") for x in range(11)])
+        inner = select(rel, [("K", "a")])
+        levels = LevelMap({"X": 0.7})
+        # near(3) over rel's cut is 0..6, and the inner relation lacks 3..6
+        assert inner._column_cut(0)[1] is rel._column_cut(0)[1]
+        assert rel._column_cut(0)[1].near(3, 0.7) == set(range(7))
+        got = select(inner, [("X", 3)], levels)
+        assert [t.get("X") for t in got.tuples] == [{0}, {1}, {2}]
+        assert got == select(FuzzyRelation(inner.schema, inner.tuples), [("X", 3)], levels)
+        assert select(inner, [("X", 6)], levels).tuples == ()
+
+
 class TestProject:
     def test_all_attributes_is_duplicate_elimination(self, survey_db):
         rel = survey_db.relation("SURVEY")
@@ -676,6 +793,28 @@ class TestProject:
             assert len(project(kept, ["X"], levels, mode)) == 1
         # in a kept row, 500 raises when the merge keys it, each time, as it
         # does in a fresh copy
+        dropped = select(rel, [("K", "b")])
+        for r in (dropped, dropped, FuzzyRelation(dropped.schema, dropped.tuples)):
+            with pytest.raises(DomainError, match="value 500.0 outside"):
+                project(r, ["X"], levels)
+
+
+    def test_threshold_check_never_reaches_a_row_a_select_dropped(self):
+        # a relation built without from_rows holds 500, outside [0, 10], in a
+        # row the select drops: threshold checks of the output compile its
+        # own values, never the relation's
+        schema = (AttributeSpec("X", Linear(10)), AttributeSpec("K"))
+        rel = FuzzyRelation(schema, (tup({"X": 1, "K": "a"}), tup({"X": 2, "K": "a"}),
+                                     tup({"X": 500, "K": "b"})))
+        kept = select(rel, [("K", "a")])
+        levels = LevelMap({"X": 0.8, "K": 0.0})
+        stored = FuzzyRelation.from_rows(schema, [(2, "c"), (9, "d")])
+        for _ in range(2):
+            assert [t.get("X") for t in project(kept, ["X"], levels).tuples] == [{1, 2}]
+            assert [t.get("X") for t in merge_relation(kept, levels).tuples] == [{1, 2}]
+            assert [t.get("X") for t in join(kept, stored, ["X"], levels).tuples] == [{1, 2}]
+            assert len(join(kept, kept, ["X"], levels)) == 1
+        # where the row is kept, 500 raises each time, as in a fresh copy
         dropped = select(rel, [("K", "b")])
         for r in (dropped, dropped, FuzzyRelation(dropped.schema, dropped.tuples)):
             with pytest.raises(DomainError, match="value 500.0 outside"):

@@ -409,6 +409,60 @@ class TestNear:
         assert raised(spec.degree, "C", (1, 2, 3)) == expected
 
 
+# --- neighbourhood masks: compile(values).near_mask(x, level) ----------------
+
+MASK_DOMAINS = {
+    # numeric text at the position of a number, and 1 beside 1.0
+    "linear": (Linear(10), st.one_of(
+        st.integers(0, 10), st.floats(0, 10), st.sampled_from((1, 1.0, "1", "2.5", 2.5)),
+        st.integers(0, 10).map(str))),
+    "planar": (Planar(10, SITES), st.one_of(
+        st.sampled_from(sorted(SITES)), st.sampled_from(PLANAR_POINTS),
+        st.tuples(st.floats(0, 10), st.floats(0, 10)))),
+    "matrix": (ExplicitMatrix(("p", "q", "r", "s"), ((1, 0.5, 0.2, 0.7), (0.5, 1, 0.9, 0.3),
+                                                   (0.2, 0.9, 1, 0.6), (0.7, 0.3, 0.6, 1))),
+               st.sampled_from("pqrs")),
+    "crisp": (CrispIdentity(), st.one_of(
+        st.sampled_from((1, 1.0, "1", True, 0, 0.0, False, "a")), st.integers(-3, 3),
+        st.text(max_size=2))),
+}
+
+
+@st.composite
+def masked_cuts(draw):
+    """(spec, values, probe, level): a level from the fixed ones, any float,
+    or a degree between two of the values and the probe."""
+    spec, value = MASK_DOMAINS[draw(st.sampled_from(sorted(MASK_DOMAINS)))]
+    # distinct by Python equality, as a kept cut holds them
+    values = draw(st.lists(value, min_size=1, max_size=12, unique=True))
+    x = draw(value | st.sampled_from(values))
+    y = draw(st.sampled_from(values))
+    level = draw(st.sampled_from(CUT_LEVELS) | st.floats(0, 1)
+                 | st.just(spec.degree(x, y)) | st.just(spec.degree(values[0], y)))
+    return spec, values, x, level
+
+
+class TestNearMask:
+    @given(masked_cuts())
+    def test_mask_decodes_to_the_neighbourhood(self, case):
+        spec, values, x, level = case
+        cut = spec.compile(values)
+        bits = cut.bits()
+        # one bit per value
+        assert len(bits) == len(values) and set(bits) == set(values)
+        assert sorted(bits.values()) == [1 << i for i in range(len(bits))]
+        mask = cut.near_mask(x, level)
+        assert 0 <= mask < 1 << len(bits)
+        assert {v for v, bit in bits.items() if mask & bit} == cut.near(x, level)
+        assert cut.masks(level)[x] == mask
+
+    def test_a_line_mask_is_the_run_of_its_band(self):
+        cut = Linear(10).compile((7, 0, 3, "3", 3.5, 4))
+        assert cut.bits() == {0: 1, 3: 2, "3": 4, 3.5: 8, 4: 16, 7: 32}
+        assert cut.near_mask(4, 0.7) == 0b111110  # 3, "3", 3.5, 4 and 7
+        assert cut.near_mask(0, 0.7) == 0b000111
+
+
 # --- spec kinds own their decisions ----------------------------------------
 
 SPEC_KINDS = {"Linear", "Planar", "ExplicitMatrix", "CrispIdentity"}
