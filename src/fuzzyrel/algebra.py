@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -134,19 +134,18 @@ def _conform(tuples: Iterable[FuzzyTuple], names: tuple[str, ...]) -> None:
 class _StoredColumn:
     """One column of a checked stored relation, compiled by its spec on
     first need and kept: the cut that the threshold merges of the relation,
-    and of every operator output derived from it, read."""
+    and of every operator output derived from it, read.  Until then it
+    holds the column's distinct components, never the relation's tuples."""
 
-    __slots__ = ("_spec", "_tuples", "_index", "_cut")
+    __slots__ = ("_spec", "_components", "_cut")
 
-    def __init__(self, spec: ProximitySpec, tuples: tuple, index: int, cut=None):
-        self._spec, self._index, self._cut = spec, index, cut
-        self._tuples = tuples if cut is None else None
+    def __init__(self, spec: ProximitySpec, components: tuple = (), cut=None):
+        self._spec, self._components, self._cut = spec, components, cut
 
     def cut(self):
         if self._cut is None:
-            self._cut = self._spec.compile(_column(
-                (t.components for t in self._tuples), self._index))
-            self._tuples = None  # the cut holds what it needs of them
+            self._cut = self._spec.compile(frozenset().union(*self._components))
+            self._components = ()  # the cut holds what it needs of them
         return self._cut
 
 
@@ -188,13 +187,10 @@ class FuzzyRelation(_Record):
 
     @classmethod
     def _stored(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
-                cuts: Sequence = ()) -> "FuzzyRelation":
-        """Checked distinct tuples named as ``schema``: each column its own
-        source, starting from ``cuts`` where given."""
-        cuts = tuple(cuts) or (None,) * len(schema)
-        return cls._derived(schema, tuples, tuple(
-            _StoredColumn(a.proximity, tuples, i, cut)
-            for i, (a, cut) in enumerate(zip(schema, cuts))))
+                columns: Sequence[_StoredColumn]) -> "FuzzyRelation":
+        """Checked distinct tuples named as ``schema``, each column its own
+        source, one of ``columns``."""
+        return cls._derived(schema, tuples, tuple(columns))
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -222,7 +218,8 @@ class FuzzyRelation(_Record):
             cut = attr.proximity.compile(typed.values())
             distinct = dict.fromkeys(typed.values())
             cuts.append(cut if len(distinct) == len(typed) else attr.proximity.compile(distinct))
-        return cls._stored(specs, tuples, cuts)
+        return cls._stored(specs, tuples, [_StoredColumn(a.proximity, cut=cut)
+                                           for a, cut in zip(specs, cuts)])
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -437,36 +434,48 @@ class _Check(_Record):
     memo: the one its spec keeps for a cell or keyed test (``_cell_keys``),
     one over a ``class_grouping`` of every value the call will test for a
     closure test.  A threshold test holds a cut over a superset of the
-    values the call will test, and reads the cut's memo of neighbourhood
-    masks at its level (``masks``), kept across calls: a value's mask has
-    the bits of the cut's values within the level of it.  A component is
-    mutually close exactly when its own bits, its ``part``, lie inside the
-    AND of its members' masks, its ``common``.
+    ``values`` the call will test, and its ``field``: (index, bit, near),
+    where ``bit`` and ``near`` map each of those values to its bit and to
+    its neighbourhood mask at the level (the bits of the cut's values
+    within the level of it), shifted by ``shift``, the offset of the
+    check's field in the call.  Both are found up front, once per value and
+    call: a mask from ``memo``, a stored cut's memo at the level
+    (``masks``), kept across calls, or with none from ``near_mask`` of a cut
+    compiled for the call.  A component is mutually close exactly when its
+    bits, its ``part``, lie inside the AND of its members' masks, its
+    ``common`` (``_masks``).
     """
 
     _fields = ("index", "level", "cut", "classify")
-    __slots__ = _fields + ("memo",)
+    __slots__ = _fields + ("field",)
 
-    def __init__(self, index: int, level: float,
-                 cut: object | None = None, classify: Callable | None = None):
+    def __init__(self, index: int, level: float, cut: object | None = None,
+                 classify: Callable | None = None, values: frozenset = frozenset(),
+                 shift: int = 0, memo: dict | None = None):
         # a threshold test has a ``cut``, a class test a ``classify``
-        self._set(index, level, cut, classify, {} if cut is None else cut.masks(level))
-
-    def part(self, values: frozenset) -> int:
-        """The bits of ``values``, each a value of the cut."""
-        return sum(map(self.cut.bits().__getitem__, values))
-
-    def common(self, values: frozenset) -> int:
-        """The mask of the values within the level of each of ``values``."""
-        return reduce(and_, map(self.memo.__getitem__, values))
+        field = None
+        if cut is not None:
+            positions = cut.positions()
+            mask = memo.__getitem__ if memo is not None else partial(cut.near_mask, level=level)
+            field = (index, {v: 1 << positions[v] + shift for v in values}.__getitem__,
+                     {v: mask(v) << shift for v in values}.__getitem__)
+        self._set(index, level, cut, classify, field)
 
     def component_ok(self, values: frozenset) -> bool:
         if self.classify is not None:
             return self.classify(values) is not _MIXED
-        part = self.part(values)
-        return self.common(values) & part == part
+        part, common = _masks((self.field,), {self.index: values})
+        return common & part == part
 
     __hash__ = None
+
+
+def _masks(fields: Sequence[tuple], row: Sequence[frozenset]) -> tuple[int, int]:
+    """(part, common) of ``row`` over threshold checks' ``field``s, whose
+    shifts keep them apart: in each field, the bits of the component
+    ``row[index]`` and the AND of its members' neighbourhood masks."""
+    return (sum([sum(map(bit, row[i])) for i, bit, _ in fields]),
+            sum([reduce(and_, map(near, row[i])) for i, _, near in fields]))
 
 
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
@@ -478,12 +487,14 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
     ``idx`` will see, given its resolved method.  A closure check groups
     it with ``class_grouping``: a closure class over more values would
     differ.  A threshold check reads the cut of the position's source in
-    ``sources`` (see ``FuzzyRelation``), or with none compiles the value
-    set: a subset test decides alike over any superset of the values (the
-    superset rule of ``proximity``).  Cell and keyed checks key each value
+    ``sources`` (see ``FuzzyRelation``) and its memo of masks, or with none
+    compiles the value set: a subset test decides alike over any superset
+    of the values (the superset rule of ``proximity``).  It maps each value
+    of the set to its bit and mask, its field shifted past the cuts of the
+    threshold checks before it.  Cell and keyed checks key each value
     alone.
     """
-    checks = []
+    checks, shift = [], 0
     for idx, attr in enumerate(schema):
         level = levels.level(attr.name)
         if level == 0.0:
@@ -493,8 +504,11 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
             check = _Check(idx, level, classify=_cell_keys(attr, method, level))
         elif method == "threshold":
             source = sources and sources[idx]
-            check = _Check(idx, level, cut=source.cut() if source
-                           else attr.proximity.compile(values_of(idx, method)))
+            values = values_of(idx, method)
+            cut = source.cut() if source else attr.proximity.compile(values)
+            check = _Check(idx, level, cut=cut, values=values, shift=shift,
+                           memo=cut.masks(level) if source else None)
+            shift += len(cut.positions())
         else:
             grouping = class_grouping(attr, method, level, values_of(idx, method))
             check = _Check(idx, level, classify=_ClassKeys(grouping.class_index).__getitem__)
@@ -545,11 +559,14 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     cut of each column's source, the stored relation r derives from, which
     holds a superset of r's values, or with no source compile r's own (see
     ``FuzzyRelation`` and ``_build_checks``).  Each value's neighbourhood
-    mask is found once per cut and level, across calls.  An open survivor
-    carries the AND of its members' masks, its ``common``, so a later tuple
-    whose own components are mutually close is redundant with it exactly
-    when each of those components' bits lie inside that AND: one test of
-    ints per attribute.  Keys are by Python equality, exact for every value
+    mask is found once per stored cut and level, across calls, or once per
+    call on a cut of r's own.  One int per tuple packs its threshold
+    components' masks, a field per check: an open survivor carries the AND
+    of its members', its ``common``, so a later tuple whose own components
+    are mutually close is redundant with it exactly when their bits lie
+    inside that AND: one test of ints per survivor.  A mask is as wide as
+    its cut, a stored one as its whole column, which each AND pays for.
+    Keys are by Python equality, exact for every value
     a spec accepts.  Building the checks, or keying the tuples, tests every
     value of a checked column of r, or of its source, so a value its spec
     rejects raises here.
@@ -564,10 +581,11 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     """The survivors of merging the distinct component tuples ``rows``, in
     order of their first row: the one place an operator builds its output
     tuples.  One forward pass: a row joins the first open survivor of its
-    class-key vector whose carried ``common`` masks hold the bits of each
-    of its threshold components, its ``part`` (``part & held == part``),
-    and those masks narrow by the row's own (``held & common``); if none
-    takes it, the row opens one.  A row with a ``_MIXED`` key or a
+    class-key vector whose carried ``common`` holds the bits of the row's
+    threshold components, its ``part`` (``held & part == part``), and that
+    ``common`` narrows by the row's own (``held & common``), each an int of
+    one field per threshold check (``_masks``); if none takes it, the row
+    opens one.  A row with a ``_MIXED`` key or a
     threshold component that is not mutually close stays alone.  Threshold
     checks read the cuts of ``sources``, one per column of ``schema``.
     With class checks only (every class-mode merge) there is no scan: the
@@ -583,25 +601,22 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
         survivors = buckets.values()
     else:
         survivors = []  # the member rows of each survivor
-        open_survivors: dict[tuple, list] = {}  # key vector -> [(common, members)]
-        # each check's ``part`` and ``common``, inlined
-        probes = [(c.index, c.cut.bits().__getitem__, c.memo.__getitem__)
-                  for c in threshold_checks]
+        open_survivors: dict[tuple, list] = {}  # key vector -> [[common, members]]
+        fields = [c.field for c in threshold_checks]
         for row, keys in zip(rows, _key_vectors(rows, keyed)):
-            parts = [sum(map(bit, row[i])) for i, bit, _ in probes]
-            common = [reduce(and_, map(near, row[i])) for i, _, near in probes]
-            if _MIXED in keys or [*map(and_, parts, common)] != parts:
+            part, common = _masks(fields, row)
+            if _MIXED in keys or common & part != part:
                 survivors.append([row])
                 continue
             candidates = open_survivors.setdefault(keys, [])
-            for held, members in candidates:
-                if [*map(and_, parts, held)] == parts:
-                    held[:] = map(and_, held, common)
-                    members.append(row)
+            for held in candidates:
+                if held[0] & part == part:
+                    held[0] &= common
+                    held[1].append(row)
                     break
             else:
                 survivors.append([row])
-                candidates.append((common, survivors[-1]))
+                candidates.append([common, survivors[-1]])
     names = tuple(a.name for a in schema)
     # distinct: of two equal survivors, the first would have taken the other
     return tuple(FuzzyTuple._trusted(names, m[0] if len(m) == 1 else tuple(

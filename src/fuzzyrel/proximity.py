@@ -31,18 +31,20 @@ Each kind has the same members:
   The compiled form does not depend on the level.  Only ``near`` and a
   line's gaps decide ``degree >= level``; on a line both call one helper.
   ``near_mask(x, level)`` is the same set as an int over the cut's bit
-  order, ``bits()``: value i of that order is bit ``1 << i``, one bit per
-  value where the values are distinct by Python equality, as
-  ``closure._column`` gives them and every kept cut holds them.  On a line
-  the order is by position, so a mask is the run of bits of the band
-  ``near`` bisects and trims; other kinds sum the bits of ``near``'s
-  members.  ``masks(level)`` memoises ``near_mask`` by value on the cut,
-  in at most ``_MAX_LEVEL_MEMOS`` levels, the oldest dropped first, of at
-  most ``_MAX_MEMO_MASKS`` values each.  The superset rule: for values V
-  inside a cut's value set S, ``near`` over S meets V exactly in ``near``
-  over V, so one cut over a stored column decides every subset test, and
-  every intersection of neighbourhoods that such a test reads, for any
-  relation whose values lie in that column,
+  order: the value at ``positions()[v]`` = i of that order is bit
+  ``1 << i``, one bit per value where the values are distinct by Python
+  equality, as ``closure._column`` gives them and every kept cut holds
+  them.  On a line the order is by position, so a mask is the run of bits
+  of the band ``near`` bisects and trims; other kinds sum the bits of
+  ``near``'s members.  ``masks(level)`` memoises ``near_mask`` by value on
+  the cut, across calls: at most ``_MAX_LEVEL_MEMOS`` levels, the oldest
+  dropped first, holding at most ``_MAX_MEMO_BITS`` mask bits
+  (``int.bit_length``) together, past which they all start afresh.  The
+  superset rule: for values V inside a cut's value set S, ``near`` over S
+  meets V exactly in ``near`` over V, so one cut over a stored column
+  decides every subset test, and every intersection of neighbourhoods that
+  such a test reads, for any relation whose values lie in that column; a
+  mask is as wide as S, not V,
 * ``embedding()``     -- the cells that interval, equalized and grid
   partitions cut: ``(dimensions, length, resolve)``, ``resolve`` mapping a
   value onto [0, length] or [0, length]^2, or None for a domain without
@@ -57,7 +59,7 @@ Each kind checks a value on one path, which ``degree``, ``compile``,
 pickle, hold what depends only on the domain: every spec's ``_cells``,
 where ``algebra._cell_keys`` keeps each component's class key per method
 and level, and a matrix's ``_violation``, its transitivity decided on first need.
-A compiled cut keeps its bits and its level memos of masks.
+A compiled cut keeps its positions and its level memos of masks.
 
 Apart from these caches all objects are immutable; every function is pure.
 """
@@ -83,12 +85,15 @@ _DECIMAL_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 # each candidate in ``near``.
 _REACH_SLACK = 1e-9
 _UNDECIDED = object()  # a matrix's transitivity before its first need
-# Level memos of ``near_mask`` a cut keeps, the oldest dropped first: levels
-# are free floats.
+# A cut's memos of ``near_mask``, kept across calls (see ``_Cut.masks``).
+# The benchmark's queries read at most 4 levels per stored column; levels
+# are free floats, so the oldest of more is dropped.
 _MAX_LEVEL_MEMOS = 16
-# Values a level memo keeps before it starts afresh, since a cut outlives
-# the queries it serves.
-_MAX_MEMO_MASKS = 4096
+# Mask bits, by ``int.bit_length``, that a cut's memos hold together before
+# they start afresh: 1 MiB of mask payload per cut.  A full memo holds
+# about width^2 / 2 bits per level on a line, so at a few levels a cut of
+# up to about 1000 values keeps every mask.
+_MAX_MEMO_BITS = 1 << 23
 
 
 class _Record:
@@ -389,8 +394,9 @@ class _Cut:
     """A compiled value set, its ``_values`` in bit order, whose closure
     classes are walked through ``near``."""
 
-    _bits = None  # value -> its bit, built on first need
+    _positions = None  # value -> its position in bit order, built on first need
     _masks = None  # level -> _Masks, the oldest dropped first
+    _memo_bits = 0  # mask bits the level memos hold together
 
     def classes(self, level: float) -> list:
         """The connected components of the alpha cut at ``level``, walked through ``near``."""
@@ -406,44 +412,53 @@ class _Cut:
                 components.append(component)
         return components
 
-    def bits(self) -> dict:
-        """Each value's bit, ``1 << i`` at its position i in bit order."""
-        if self._bits is None:
-            self._bits = {v: 1 << i for i, v in enumerate(self._values)}
-        return self._bits
+    def positions(self) -> dict:
+        """Each value's position i in bit order: its bit is ``1 << i``."""
+        if self._positions is None:
+            self._positions = {v: i for i, v in enumerate(self._values)}
+        return self._positions
 
     def near_mask(self, x: Value, level: float) -> int:
         """``near(x, level)`` as the sum of its members' bits."""
-        return sum(map(self.bits().__getitem__, self.near(x, level)))
+        return sum(map((1).__lshift__, map(self.positions().__getitem__, self.near(x, level))))
 
     def masks(self, level: float) -> "_Masks":
-        """The memo of ``near_mask`` at ``level``, kept for the cut's life."""
+        """The memo of ``near_mask`` at ``level``, kept across calls."""
         memos = self._masks
         if memos is None:
             memos = self._masks = {}
         memo = memos.get(level)
         if memo is None:
             if len(memos) == _MAX_LEVEL_MEMOS:
-                del memos[next(iter(memos))]
+                self._memo_bits -= memos.pop(next(iter(memos))).bits
             memo = memos[level] = _Masks(self, level)
         return memo
+
+    def _spend(self, bits: int) -> None:
+        """Count ``bits`` more in the level memos; past the bound, empty them all."""
+        self._memo_bits += bits
+        if self._memo_bits > _MAX_MEMO_BITS:
+            for memo in self._masks.values():
+                memo.clear()
+                memo.bits = 0
+            self._memo_bits = 0
 
 
 class _Masks(dict):
     """Each value's ``near_mask`` at one level, found on first lookup; a
-    lookup that raises stores nothing, and the memo starts afresh at its
-    bound, since free levels and values would let it grow without end."""
+    lookup that raises stores nothing.  ``bits`` counts the mask bits held,
+    which the cut bounds over all its levels, since free levels and wide
+    columns would let the memos grow without end."""
 
-    __slots__ = ("cut", "level")
+    __slots__ = ("cut", "level", "bits")
 
     def __init__(self, cut: _Cut, level: float):
-        self.cut, self.level = cut, level
+        self.cut, self.level, self.bits = cut, level, 0
 
     def __missing__(self, x: Value) -> int:
-        mask = self.cut.near_mask(x, self.level)
-        if len(self) >= _MAX_MEMO_MASKS:
-            self.clear()
-        self[x] = mask
+        mask = self[x] = self.cut.near_mask(x, self.level)
+        self.bits += mask.bit_length()
+        self.cut._spend(mask.bit_length())
         return mask
 
 

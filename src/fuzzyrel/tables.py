@@ -15,7 +15,7 @@ from operator import getitem
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .algebra import AttributeSpec, FuzzyRelation, FuzzyTuple, _schema_names
+from .algebra import AttributeSpec, FuzzyRelation, FuzzyTuple, _schema_names, _StoredColumn
 from .errors import DomainError, FormatError, ValidationError
 from .partition import Grouping, value_sort_key
 from .proximity import ExplicitMatrix, Point, Value
@@ -161,7 +161,9 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
             rows[row] = None  # an equal later row leaves the first one's key
     _schema_names(schema)
     make = FuzzyTuple._trusted  # row lengths are checked; cells parse to non-empty sets
-    return FuzzyRelation._stored(schema, tuple(make(names, row) for row in rows))
+    return FuzzyRelation._stored(schema, tuple(make(names, row) for row in rows), [
+        _StoredColumn(attr.proximity, tuple(sets.values()))
+        for attr, sets in zip(schema, columns)])
 
 
 def _sorted_values(component) -> list[Value]:

@@ -28,6 +28,7 @@ from fuzzyrel import (
     class_grouping,
     interpretations,
     join,
+    load_relation,
     merge_relation,
     project,
     redundant,
@@ -89,8 +90,7 @@ class TestFromRows:
     def test_kept_cut_holds_the_values_distinct_by_equality(self):
         # 1 and 1.0 are checked apart and kept as one value, "1" is another
         r = FuzzyRelation.from_rows(self.SCHEMA, [(1, "a"), (1.0, "b"), ("1", "c"), (5, "d")])
-        assert set(r._sources[0].cut().bits()) == {1, "1", 5}
-        assert sorted(r._sources[0].cut().bits().values()) == [1, 2, 4]
+        assert r._sources[0].cut().positions() == {1: 0, "1": 1, 5: 2}
         merged = merge_relation(r, LevelMap({"X": 0.9, "K": 0.0}))
         assert [t.get("X") for t in merged.tuples] == [{1, "1"}, {5}]
 
@@ -540,19 +540,43 @@ class TestEvaluationCounts:
         assert list(cut._masks) == [*alphas[-kept + 1:], alphas[0]]
         assert all(set(memo) == set(range(11)) for memo in cut._masks.values())
 
-    def test_mask_memo_starts_afresh_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(proximity, "_MAX_MEMO_MASKS", 8)
+    def test_mask_memos_start_afresh_at_their_bit_bound(self, monkeypatch):
+        monkeypatch.setattr(proximity, "_MAX_MEMO_BITS", 64)
         rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(100)), AttributeSpec("K")),
                                       [(v, v // 5) for v in range(40)])
-        levels = LevelMap({"X": 0.9, "K": 0.0})
-        cut = rel._sources[0].cut()
+        cut, held = rel._sources[0].cut(), set()
         for k in range(8):
-            # fresh values through one cut, as from select after select
-            got = project(select(rel, [("K", k)]), ["X"], levels)
-            assert [t.get("X") for t in got.tuples] == [set(range(5 * k, 5 * k + 5))]
-            memo = cut._masks[0.9]
-            assert 0 < len(memo) <= 8
-            assert all(mask == cut.near_mask(v, 0.9) for v, mask in memo.items())
+            # fresh values through one cut, as from select after select,
+            # at two levels whose memos share the bound
+            for level in (0.9, 0.95):
+                got = project(select(rel, [("K", k)]), ["X"], LevelMap({"X": level, "K": 0.0}))
+                assert [t.get("X") for t in got.tuples] == [set(range(5 * k, 5 * k + 5))]
+                memos = cut._masks.values()
+                bits = sum(mask.bit_length() for memo in memos for mask in memo.values())
+                assert bits == cut._memo_bits == sum(m.bits for m in memos) <= 64
+                assert all(mask == cut.near_mask(v, memo.level)
+                           for memo in memos for v, mask in memo.items())
+                held.add(bits)
+        assert len(held) > 2  # the memos were filled, and emptied
+
+    def test_a_call_computes_each_mask_once_past_the_bound(self, monkeypatch,
+                                                          masks_computed):
+        # the bound empties a cut's memos between lookups; a call keeps its
+        # own masks, on a stored cut, a hand-built relation's and a join's
+        # pair test alike
+        monkeypatch.setattr(proximity, "_MAX_MEMO_BITS", 1)
+        schema = (AttributeSpec("K"), AttributeSpec("X", Linear(100)))
+        stored = FuzzyRelation.from_rows(schema, [(k, k % 40) for k in range(80)])
+        hand = FuzzyRelation(schema, stored.tuples)
+        levels = LevelMap({"K": 0.0, "X": 0.9})
+        for rel in (stored, hand):
+            for _ in range(2):
+                for op in (lambda: merge_relation(rel, levels),
+                           lambda: project(rel, ["X"], levels),
+                           lambda: join(rel, rel, ["X"], levels)):
+                    assert len(op()) > 1
+                    assert len(masks_computed) >= 40 and set(masks_computed.values()) == {1}
+                    masks_computed.clear()
 
     def test_cell_memos_kept_per_spec_are_bounded(self, cells_computed):
         rel = linear_rows(40)
@@ -846,6 +870,23 @@ class TestJoin:
         for mode, level in (("threshold", 0.8), ("closure", 0.8), (None, 0.0), (None, 0.8)):
             got = join(left, right, ["X"], LevelMap({"X": level}), mode)
             assert got.tuples and not rows & _reachable(got)
+
+    def test_output_of_a_loaded_relation_keeps_no_stored_row_alive(self, tmp_path):
+        # a loaded relation's columns are their own sources: until a
+        # threshold check compiles one, it holds the column's components,
+        # never the stored rows
+        path = tmp_path / "r.csv"
+        path.write_text("X,K\n" + "".join(f"{v % 7},k{v}\n" for v in range(20)))
+        schema = (AttributeSpec("X", Linear(10)), AttributeSpec("K"))
+        stored = load_relation(path, schema)
+        rows = {id(t) for t in stored.tuples}
+        got = select(stored, [("K", "k3")])
+        assert not rows - {id(t) for t in got.tuples} & _reachable(got)
+        merged = project(stored, ["K", "X"], LevelMap({"X": 0.0}))
+        assert merged.tuples and not rows & _reachable(merged)
+        # the same after a threshold project compiled X's cut
+        project(got, ["X"], LevelMap({"X": 0.8}))
+        assert not rows - {id(t) for t in got.tuples} & _reachable(got)
 
     def test_right_columns_keep_their_specs_unless_renamed(self):
         x, y = AttributeSpec("X", Linear(10), "interval"), AttributeSpec("Y", Linear(10))

@@ -447,18 +447,18 @@ class TestNearMask:
     def test_mask_decodes_to_the_neighbourhood(self, case):
         spec, values, x, level = case
         cut = spec.compile(values)
-        bits = cut.bits()
+        positions = cut.positions()
         # one bit per value
-        assert len(bits) == len(values) and set(bits) == set(values)
-        assert sorted(bits.values()) == [1 << i for i in range(len(bits))]
+        assert len(positions) == len(values) and set(positions) == set(values)
+        assert sorted(positions.values()) == list(range(len(values)))
         mask = cut.near_mask(x, level)
-        assert 0 <= mask < 1 << len(bits)
-        assert {v for v, bit in bits.items() if mask & bit} == cut.near(x, level)
+        assert 0 <= mask < 1 << len(values)
+        assert {v for v, i in positions.items() if mask >> i & 1} == cut.near(x, level)
         assert cut.masks(level)[x] == mask
 
     def test_a_line_mask_is_the_run_of_its_band(self):
         cut = Linear(10).compile((7, 0, 3, "3", 3.5, 4))
-        assert cut.bits() == {0: 1, 3: 2, "3": 4, 3.5: 8, 4: 16, 7: 32}
+        assert cut.positions() == {0: 0, 3: 1, "3": 2, 3.5: 3, 4: 4, 7: 5}
         assert cut.near_mask(4, 0.7) == 0b111110  # 3, "3", 3.5, 4 and 7
         assert cut.near_mask(0, 0.7) == 0b000111
 
