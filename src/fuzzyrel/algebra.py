@@ -179,18 +179,12 @@ class FuzzyRelation(_Record):
     @classmethod
     def _derived(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
                  sources: tuple) -> "FuzzyRelation":
-        """An operator's output: distinct tuples named as ``schema``, with
-        the source of each column."""
+        """Distinct tuples named as ``schema``, with the source of each
+        column: an operator's output, or a checked stored relation, each
+        column a new ``_StoredColumn``."""
         r = object.__new__(cls)
         r._set(schema, tuples, {}, sources)
         return r
-
-    @classmethod
-    def _stored(cls, schema: tuple[AttributeSpec, ...], tuples: tuple[FuzzyTuple, ...],
-                columns: Sequence[_StoredColumn]) -> "FuzzyRelation":
-        """Checked distinct tuples named as ``schema``, each column its own
-        source, one of ``columns``."""
-        return cls._derived(schema, tuples, tuple(columns))
 
     @classmethod
     def from_rows(cls, schema: Sequence[AttributeSpec], rows: Iterable) -> "FuzzyRelation":
@@ -218,8 +212,8 @@ class FuzzyRelation(_Record):
             cut = attr.proximity.compile(typed.values())
             distinct = dict.fromkeys(typed.values())
             cuts.append(cut if len(distinct) == len(typed) else attr.proximity.compile(distinct))
-        return cls._stored(specs, tuples, [_StoredColumn(a.proximity, cut=cut)
-                                           for a, cut in zip(specs, cuts)])
+        return cls._derived(specs, tuples, tuple(_StoredColumn(a.proximity, cut=cut)
+                                                 for a, cut in zip(specs, cuts)))
 
     @property
     def names(self) -> tuple[str, ...]:

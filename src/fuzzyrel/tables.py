@@ -161,9 +161,9 @@ def load_relation(path, schema: Sequence[AttributeSpec]) -> FuzzyRelation:
             rows[row] = None  # an equal later row leaves the first one's key
     _schema_names(schema)
     make = FuzzyTuple._trusted  # row lengths are checked; cells parse to non-empty sets
-    return FuzzyRelation._stored(schema, tuple(make(names, row) for row in rows), [
-        _StoredColumn(attr.proximity, tuple(sets.values()))
-        for attr, sets in zip(schema, columns)])
+    # each column its own source (see FuzzyRelation)
+    return FuzzyRelation._derived(schema, tuple(make(names, row) for row in rows), tuple(
+        _StoredColumn(a.proximity, tuple(sets.values())) for a, sets in zip(schema, columns)))
 
 
 def _sorted_values(component) -> list[Value]:
