@@ -86,13 +86,13 @@ _DECIMAL_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _REACH_SLACK = 1e-9
 _UNDECIDED = object()  # a matrix's transitivity before its first need
 # A cut's memos of ``near_mask``, kept across calls (see ``_Cut.masks``).
-# The benchmark's queries read at most 4 levels per stored column; levels
+# The benchmark's threshold queries read 3 levels per stored column; levels
 # are free floats, so the oldest of more is dropped.
 _MAX_LEVEL_MEMOS = 16
 # Mask bits, by ``int.bit_length``, that a cut's memos hold together before
 # they start afresh: 1 MiB of mask payload per cut.  A full memo holds
-# about width^2 / 2 bits per level on a line, so at a few levels a cut of
-# up to about 1000 values keeps every mask.
+# about width^2 / 2 bits per level on a line, so at 3 levels a cut of up
+# to about 2000 values keeps every mask (the benchmark's widest holds 200).
 _MAX_MEMO_BITS = 1 << 23
 
 
@@ -457,8 +457,9 @@ class _Masks(dict):
 
     def __missing__(self, x: Value) -> int:
         mask = self[x] = self.cut.near_mask(x, self.level)
-        self.bits += mask.bit_length()
-        self.cut._spend(mask.bit_length())
+        bits = mask.bit_length()
+        self.bits += bits
+        self.cut._spend(bits)
         return mask
 
 

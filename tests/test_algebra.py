@@ -367,7 +367,8 @@ class TestEvaluationCounts:
     the values the call sees, and a closure check's keys last one call.  A
     threshold check reads the cut of its column's stored relation, which
     ``from_rows`` kept from checking the values, and the cut's memo of
-    neighbourhood masks: each (cut, value, level) mask is computed once.
+    neighbourhood masks: each (cut, value, level) mask is computed once
+    while the memo's bound holds it, and at most once per call.
     Linear closure classes come from sorted gaps, with no neighbourhood.
     Each test builds its own specs, so no other test's memo changes a count.
     """
