@@ -191,11 +191,11 @@ class FuzzyRelation(_Record):
         """Build from mappings or per-schema value sequences.
 
         Every value is checked against its column's spec, which raises
-        what ``degree`` raises for it.  Values are told apart by type as
-        well, so ``True`` is checked even where an equal ``1`` is present.
-        The cuts that check them are kept, the relation stored, each over
-        its column's values distinct by Python equality: a column that
-        holds equal values of two types compiles them once more so.
+        what ``degree`` raises for it: each column is compiled once over
+        the values of every row, those of a row dropped as equal to an
+        earlier one included, so ``True`` is checked even where an equal
+        ``1`` is present.  The cuts that check them are kept, the relation
+        stored.
         """
         specs = tuple(schema)
         names = tuple(a.name for a in specs)
@@ -205,15 +205,10 @@ class FuzzyRelation(_Record):
                 tuples.append(FuzzyTuple.of({n: row[n] for n in names}))
             else:
                 tuples.append(FuzzyTuple.of(dict(zip(names, row))))
-        tuples = cls(specs, tuple(tuples)).tuples
-        cuts = []
-        for idx, attr in enumerate(specs):
-            typed = {(type(v), v): v for t in tuples for v in t.components[idx]}
-            cut = attr.proximity.compile(typed.values())
-            distinct = dict.fromkeys(typed.values())
-            cuts.append(cut if len(distinct) == len(typed) else attr.proximity.compile(distinct))
-        return cls._derived(specs, tuples, tuple(_StoredColumn(a.proximity, cut=cut)
-                                                 for a, cut in zip(specs, cuts)))
+        return cls._derived(specs, cls(specs, tuple(tuples)).tuples, tuple(
+            _StoredColumn(a.proximity, cut=a.proximity.compile(
+                v for t in tuples for v in t.components[idx]))
+            for idx, a in enumerate(specs)))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -307,8 +302,8 @@ def valid_tuple(schema: Sequence[AttributeSpec], t: FuzzyTuple, levels: LevelMap
     A merge's threshold checks decide it; ``t`` must be named as ``schema``.
     """
     _conform((t,), tuple(a.name for a in schema))
-    checks = _build_checks(schema, levels, "threshold", lambda idx, _: t.components[idx])
-    return all(c.component_ok(t.components[c.index]) for c in checks)
+    return _passes(*_build_checks(schema, levels, "threshold", lambda idx, _: t.components[idx]),
+                   t.components)
 
 
 def class_method(attr: AttributeSpec, requested: str) -> str:
@@ -421,93 +416,73 @@ def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[froz
     return memo.__getitem__
 
 
-class _Check(_Record):
-    """Redundancy test for one attribute position, built for one call.
-
-    A class test's ``classify`` looks a component up in a ``_ClassKeys``
-    memo: the one its spec keeps for a cell or keyed test (``_cell_keys``),
-    one over a ``class_grouping`` of every value the call will test for a
-    closure test.  A threshold test holds a cut over a superset of the
-    ``values`` the call will test, and its ``field``: (index, bit, near),
-    where ``bit`` and ``near`` map each of those values to its bit and to
-    its neighbourhood mask at the level (the bits of the cut's values
-    within the level of it), shifted by ``shift``, the offset of the
-    check's field in the call.  Both are found up front, once per value and
-    call: a mask from ``memo``, a stored cut's memo at the level
-    (``masks``), kept across calls, or with none from ``near_mask`` of a cut
-    compiled for the call.  A component is mutually close exactly when its
-    bits, its ``part``, lie inside the AND of its members' masks, its
-    ``common`` (``_masks``).
-    """
-
-    _fields = ("index", "level", "cut", "classify")
-    __slots__ = _fields + ("field",)
-
-    def __init__(self, index: int, level: float, cut: object | None = None,
-                 classify: Callable | None = None, values: frozenset = frozenset(),
-                 shift: int = 0, memo: dict | None = None):
-        # a threshold test has a ``cut``, a class test a ``classify``
-        field = None
-        if cut is not None:
-            positions = cut.positions()
-            mask = memo.__getitem__ if memo is not None else partial(cut.near_mask, level=level)
-            field = (index, {v: 1 << positions[v] + shift for v in values}.__getitem__,
-                     {v: mask(v) << shift for v in values}.__getitem__)
-        self._set(index, level, cut, classify, field)
-
-    def component_ok(self, values: frozenset) -> bool:
-        if self.classify is not None:
-            return self.classify(values) is not _MIXED
-        part, common = _masks((self.field,), {self.index: values})
-        return common & part == part
-
-    __hash__ = None
-
-
 def _masks(fields: Sequence[tuple], row: Sequence[frozenset]) -> tuple[int, int]:
-    """(part, common) of ``row`` over threshold checks' ``field``s, whose
-    shifts keep them apart: in each field, the bits of the component
+    """(part, common) of ``row`` over threshold ``fields``, whose shifts
+    keep them apart: in each field, the bits of the component
     ``row[index]`` and the AND of its members' neighbourhood masks."""
     return (sum([sum(map(bit, row[i])) for i, bit, _ in fields]),
             sum([reduce(and_, map(near, row[i])) for i, _, near in fields]))
 
 
+def _passes(keyed: Sequence[tuple], fields: Sequence[tuple], row: Sequence[frozenset]) -> bool:
+    """Whether ``row``, one component per position, passes a call's checks:
+    every class-checked component is keyed, all before any decision, and
+    none spans two classes; and the threshold components are mutually
+    close, one test of ints over the packed fields."""
+    if _MIXED in [classify(row[i]) for i, classify in keyed]:
+        return False
+    part, common = _masks(fields, row)
+    return common & part == part
+
+
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
                   values_of: Callable[[int, str], frozenset],
-                  sources: Sequence | None = None) -> list[_Check]:
-    """One check per attribute above level 0, at its position in ``schema``.
+                  sources: Sequence | None = None) -> tuple[list, list]:
+    """A call's redundancy checks, one per attribute above level 0, as two
+    lists over positions in ``schema``: ``keyed``, the ``(index, classify)``
+    of each class check, and ``fields``, the ``(index, bit, near)`` of each
+    threshold check.
 
     ``values_of(idx, method)`` is the value set the check of position
-    ``idx`` will see, given its resolved method.  A closure check groups
-    it with ``class_grouping``: a closure class over more values would
-    differ.  A threshold check reads the cut of the position's source in
-    ``sources`` (see ``FuzzyRelation``) and its memo of masks, or with none
-    compiles the value set: a subset test decides alike over any superset
-    of the values (the superset rule of ``proximity``).  It maps each value
-    of the set to its bit and mask, its field shifted past the cuts of the
-    threshold checks before it.  Cell and keyed checks key each value
-    alone.
+    ``idx`` will see, given its resolved method.  A class check's
+    ``classify`` looks a component up in a ``_ClassKeys`` memo: the one its
+    spec keeps for a cell or keyed check (``_cell_keys``), which keys each
+    value alone, or one over a ``class_grouping`` of the value set for a
+    closure check, since a closure class over more values would differ.  A
+    threshold check reads the cut of the position's source in ``sources``
+    (see ``FuzzyRelation``), or with none compiles the value set: a subset
+    test decides alike over any superset of the values (the superset rule
+    of ``proximity``).  ``bit`` and ``near`` map each value of the set to
+    its bit and to its neighbourhood mask at the level (the bits of the
+    cut's values within the level of it), shifted past the cuts of the
+    threshold checks before it.  Both are found up front, once per value
+    and call: a mask from a stored cut's memo at the level (``masks``),
+    kept across calls, or from ``near_mask`` of a cut compiled for the
+    call.  A component is mutually close exactly when its bits, its
+    ``part``, lie inside the AND of its members' masks, its ``common``
+    (``_masks``).
     """
-    checks, shift = [], 0
+    keyed, fields, shift = [], [], 0
     for idx, attr in enumerate(schema):
         level = levels.level(attr.name)
         if level == 0.0:
             continue
         method = _resolve_method(attr, mode or attr.default_method)
         if method in CELL_METHODS or attr.proximity.keys(level) is not None:
-            check = _Check(idx, level, classify=_cell_keys(attr, method, level))
+            keyed.append((idx, _cell_keys(attr, method, level)))
         elif method == "threshold":
             source = sources and sources[idx]
             values = values_of(idx, method)
             cut = source.cut() if source else attr.proximity.compile(values)
-            check = _Check(idx, level, cut=cut, values=values, shift=shift,
-                           memo=cut.masks(level) if source else None)
-            shift += len(cut.positions())
+            mask = cut.masks(level).__getitem__ if source else partial(cut.near_mask, level=level)
+            positions = cut.positions()
+            fields.append((idx, {v: 1 << positions[v] + shift for v in values}.__getitem__,
+                           {v: mask(v) << shift for v in values}.__getitem__))
+            shift += len(positions)
         else:
             grouping = class_grouping(attr, method, level, values_of(idx, method))
-            check = _Check(idx, level, classify=_ClassKeys(grouping.class_index).__getitem__)
-        checks.append(check)
-    return checks
+            keyed.append((idx, _ClassKeys(grouping.class_index).__getitem__))
+    return keyed, fields
 
 
 def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
@@ -517,13 +492,15 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
     ``mode`` forces one class-formation method for every attribute;
     None follows each attribute's configured default.  Closure classes
     are computed from r's current content, unless the spec has keys.
+    Every class-checked union is keyed before the threshold test, as a
+    merge keys every row, so a value its spec rejects raises whatever the
+    column order and whichever check fails (``_passes``).
     """
     _conform((t1, t2), r.names)
     # closure classes depend on r's content, cuts only on t1, t2
-    checks = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
+    keyed, fields = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
         (t.components for t in (r.tuples if method == "closure" else (t1, t2))), idx))
-    return all(c.component_ok(t1.components[c.index] | t2.components[c.index])
-               for c in checks)
+    return _passes(keyed, fields, [*map(or_, t1.components, t2.components)])
 
 
 def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
@@ -585,10 +562,8 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     With class checks only (every class-mode merge) there is no scan: the
     survivors are the key-vector buckets of one dict pass, a ``_MIXED`` row
     alone in one."""
-    checks = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx), sources)
-    keyed = [(c.index, c.classify) for c in checks if c.classify is not None]
-    threshold_checks = [c for c in checks if c.classify is None]
-    if not threshold_checks:
+    keyed, fields = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx), sources)
+    if not fields:
         buckets: dict[object, list] = {}
         for row, keys in zip(rows, _key_vectors(rows, keyed)):
             buckets.setdefault(object() if _MIXED in keys else keys, []).append(row)
@@ -596,7 +571,6 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     else:
         survivors = []  # the member rows of each survivor
         open_survivors: dict[tuple, list] = {}  # key vector -> [[common, members]]
-        fields = [c.field for c in threshold_checks]
         for row, keys in zip(rows, _key_vectors(rows, keyed)):
             part, common = _masks(fields, row)
             if _MIXED in keys or common & part != part:
@@ -746,10 +720,8 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     # each side's join components, in ``on`` order: a check's index
     left_on = [[t.components[i] for i in on_left] for t in r1.tuples]
     right_on = [[t.components[j] for j in on_right] for t in r2.tuples]
-    on_checks = _build_checks(tuple(r1.schema[i] for i in on_left), levels, mode,
-                              lambda k, _: _column(left_on, k) | _column(right_on, k))
-    keyed = [(c.index, c.classify) for c in on_checks if c.classify is not None]
-    threshold_checks = [c for c in on_checks if c.classify is None]
+    keyed, fields = _build_checks(tuple(r1.schema[i] for i in on_left), levels, mode,
+                                  lambda k, _: _column(left_on, k) | _column(right_on, k))
     schema, right_rest = _joined_schema(r1, r2, on)
     buckets: dict[tuple, list] = {}  # none for a vector holding _MIXED
     for t, on_values, key in zip(r2.tuples, right_on, _key_vectors(right_on, keyed)):
@@ -760,7 +732,7 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     for t, on_values, key in zip(r1.tuples, left_on, _key_vectors(left_on, keyed)):
         for right_values, rest in buckets.get(key, ()):
             unions = list(map(or_, on_values, right_values))
-            if all(c.component_ok(unions[c.index]) for c in threshold_checks):
+            if _passes((), fields, unions):  # the bucket decided the class checks
                 comps = list(t.components)
                 for i, union in zip(on_left, unions):
                     comps[i] = union

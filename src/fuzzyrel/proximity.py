@@ -32,14 +32,14 @@ Each kind has the same members:
   line's gaps decide ``degree >= level``; on a line both call one helper.
   ``near_mask(x, level)`` is the same set as an int over the cut's bit
   order: the value at ``positions()[v]`` = i of that order is bit
-  ``1 << i``, one bit per value where the values are distinct by Python
-  equality, as ``closure._column`` gives them and every kept cut holds
-  them.  On a line the order is by position, so a mask is the run of bits
-  of the band ``near`` bisects and trims; other kinds sum the bits of
-  ``near``'s members.  ``masks(level)`` memoises ``near_mask`` by value on
-  the cut, across calls: at most ``_MAX_LEVEL_MEMOS`` levels, the oldest
-  dropped first, holding at most ``_MAX_MEMO_BITS`` mask bits
-  (``int.bit_length``) together, past which they all start afresh.  The
+  ``1 << i``.  ``compile`` keeps one value of each equality class, so one
+  bit per distinct value.  On a line the order is by position, so a mask
+  is the run of bits of the band ``near`` bisects and trims; other kinds
+  sum the bits of ``near``'s members.  ``masks(level)`` memoises
+  ``near_mask`` by value on the cut, across calls: at most
+  ``_MAX_LEVEL_MEMOS`` levels, the oldest dropped first, holding at most
+  ``_MAX_MEMO_BITS`` mask bits (``int.bit_length``) together, past which
+  they all start afresh.  The
   superset rule: for values V inside a cut's value set S, ``near`` over S
   meets V exactly in ``near`` over V, so one cut over a stored column
   decides every subset test, and every intersection of neighbourhoods that
@@ -469,9 +469,9 @@ class _LineCut(_Cut):
 
     def __init__(self, spec: Linear, values):
         self._spec = spec
-        ranked = sorted(((spec._position(v), v) for v in values), key=itemgetter(0))
-        self._keys = [k for k, _ in ranked]
-        self._values = [v for _, v in ranked]
+        ranked = sorted({v: spec._position(v) for v in values}.items(), key=itemgetter(1))
+        self._keys = [k for _, k in ranked]
+        self._values = [v for v, _ in ranked]
 
     def _reaches(self, p: float, q: float, level: float) -> bool:
         """``degree >= level`` at positions p and q, by ``degree``'s float expression."""
@@ -513,10 +513,10 @@ class _PlaneCut(_Cut):
 
     def __init__(self, spec: Planar, values):
         self._spec = spec
-        self._points = sorted(((spec.resolve(v), v) for v in values),
-                              key=lambda pv: pv[0][0])
-        self._xs = [p[0] for p, _ in self._points]
-        self._values = [v for _, v in self._points]
+        self._points = sorted({v: spec.resolve(v) for v in values}.items(),
+                              key=lambda vp: vp[1][0])
+        self._xs = [p[0] for _, p in self._points]
+        self._values = [v for v, _ in self._points]
 
     def near(self, x: Value | Point, level: float) -> frozenset:
         p = self._spec.resolve(x)
@@ -524,7 +524,7 @@ class _PlaneCut(_Cut):
         reach = (1.0 - level + _REACH_SLACK) * scale
         lo = bisect_left(self._xs, p[0] - reach)
         hi = bisect_right(self._xs, p[0] + reach, lo)
-        return frozenset(v for q, v in self._points[lo:hi]
+        return frozenset(v for v, q in self._points[lo:hi]
                          if 1.0 - math.dist(p, q) / scale >= level)
 
 

@@ -94,6 +94,19 @@ class TestFromRows:
         merged = merge_relation(r, LevelMap({"X": 0.9, "K": 0.0}))
         assert [t.get("X") for t in merged.tuples] == [{1, "1"}, {5}]
 
+    @pytest.mark.parametrize("rows", [[(1, "a"), (True, "a")], [(True, "a"), (1, "a")]])
+    def test_a_row_equal_to_an_earlier_one_is_checked(self, rows):
+        with pytest.raises(UnknownValueError, match="cannot interpret True"):
+            FuzzyRelation.from_rows(self.SCHEMA, rows)
+
+    @pytest.mark.parametrize("rows", [[("b", (1, True)), ("a", (1, 1))],
+                                      [("a", (1, 1)), ("b", (1, True))]])
+    def test_every_planar_point_is_checked(self, rows):
+        # (1, True) equals (1, 1), and each is checked in either order
+        schema = (AttributeSpec("K"), AttributeSpec("P", Planar(10, {})))
+        with pytest.raises(DomainError, match="must be a number, got True"):
+            FuzzyRelation.from_rows(schema, rows)
+
 
 class TestInterpretations:
     def test_product(self):
@@ -191,6 +204,17 @@ class TestRedundant:
         rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,), (2,)])
         with pytest.raises(UnknownValueError, match="^value 5 is in no class$"):
             redundant(rel, rel.tuples[0], tup({"X": 5}), LevelMap({"X": 0.5}), "closure")
+
+    @pytest.mark.parametrize("order", ["XY", "YX"])
+    def test_rejected_class_value_raises_in_either_column_order(self, order):
+        # the X pair fails its threshold at 0.9; t1 holds 50 on the interval Y
+        specs = {"X": AttributeSpec("X", Linear(10)),
+                 "Y": AttributeSpec("Y", Linear(10), "interval")}
+        rel = FuzzyRelation(tuple(specs[n] for n in order), ())
+        t1 = tup({n: {"X": 1, "Y": 50}[n] for n in order})
+        t2 = tup({n: {"X": 5, "Y": 1}[n] for n in order})
+        with pytest.raises(DomainError, match=r"^value 50\.0 outside \[0, 10\.0\]$"):
+            redundant(rel, t1, t2, LevelMap({"X": 0.9, "Y": 0.9}))
 
 
 class TestMergeRelation:
@@ -637,13 +661,13 @@ class TestEvaluationCounts:
         # K is keyed under every method; X is a cell, closure or threshold
         # check.  Each K has 6 rows a side: 5 * 36 pairs share a key, of 900.
         tested = collections.Counter()
-        component_ok = algebra._Check.component_ok
+        passes = algebra._passes
 
-        def counted(check, values):
-            tested[check.index] += 1
-            return component_ok(check, values)
+        def counted(keyed, fields, row):
+            tested.update(i for i, _, _ in fields)
+            return passes(keyed, fields, row)
 
-        monkeypatch.setattr(algebra._Check, "component_ok", counted)
+        monkeypatch.setattr(algebra, "_passes", counted)
         x = AttributeSpec("X", Linear(10), "interval")
         left = FuzzyRelation.from_rows((AttributeSpec("K"), x, AttributeSpec("L")),
                                        [(k % 5, k % 11, k) for k in range(30)])

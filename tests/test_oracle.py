@@ -1238,12 +1238,12 @@ class TestAgainstOracles:
             st.frozensets(st.sampled_from(values), min_size=1, max_size=4),
             min_size=1, max_size=6))
         r = FuzzyRelation((attr,), tuple(FuzzyTuple(("X",), (c,)) for c in comps))
-        check, = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
-                                       lambda idx, _: _column_values(r, "X"))
+        keyed, fields = algebra._build_checks(r.schema, LevelMap({"X": level}), "threshold",
+                                              lambda idx, _: _column_values(r, "X"))
         old = _MemoCheck(0, "X", level, spec=attr.proximity)
         for a in comps:
             for b in comps:
-                assert check.component_ok(a | b) == old.component_ok(a | b)
+                assert algebra._passes(keyed, fields, (a | b,)) == old.component_ok(a | b)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1654,7 +1654,7 @@ ALLOWED_IMPORTS = {
     "DomainError", "FormatError", "ParseError", "SchemaMismatchError", "UnknownAttributeError",
     "UnknownValueError", "ValidationError",
     # the functions under test
-    "_build_checks", "_tokenize", "closure_classes", "join", "load_relation",
+    "_build_checks", "_passes", "_tokenize", "closure_classes", "join", "load_relation",
     "merge_relation", "parse", "project", "render", "select", "thres", "valid_tuple",
     # the cells, until a reference in exact arithmetic classifies them
     "Partition2D", "cell_of", "class_of", "partition_line", "partition_plane",

@@ -418,6 +418,7 @@ MASK_DOMAINS = {
         st.integers(0, 10).map(str))),
     "planar": (Planar(10, SITES), st.one_of(
         st.sampled_from(sorted(SITES)), st.sampled_from(PLANAR_POINTS),
+        st.sampled_from(((1, 2), (1.0, 2.0), (0, 0.0))),
         st.tuples(st.floats(0, 10), st.floats(0, 10)))),
     "matrix": (ExplicitMatrix(("p", "q", "r", "s"), ((1, 0.5, 0.2, 0.7), (0.5, 1, 0.9, 0.3),
                                                    (0.2, 0.9, 1, 0.6), (0.7, 0.3, 0.6, 1))),
@@ -433,8 +434,8 @@ def masked_cuts(draw):
     """(spec, values, probe, level): a level from the fixed ones, any float,
     or a degree between two of the values and the probe."""
     spec, value = MASK_DOMAINS[draw(st.sampled_from(sorted(MASK_DOMAINS)))]
-    # distinct by Python equality, as a kept cut holds them
-    values = draw(st.lists(value, min_size=1, max_size=12, unique=True))
+    # with repeats, and equal values of two types
+    values = draw(st.lists(value, min_size=1, max_size=12))
     x = draw(value | st.sampled_from(values))
     y = draw(st.sampled_from(values))
     level = draw(st.sampled_from(CUT_LEVELS) | st.floats(0, 1)
@@ -448,11 +449,12 @@ class TestNearMask:
         spec, values, x, level = case
         cut = spec.compile(values)
         positions = cut.positions()
-        # one bit per value
-        assert len(positions) == len(values) and set(positions) == set(values)
-        assert sorted(positions.values()) == list(range(len(values)))
+        # one bit per value distinct by Python equality
+        n = len(set(values))
+        assert len(positions) == n and set(positions) == set(values)
+        assert sorted(positions.values()) == list(range(n))
         mask = cut.near_mask(x, level)
-        assert 0 <= mask < 1 << len(values)
+        assert 0 <= mask < 1 << n
         assert {v for v, i in positions.items() if mask >> i & 1} == cut.near(x, level)
         assert cut.masks(level)[x] == mask
 
@@ -548,6 +550,15 @@ def test_output_tuples_are_built_only_in_the_merge_core():
     # every operator hands _merge distinct component rows
     assert calls == {("_merge", "_trusted"),
                      ("merge_relation", "_merge"), ("project", "_merge"), ("join", "_merge")}
+
+
+def test_threshold_decisions_read_the_packed_fields():
+    calls = {(path.name, function, callee)
+             for path in sorted(SRC.glob("*.py"))
+             for function, callee in calls_by_function(path.read_text(encoding="utf-8"),
+                                                       {"_masks"})}
+    # a merge scans survivors on its rows' masks; every other test passes
+    assert calls == {("algebra.py", "_passes", "_masks"), ("algebra.py", "_merge", "_masks")}
 
 
 def spec_kind_names(source: str) -> set:

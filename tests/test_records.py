@@ -25,7 +25,6 @@ from fuzzyrel import (
     Planar,
     SchemaMismatchError,
 )
-from fuzzyrel.algebra import _Check
 from fuzzyrel.partition import Grouping, Partition1D, Partition2D
 from fuzzyrel.proximity import PropertyReport
 from fuzzyrel.query import Cond, Join, LevelClause, Project, Query, RelationRef, Select
@@ -70,10 +69,6 @@ RECORDS = {
     LevelMap: (
         {"levels": {"A": 0.5}}, {"levels": {}}, LevelMap({"A": 0.6}), False,
         "LevelMap(levels={'A': 0.5})"),
-    _Check: (
-        {"index": 0, "level": 0.5, "cut": None, "classify": len},
-        {"cut": None, "classify": None}, _Check(1, 0.5), False,
-        "_Check(index=0, level=0.5, cut=None, classify=<built-in function len>)"),
     Partition1D: (
         {"length": 10.0, "alpha": 0.5, "mode": "standard", "width": 5.0,
          "cell_count": 2, "singleton": True}, {"singleton": False}, AXIS, True,
