@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import partial, reduce
-from operator import and_, attrgetter, itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closure import _column, closure_classes
@@ -416,12 +415,63 @@ def _cell_keys(attr: AttributeSpec, method: str, level: float) -> Callable[[froz
     return memo.__getitem__
 
 
-def _masks(fields: Sequence[tuple], row: Sequence[frozenset]) -> tuple[int, int]:
-    """(part, common) of ``row`` over threshold ``fields``, whose shifts
+class _Memo(dict):
+    """``find`` of each key, found on first lookup and kept for the call; a
+    lookup that raises stores nothing."""
+
+    __slots__ = ("find",)
+
+    def __init__(self, find: Callable):
+        self.find = find
+
+    def __missing__(self, key):
+        found = self[key] = self.find(key)
+        return found
+
+
+class _FieldMasks(dict):
+    """One threshold check's field at ``shift``: each component's ``(part,
+    common)``, its members' bits by ``position`` and the AND of their
+    neighbourhood masks by ``near``, found on first lookup and kept for the
+    call; a lookup that raises stores nothing."""
+
+    __slots__ = ("position", "near", "shift")
+
+    def __init__(self, position: Callable, near: Callable, shift: int):
+        self.position, self.near, self.shift = position, near, shift
+
+    def __missing__(self, values: frozenset) -> tuple[int, int]:
+        position, near, part, common = self.position, self.near, 0, -1
+        for v in values:
+            part |= 1 << position(v)
+            common &= near(v)
+        found = self[values] = (part << self.shift, common << self.shift)
+        return found
+
+
+def _masks(fields: Sequence[tuple], rows: Sequence[Sequence[frozenset]]):
+    """Each row's ``(part, common)`` over threshold ``fields``, whose shifts
     keep them apart: in each field, the bits of the component
-    ``row[index]`` and the AND of its members' neighbourhood masks."""
-    return (sum([sum(map(bit, row[i])) for i, bit, _ in fields]),
-            sum([reduce(and_, map(near, row[i])) for i, _, near in fields]))
+    ``row[index]`` and the AND of its members' neighbourhood masks, looked
+    up column by column in the field's memo, with C-level ``map``s as
+    ``_key_vectors`` finds keys, and packed by ``_packed`` when there are
+    several fields.  With no field, every row reads ``(0, 0)``."""
+    if not fields:
+        return itertools.repeat((0, 0), len(rows))
+    found = [map(memo, map(itemgetter(i), rows)) for i, memo in fields]
+    if len(found) == 1:
+        return found[0]
+    return map(_packed, *found)
+
+
+def _packed(*masks: tuple[int, int]) -> tuple[int, int]:
+    """One row's ``(part, common)`` from those of its fields, which are
+    disjoint, so OR packs them."""
+    part = common = 0
+    for p, c in masks:
+        part |= p
+        common |= c
+    return part, common
 
 
 def _passes(keyed: Sequence[tuple], fields: Sequence[tuple], row: Sequence[frozenset]) -> bool:
@@ -431,38 +481,44 @@ def _passes(keyed: Sequence[tuple], fields: Sequence[tuple], row: Sequence[froze
     close, one test of ints over the packed fields."""
     if _MIXED in [classify(row[i]) for i, classify in keyed]:
         return False
-    part, common = _masks(fields, row)
+    part, common = next(_masks(fields, (row,)))
     return common & part == part
 
 
 def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str | None,
                   values_of: Callable[[int, str], frozenset],
-                  sources: Sequence | None = None) -> tuple[list, list]:
+                  sources: Sequence | None = None,
+                  memos: dict | None = None) -> tuple[list, list]:
     """A call's redundancy checks, one per attribute above level 0, as two
     lists over positions in ``schema``: ``keyed``, the ``(index, classify)``
-    of each class check, and ``fields``, the ``(index, bit, near)`` of each
+    of each class check, and ``fields``, the ``(index, masks)`` of each
     threshold check.
 
     ``values_of(idx, method)`` is the value set the check of position
-    ``idx`` will see, given its resolved method.  A class check's
+    ``idx`` will see, given its resolved method; it is called only where a
+    cut is compiled or a closure grouping is formed.  A class check's
     ``classify`` looks a component up in a ``_ClassKeys`` memo: the one its
     spec keeps for a cell or keyed check (``_cell_keys``), which keys each
     value alone, or one over a ``class_grouping`` of the value set for a
     closure check, since a closure class over more values would differ.  A
     threshold check reads the cut of the position's source in ``sources``
-    (see ``FuzzyRelation``), or with none compiles the value set: a subset
-    test decides alike over any superset of the values (the superset rule
-    of ``proximity``).  ``bit`` and ``near`` map each value of the set to
-    its bit and to its neighbourhood mask at the level (the bits of the
-    cut's values within the level of it), shifted past the cuts of the
-    threshold checks before it.  Both are found up front, once per value
-    and call: a mask from a stored cut's memo at the level (``masks``),
-    kept across calls, or from ``near_mask`` of a cut compiled for the
-    call.  A component is mutually close exactly when its bits, its
-    ``part``, lie inside the AND of its members' masks, its ``common``
-    (``_masks``).
+    (see ``FuzzyRelation``), gathering no value set, or with none compiles
+    the value set: a subset test decides alike over any superset of the
+    values (the superset rule of ``proximity``).  ``masks`` looks a
+    component up in a per-call memo of its ``(part, common)``, found on
+    first lookup and shifted past the cuts of the threshold checks before
+    it: ``part`` the component's bits, ``common`` the AND of its members'
+    neighbourhood masks at the level (the bits of the cut's values within
+    the level of each).  So a component is mutually close exactly when
+    ``common & part == part`` (``_masks``).  Each value's mask is found at
+    most once per call, whatever bound empties a stored memo meanwhile: on
+    a stored cut on first lookup, from its memo at the level (``masks``),
+    kept across calls, through a ``_Memo`` per (cut, level) in ``memos``,
+    which a join hands its output merge; on a cut compiled for the call up
+    front, by ``near_mask``, for each value of the set.
     """
     keyed, fields, shift = [], [], 0
+    memos = {} if memos is None else memos
     for idx, attr in enumerate(schema):
         level = levels.level(attr.name)
         if level == 0.0:
@@ -472,12 +528,17 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
             keyed.append((idx, _cell_keys(attr, method, level)))
         elif method == "threshold":
             source = sources and sources[idx]
-            values = values_of(idx, method)
-            cut = source.cut() if source else attr.proximity.compile(values)
-            mask = cut.masks(level).__getitem__ if source else partial(cut.near_mask, level=level)
+            if source:
+                cut = source.cut()
+                near = memos.get((cut, level))
+                if near is None:
+                    near = memos[cut, level] = _Memo(cut.masks(level).__getitem__).__getitem__
+            else:
+                values = values_of(idx, method)
+                cut = attr.proximity.compile(values)
+                near = {v: cut.near_mask(v, level) for v in values}.__getitem__
             positions = cut.positions()
-            fields.append((idx, {v: 1 << positions[v] + shift for v in values}.__getitem__,
-                           {v: mask(v) << shift for v in values}.__getitem__))
+            fields.append((idx, _FieldMasks(positions.__getitem__, near, shift).__getitem__))
             shift += len(positions)
         else:
             grouping = class_grouping(attr, method, level, values_of(idx, method))
@@ -497,10 +558,11 @@ def redundant(r: FuzzyRelation, t1: FuzzyTuple, t2: FuzzyTuple,
     column order and whichever check fails (``_passes``).
     """
     _conform((t1, t2), r.names)
+    unions = [*map(or_, t1.components, t2.components)]
     # closure classes depend on r's content, cuts only on t1, t2
     keyed, fields = _build_checks(r.schema, levels, mode, lambda idx, method: _column(
-        (t.components for t in (r.tuples if method == "closure" else (t1, t2))), idx))
-    return _passes(keyed, fields, [*map(or_, t1.components, t2.components)])
+        (t.components for t in r.tuples), idx) if method == "closure" else unions[idx])
+    return _passes(keyed, fields, unions)
 
 
 def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
@@ -531,8 +593,9 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     holds a superset of r's values, or with no source compile r's own (see
     ``FuzzyRelation`` and ``_build_checks``).  Each value's neighbourhood
     mask is found once per stored cut and level, across calls, or once per
-    call on a cut of r's own.  One int per tuple packs its threshold
-    components' masks, a field per check: an open survivor carries the AND
+    call on a cut of r's own, and each distinct component's once per call.
+    One int per tuple packs its threshold components' masks, a field per
+    check, looked up column by column: an open survivor carries the AND
     of its members', its ``common``, so a later tuple whose own components
     are mutually close is redundant with it exactly when their bits lie
     inside that AND: one test of ints per survivor.  A mask is as wide as
@@ -548,7 +611,8 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
 
 
 def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: LevelMap,
-           mode: str | None, sources: Sequence) -> tuple[FuzzyTuple, ...]:
+           mode: str | None, sources: Sequence, memos: dict | None = None
+           ) -> tuple[FuzzyTuple, ...]:
     """The survivors of merging the distinct component tuples ``rows``, in
     order of their first row: the one place an operator builds its output
     tuples.  One forward pass: a row joins the first open survivor of its
@@ -562,7 +626,8 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     With class checks only (every class-mode merge) there is no scan: the
     survivors are the key-vector buckets of one dict pass, a ``_MIXED`` row
     alone in one."""
-    keyed, fields = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx), sources)
+    keyed, fields = _build_checks(schema, levels, mode, lambda idx, _: _column(rows, idx),
+                                  sources, memos)
     if not fields:
         buckets: dict[object, list] = {}
         for row, keys in zip(rows, _key_vectors(rows, keyed)):
@@ -571,8 +636,8 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     else:
         survivors = []  # the member rows of each survivor
         open_survivors: dict[tuple, list] = {}  # key vector -> [[common, members]]
-        for row, keys in zip(rows, _key_vectors(rows, keyed)):
-            part, common = _masks(fields, row)
+        for row, keys, (part, common) in zip(rows, _key_vectors(rows, keyed),
+                                             _masks(fields, rows)):
             if _MIXED in keys or common & part != part:
                 survivors.append([row])
                 continue
@@ -693,13 +758,20 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     level.  The output carries the union on join attributes, the left
     tuple's other components, and the right tuple's other components
     under a ``_2`` suffix where names collide.  Each join attribute's
-    threshold or closure check holds the values of both columns; one
-    named twice raises ValidationError.  Tuples are hashed by the class
+    closure check holds the values of both columns, and so does its
+    threshold check: the cut of the source both sides share (see
+    ``FuzzyRelation``), or with none one compiled over both columns' values.
+    One named twice raises ValidationError.  Tuples are hashed by the class
     keys of their class-checked join values, which this tests; threshold
     checks test only pairs with equal keys, all n*m with no class check.
-    The output's columns keep their sources (see ``FuzzyRelation``); a
-    join column keeps one only when both sides share it, and its output
-    merge reads their cuts.
+    Each tuple's threshold join components are found once, as one
+    ``(part, common)`` of ints (``_masks``), and a pair passes when the
+    union's test holds on them: its bits are ``lp | rp`` and the AND of its
+    members' masks ``lc & rc``, so ``lc & rc & (lp | rp) == lp | rp``.  A
+    union is built only for a pair that passes.  The output's columns keep
+    their sources; a join column keeps one only when both sides share it,
+    and its output merge reads that cut with the value masks of the pair
+    test, so each is found once per call.
     """
     levels = levels or LevelMap()
     on = tuple(on)
@@ -720,27 +792,33 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     # each side's join components, in ``on`` order: a check's index
     left_on = [[t.components[i] for i in on_left] for t in r1.tuples]
     right_on = [[t.components[j] for j in on_right] for t in r2.tuples]
+    shared = [r1._sources[i] if r1._sources[i] is r2._sources[j] else None
+              for i, j in zip(on_left, on_right)]
+    memos: dict = {}  # (cut, level) -> value masks, shared with the output merge
     keyed, fields = _build_checks(tuple(r1.schema[i] for i in on_left), levels, mode,
-                                  lambda k, _: _column(left_on, k) | _column(right_on, k))
+                                  lambda k, _: _column(left_on, k) | _column(right_on, k),
+                                  shared, memos)
     schema, right_rest = _joined_schema(r1, r2, on)
     buckets: dict[tuple, list] = {}  # none for a vector holding _MIXED
-    for t, on_values, key in zip(r2.tuples, right_on, _key_vectors(right_on, keyed)):
+    for t, on_values, key, (part, common) in zip(r2.tuples, right_on, _key_vectors(
+            right_on, keyed), _masks(fields, right_on)):
         if _MIXED not in key:
             buckets.setdefault(key, []).append(
-                (on_values, tuple(t.components[j] for j in right_rest)))
+                (on_values, part, common, tuple(t.components[j] for j in right_rest)))
     out_rows = {}
-    for t, on_values, key in zip(r1.tuples, left_on, _key_vectors(left_on, keyed)):
-        for right_values, rest in buckets.get(key, ()):
-            unions = list(map(or_, on_values, right_values))
-            if _passes((), fields, unions):  # the bucket decided the class checks
+    for t, on_values, key, (lp, lc) in zip(r1.tuples, left_on, _key_vectors(left_on, keyed),
+                                           _masks(fields, left_on)):
+        for right_values, rp, rc, rest in buckets.get(key, ()):
+            # the bucket decided the class checks; the union's bits are the
+            # OR of both sides', the AND of its members' masks lc & rc
+            if not fields or lc & rc & (part := lp | rp) == part:
                 comps = list(t.components)
-                for i, union in zip(on_left, unions):
-                    comps[i] = union
+                for i, a, b in zip(on_left, on_values, right_values):
+                    comps[i] = a | b
                 out_rows[(*comps, *rest)] = None
     sources = [*r1._sources, *map(r2._sources.__getitem__, right_rest)]
-    for i, j in zip(on_left, on_right):
-        if sources[i] is not r2._sources[j]:
-            sources[i] = None
+    for i, source in zip(on_left, shared):
+        sources[i] = source
     sources = tuple(sources)
     return FuzzyRelation._derived(
-        schema, _merge(schema, list(out_rows), levels, mode, sources), sources)
+        schema, _merge(schema, list(out_rows), levels, mode, sources, memos), sources)

@@ -541,15 +541,16 @@ class TestEvaluationCounts:
         left = project(select(rel, [("K", 3)]), ["X"], levels)
         xs, others = project(rel, ["X"], levels), project(other, ["X"], levels)
         spec.calls.clear()
-        # the pair test compiles both sides' values; the output merge reads
-        # the stored cut both sides share
+        # the pair test and the output merge read the stored cut both sides
+        # share, and compile nothing
         shared = join(left, xs, ["X"], levels)
         assert [t.get("X") for t in shared.tuples] == [{2, 3}]
         assert shared._sources == xs._sources == (rel._sources[1],)
-        assert spec.calls["compile"] == 1
-        # over two stored relations the join column compiles its own values
+        assert spec.calls["compile"] == 0
+        # over two stored relations the pair test compiles both sides'
+        # values, and the output merge the join column's own
         assert len(join(left, others, ["X"], levels)) == 1
-        assert spec.calls["compile"] == 3
+        assert spec.calls["compile"] == 2
 
     def test_level_memos_kept_per_cut_are_bounded(self, masks_computed):
         rel = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(v,) for v in range(11)])
@@ -660,14 +661,19 @@ class TestEvaluationCounts:
     def test_join_tests_pairs_inside_equal_key_vectors(self, monkeypatch, mode, pairs):
         # K is keyed under every method; X is a cell, closure or threshold
         # check.  Each K has 6 rows a side: 5 * 36 pairs share a key, of 900.
+        # A pair test ORs the left tuple's part with the right one's.
         tested = collections.Counter()
-        passes = algebra._passes
+        masks = algebra._masks
 
-        def counted(keyed, fields, row):
-            tested.update(i for i, _, _ in fields)
-            return passes(keyed, fields, row)
+        class Part(int):
+            def __or__(self, other):
+                tested["or"] += 1
+                return int(self) | other
 
-        monkeypatch.setattr(algebra, "_passes", counted)
+        def counted(fields, rows):
+            return [(Part(part), common) for part, common in masks(fields, rows)]
+
+        monkeypatch.setattr(algebra, "_masks", counted)
         x = AttributeSpec("X", Linear(10), "interval")
         left = FuzzyRelation.from_rows((AttributeSpec("K"), x, AttributeSpec("L")),
                                        [(k % 5, k % 11, k) for k in range(30)])
@@ -676,7 +682,7 @@ class TestEvaluationCounts:
         got = join(left, right, ["K", "X"], LevelMap({"X": 0.8}), mode)
         assert len(got) > 0
         # the check of X, the second join attribute, alone is tested by pairs
-        assert tested == ({1: pairs} if pairs else {})
+        assert tested["or"] == pairs
 
     @pytest.mark.parametrize("operator", ["project", "merge_relation", "join"])
     def test_one_tuple_is_built_per_output_row(self, monkeypatch, operator):
@@ -1112,3 +1118,50 @@ class TestOneClassPath:
             grouping = class_grouping(attr, method, level, {x, y})
             same = grouping.class_index(x) == grouping.class_index(y)
             assert same == (len(join(left, right, ["X"], levels, method)) > 0)
+
+
+# one spec kind per threshold column: a line, a plane, a table that is not
+# max-min transitive (a-c is below a-b and b-c)
+PAIR_SCHEMA = (AttributeSpec("X", Linear(10)), AttributeSpec("P", Planar(10, SITES)),
+               AttributeSpec("M", ExplicitMatrix(("a", "b", "c"), ((1.0, 0.8, 0.5),
+                                                                   (0.8, 1.0, 0.8),
+                                                                   (0.5, 0.8, 1.0)))))
+PAIR_VALUES = (st.one_of(st.integers(0, 10), st.floats(0, 10)),
+               st.sampled_from(sorted(SITES)), st.sampled_from("abc"))
+
+
+class TestPairTest:
+    """A join tests a pair on each tuple's packed ints, as the union's own test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(*(st.frozensets(v, min_size=1, max_size=3)
+                                     for v in PAIR_VALUES)), min_size=1, max_size=6),
+           levels=st.tuples(*[st.sampled_from([0.0, 0.5, 0.8, 0.9, 1.0])] * 3),
+           stored=st.booleans())
+    def test_per_tuple_ints_decide_as_the_union(self, rows, levels, stored):
+        names = tuple(a.name for a in PAIR_SCHEMA)
+        rel = (FuzzyRelation.from_rows(PAIR_SCHEMA, rows) if stored else
+               FuzzyRelation(PAIR_SCHEMA, [FuzzyTuple(names, row) for row in rows]))
+        levels = LevelMap(dict(zip(names, levels)))
+        comps = [t.components for t in rel.tuples]
+        keyed, fields = algebra._build_checks(
+            PAIR_SCHEMA, levels, "threshold",
+            lambda idx, _: frozenset().union(*(c[idx] for c in comps)), rel._sources)
+        assert keyed == []
+        masks = list(algebra._masks(fields, comps))
+        for (a, (lp, lc)), (b, (rp, rc)) in itertools.product(zip(comps, masks), repeat=2):
+            union = [x | y for x, y in zip(a, b)]
+            close = all(attr.proximity.degree(x, y) >= levels.level(attr.name)
+                        for attr, u in zip(PAIR_SCHEMA, union) for x in u for y in u)
+            part = lp | rp
+            assert (lc & rc & part == part) == algebra._passes((), fields, union) == close
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_a_pair_joins_only_when_each_side_is_mutually_close(self, stored):
+        # 5 is within 0.75 of 3 and of 7, which are not within it of each other
+        schema = (AttributeSpec("X", Linear(10)),)
+        rel = FuzzyRelation.from_rows(schema, [({5},), ({3, 7},)])
+        if not stored:
+            rel = FuzzyRelation(schema, rel.tuples)
+        got = join(rel, rel, ["X"], LevelMap({"X": 0.75}))
+        assert [t.get("X") for t in got.tuples] == [{5}]

@@ -557,8 +557,10 @@ def test_threshold_decisions_read_the_packed_fields():
              for path in sorted(SRC.glob("*.py"))
              for function, callee in calls_by_function(path.read_text(encoding="utf-8"),
                                                        {"_masks"})}
-    # a merge scans survivors on its rows' masks; every other test passes
-    assert calls == {("algebra.py", "_passes", "_masks"), ("algebra.py", "_merge", "_masks")}
+    # a merge scans survivors on its rows' masks, a join tests pairs on
+    # each tuple's; every other test passes
+    assert calls == {("algebra.py", "_passes", "_masks"), ("algebra.py", "_merge", "_masks"),
+                     ("algebra.py", "join", "_masks")}
 
 
 def spec_kind_names(source: str) -> set:
