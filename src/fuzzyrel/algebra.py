@@ -454,14 +454,11 @@ def _masks(fields: Sequence[tuple], rows: Sequence[Sequence[frozenset]]):
     keep them apart: in each field, the bits of the component
     ``row[index]`` and the AND of its members' neighbourhood masks, looked
     up column by column in the field's memo, with C-level ``map``s as
-    ``_key_vectors`` finds keys, and packed by ``_packed`` when there are
-    several fields.  With no field, every row reads ``(0, 0)``."""
+    ``_key_vectors`` finds keys, and packed by ``_packed``.  With no field,
+    every row reads ``(0, 0)``."""
     if not fields:
         return itertools.repeat((0, 0), len(rows))
-    found = [map(memo, map(itemgetter(i), rows)) for i, memo in fields]
-    if len(found) == 1:
-        return found[0]
-    return map(_packed, *found)
+    return map(_packed, *[map(memo, map(itemgetter(i), rows)) for i, memo in fields])
 
 
 def _packed(*masks: tuple[int, int]) -> tuple[int, int]:
@@ -510,12 +507,15 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
     it: ``part`` the component's bits, ``common`` the AND of its members'
     neighbourhood masks at the level (the bits of the cut's values within
     the level of each).  So a component is mutually close exactly when
-    ``common & part == part`` (``_masks``).  Each value's mask is found at
-    most once per call, whatever bound empties a stored memo meanwhile: on
-    a stored cut on first lookup, from its memo at the level (``masks``),
-    kept across calls, through a ``_Memo`` per (cut, level) in ``memos``,
-    which a join hands its output merge; on a cut compiled for the call up
-    front, by ``near_mask``, for each value of the set.
+    ``common & part == part`` (``_masks``).
+
+    The mask rule: each value's mask is looked up on first need through
+    one ``_Memo`` per (cut, level) in ``memos``, over the cut's
+    ``masks(level)``, whether the cut is stored or compiled for the call.
+    So it is found at most once per call, whatever bound empties the cut's
+    memo meanwhile.  A stored cut keeps its ``masks`` across calls, a cut
+    compiled for the call lives as long as the call, and a join hands its
+    ``memos`` to its output merge.
     """
     keyed, fields, shift = [], [], 0
     memos = {} if memos is None else memos
@@ -528,15 +528,10 @@ def _build_checks(schema: Sequence[AttributeSpec], levels: LevelMap, mode: str |
             keyed.append((idx, _cell_keys(attr, method, level)))
         elif method == "threshold":
             source = sources and sources[idx]
-            if source:
-                cut = source.cut()
-                near = memos.get((cut, level))
-                if near is None:
-                    near = memos[cut, level] = _Memo(cut.masks(level).__getitem__).__getitem__
-            else:
-                values = values_of(idx, method)
-                cut = attr.proximity.compile(values)
-                near = {v: cut.near_mask(v, level) for v in values}.__getitem__
+            cut = source.cut() if source else attr.proximity.compile(values_of(idx, method))
+            near = memos.get((cut, level))
+            if near is None:
+                near = memos[cut, level] = _Memo(cut.masks(level).__getitem__).__getitem__
             positions = cut.positions()
             fields.append((idx, _FieldMasks(positions.__getitem__, near, shift).__getitem__))
             shift += len(positions)
@@ -592,8 +587,8 @@ def merge_relation(r: FuzzyRelation, levels: LevelMap | None = None,
     cut of each column's source, the stored relation r derives from, which
     holds a superset of r's values, or with no source compile r's own (see
     ``FuzzyRelation`` and ``_build_checks``).  Each value's neighbourhood
-    mask is found once per stored cut and level, across calls, or once per
-    call on a cut of r's own, and each distinct component's once per call.
+    mask is found by the mask rule of ``_build_checks``, and each distinct
+    component's once per call.
     One int per tuple packs its threshold components' masks, a field per
     check, looked up column by column: an open survivor carries the AND
     of its members', its ``common``, so a later tuple whose own components
@@ -622,7 +617,8 @@ def _merge(schema: Sequence[AttributeSpec], rows: Sequence[tuple], levels: Level
     one field per threshold check (``_masks``); if none takes it, the row
     opens one.  A row with a ``_MIXED`` key or a
     threshold component that is not mutually close stays alone.  Threshold
-    checks read the cuts of ``sources``, one per column of ``schema``.
+    checks read the cuts of ``sources``, one per column of ``schema``, through
+    ``memos`` (the mask rule of ``_build_checks``).
     With class checks only (every class-mode merge) there is no scan: the
     survivors are the key-vector buckets of one dict pass, a ``_MIXED`` row
     alone in one."""
@@ -770,8 +766,8 @@ def join(r1: FuzzyRelation, r2: FuzzyRelation, on: Sequence[str],
     members' masks ``lc & rc``, so ``lc & rc & (lp | rp) == lp | rp``.  A
     union is built only for a pair that passes.  The output's columns keep
     their sources; a join column keeps one only when both sides share it,
-    and its output merge reads that cut with the value masks of the pair
-    test, so each is found once per call.
+    and its output merge reads that cut through the pair test's memos (the
+    mask rule of ``_build_checks``).
     """
     levels = levels or LevelMap()
     on = tuple(on)

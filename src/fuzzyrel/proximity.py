@@ -554,7 +554,7 @@ class _CrispCut(_Cut):
             y = self._values[x]
         except (KeyError, TypeError):
             return frozenset()
-        return frozenset((y,)) if level <= 1.0 else frozenset()
+        return frozenset((y,))
 
 
 def build_ordinal_matrix(labels) -> ExplicitMatrix:

@@ -1033,6 +1033,25 @@ class TestLevelMap:
             LevelMap({"X": 1.5})
 
 
+ONE_ROW = FuzzyRelation.from_rows((AttributeSpec("X", Linear(10)),), [(1,)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AttributeSpec(""), ValidationError, "attribute name must be non-empty"),
+    (lambda: AttributeSpec("X", default_method="bogus"), ValidationError,
+     "method must be one of .*, got 'bogus'"),
+    (lambda: ONE_ROW.tuples[0].get("Z"), UnknownAttributeError, "no attribute 'Z' in tuple"),
+    (lambda: merge_relation(ONE_ROW, mode="bogus"), ValidationError,
+     "unknown method 'bogus'"),
+    (lambda: join(ONE_ROW, ONE_ROW, []), SchemaMismatchError,
+     "join needs at least one attribute"),
+], ids=["empty-name", "unknown-default-method", "tuple-lacks-attribute",
+        "unknown-merge-method", "join-on-nothing"])
+def test_refusal(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestRedundancyIsEquivalence:
     """Brute-force reflexivity, symmetry and transitivity on small relations."""
 

@@ -498,6 +498,11 @@ ERROR_PATHS = {
         3, ["suppliers.csv:", "200", "'STATUS'"]),
     "unknown-attribute": (
         "suppliers", None, _classes("NOPE"), 3, ["NOPE"]),
+    "merge-needs-a-relation": (
+        "suppliers", _replace("schema.cfg", "[relation SUPPLIERS]",
+                              "[relation COPY]\nfile = suppliers.csv\n"
+                              "attributes = SNAME, STATUS, CITY\n\n[relation SUPPLIERS]"),
+        ("merge", "--db", "{db}"), 3, ["--relation is required", "'COPY'", "'SUPPLIERS'"]),
     "unknown-relation": (
         "suppliers", None, ("merge", "--db", "{db}", "--relation", "NOPE"), 3,
         ["NOPE"]),

@@ -12,6 +12,7 @@ from fuzzyrel import (
     LevelMap,
     Linear,
     ValidationError,
+    load_database,
     load_locations,
     load_matrix,
     load_relation,
@@ -211,6 +212,10 @@ class TestLoadMatrix:
 
 
 class TestLoadDatabase:
+    def test_a_directory_without_a_schema_is_refused(self, tmp_path):
+        with pytest.raises(FormatError, match="no schema.cfg in"):
+            load_database(tmp_path)
+
     def test_an_ordinal_matrix_attribute_is_ordered_by_its_labels(self, arson_db,
                                                                   build_matrix):
         spec = arson_db.attribute("BUILD")

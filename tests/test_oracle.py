@@ -1552,6 +1552,25 @@ class TestNamedCases:
             FuzzyTuple(names, (frozenset({3, 5}), frozenset({"b"}), frozenset({"c"}))),
         )
 
+    # 5 is within 0.8 of 3 and of 7, which are not within it of each other:
+    # {5} and {3, 7} join in neither order, though each value of one side
+    # is close to every value of the other
+    @pytest.mark.parametrize("mirror", [False, True], ids=["close-left", "close-right"])
+    @pytest.mark.parametrize("stored", ["two-relations", "one-relation"])
+    def test_join_side_not_mutually_close(self, stored, mirror):
+        rows = [(5, "l"), ({3, 7}, "r")]
+        if stored == "one-relation":  # both sides read the stored cut of X
+            r = linear_crisp(rows)
+            left, right = (project(select(r, [("Y", y)]), ["X"]) for _, y in rows)
+        else:  # the pair test compiles both sides' values for the call
+            schema = (AttributeSpec("X", Linear(10)),)
+            left, right = (FuzzyRelation.from_rows(schema, [(x,)]) for x, _ in rows)
+        if mirror:
+            left, right = right, left
+        levels = LevelMap({"X": 0.8})
+        assert_same(join, oracle_join, left, right, ["X"], levels, None)
+        assert join(left, right, ["X"], levels).tuples == ()
+
     def test_grid_on_a_line_cuts_interval_cells(self):
         # the cells [0, 3) and [3, 6) part 2.9 from 3.1; equalized cells,
         # [2.5, 5) among them, would hold both

@@ -150,6 +150,10 @@ class TestPartitionPlane:
         assert cell_of((1.19, 0.0), g) == (1, 1)
         assert cell_of((1.2, 2.0), g) == (2, 2)
 
+    def test_cell_of_refuses_a_value_that_is_not_a_point(self):
+        with pytest.raises(DomainError, match=r"expected an \(x, y\) point, got 'A'"):
+            cell_of("A", partition_plane(10, 0.5))
+
     def test_cell_of_cities(self):
         g = partition_plane(100, 0.8)
         assert cell_of(FANTASY["Gondor"], g) == (4, 2)

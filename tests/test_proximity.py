@@ -563,6 +563,15 @@ def test_threshold_decisions_read_the_packed_fields():
                      ("algebra.py", "join", "_masks")}
 
 
+def test_masks_are_found_only_through_the_level_memo():
+    calls = {(path.name, function, callee)
+             for path in sorted(SRC.glob("*.py"))
+             for function, callee in calls_by_function(path.read_text(encoding="utf-8"),
+                                                       {"near_mask"})}
+    # _Masks.__missing__: stored and call-compiled cuts alike read masks(level)
+    assert calls == {("proximity.py", "__missing__", "near_mask")}
+
+
 def spec_kind_names(source: str) -> set:
     """Each spec kind ``source`` names: as a name, an attribute or an import."""
     return {name for node in ast.walk(ast.parse(source))

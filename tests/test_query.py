@@ -290,6 +290,12 @@ class TestRender:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("call", [lambda: evaluate(object(), {}), lambda: render(object())],
+                             ids=["evaluate", "render"])
+    def test_an_object_that_is_no_query_node_is_refused(self, call):
+        with pytest.raises(TypeError, match="not a query node: <object object"):
+            call()
+
     def test_expert_pipeline(self, survey_db):
         q = parse(
             'project (select (SURVEY) where Type = "Expert") '
